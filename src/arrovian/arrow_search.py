@@ -30,15 +30,10 @@ from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from ._util import canonical_json
+from .kernel import STANCE_CODE, STANCES
 from .profiles import Domain, Profile, TriPartition, enumerate_profiles, enumerate_tripartitions, pair_partition
 from .relations import PairStance, enumerate_weak_orders, pair_stance, unordered_pairs
-from .swf import PairwiseRuleSwf, find_dictator, full_report, swf_to_json_dict
-
-STANCE_BY_INDEX = (
-    PairStance.FIRST_PREFERRED,
-    PairStance.SECOND_PREFERRED,
-    PairStance.INDIFFERENT,
-)
+from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
 _PAIRS3 = ((0, 1), (0, 2), (1, 2))
 _MASK_TO_STANCE = {1: 0, 2: 1, 4: 2}
@@ -75,7 +70,7 @@ def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
     triples = []
     for w in enumerate_weak_orders(3):
         triples.append(
-            tuple(STANCE_BY_INDEX.index(pair_stance(w, x, y)) for x, y in _PAIRS3)
+            tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in _PAIRS3)
         )
     return tuple(sorted(triples))
 
@@ -176,7 +171,7 @@ def propagate(
         idx = problem.cell_index.get(cell)
         if idx is None:
             raise ValueError(f"cell {cell} is not part of this problem")
-        bit = 1 << STANCE_BY_INDEX.index(stance)
+        bit = 1 << STANCE_CODE[stance]
         if not domains[idx] & bit:
             return PropagationResult(
                 False, {}, f"assignment {stance.value} conflicts with unanimity at {cell}"
@@ -187,7 +182,7 @@ def propagate(
     if not ok:
         return PropagationResult(False, {}, "a cell lost every stance during propagation")
     out = {
-        cell: tuple(STANCE_BY_INDEX[s] for s in range(3) if domains[i] >> s & 1)
+        cell: tuple(STANCES[s] for s in range(3) if domains[i] >> s & 1)
         for i, cell in enumerate(problem.cells)
     }
     return PropagationResult(True, out)
@@ -247,7 +242,7 @@ def _rules_from_stances(problem: SearchProblem, stances: list[int]) -> PairwiseR
     }
     for cell, s in zip(problem.cells, stances):
         t = TriPartition.from_code(problem.n, cell.code)
-        rules[cell.pair][t] = STANCE_BY_INDEX[s]
+        rules[cell.pair][t] = STANCES[s]
     return PairwiseRuleSwf(problem.m, problem.n, problem.domain, rules)
 
 
@@ -338,7 +333,7 @@ def search_arrovian(
             raise RuntimeError(
                 f"survivor failed the axiom cross-check: {report.failed()}"
             )
-        rec.dictator = find_dictator(rec.swf)
+        rec.dictator = report.dictator
 
     survivors.sort(key=lambda rec: rec.stances)
     return SearchCertificate(

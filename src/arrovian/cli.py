@@ -465,6 +465,8 @@ def _triple_text(t) -> str:
 
 def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> int:
     ctx.seed = args.seed
+    if args.samples < 0:
+        raise CliError(f"--samples must be at least 0, got {args.samples}")
     if args.dictator is not None:
         v0 = args.dictator
         if v0 < 0:

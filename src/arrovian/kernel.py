@@ -1,0 +1,178 @@
+"""Integer-coded view of a finite profile domain.
+
+Every quantified axiom check walks the same facts: the profiles of an
+(m, n, domain) in enumeration order, and each voter's stance on every
+pair of alternatives.  `domain_kernel(m, n, domain)` computes those
+facts once per process, as small integers, when first asked for;
+nothing is built at import.  The checks in `swf` and `ks_bridge` then
+run as lookups over it, and turn a failing index back into `Profile`
+objects only to report a witness.
+
+Codes:
+
+* a stance is its index in `STANCES`: 0 FIRST, 1 SECOND, 2 INDIFFERENT;
+  `MISSING` (3) marks a verdict that the rule under audit leaves
+  undefined;
+* a profile is its position in `enumerate_profiles` order (odometer
+  order, voter n-1 fastest);
+* a voter split on a pair is its `TriPartition.code()`;
+* a supporter mask has bit v set when voter v strictly prefers the
+  pair's first alternative.
+
+Tables are stored per pair, one entry per profile, because the checks
+scan pairs outer and profiles inner, and read one profile across pairs
+with `zip`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import lru_cache
+
+from .profiles import Domain, Profile, check_profile_space
+from .relations import (
+    BinaryRelation,
+    PairStance,
+    ValidationResult,
+    WeakOrder,
+    ordered_pairs,
+    pair_stance,
+    to_canonical,
+    unordered_pairs,
+    validate_weak_order,
+)
+
+STANCES = (
+    PairStance.FIRST_PREFERRED,
+    PairStance.SECOND_PREFERRED,
+    PairStance.INDIFFERENT,
+)
+STANCE_CODE = {s: i for i, s in enumerate(STANCES)}
+FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
+FLIP = (SECOND, FIRST, TIE, MISSING)
+
+
+@dataclass(frozen=True, eq=False)
+class DomainKernel:
+    """Stance facts of every profile of one (m, n, domain), as integers.
+
+    `pairs` lists the ordered pairs lexicographically and `canonical`
+    the pairs x < y; `forward[q]` is the position of `canonical[q]` in
+    `pairs`, and `slot[p]` the position of `pairs[p]`, either way round,
+    in `canonical`.  `tri[q][i]` is the tri-partition code of profile i on
+    `canonical[q]`, `support[p][i]` the supporter mask of profile i on
+    `pairs[p]`, and `unanimous[p]` the profiles whose voters all support
+    `pairs[p]`, in order.
+    """
+
+    m: int
+    n: int
+    domain: Domain
+    orders: tuple[WeakOrder, ...]
+    pairs: tuple[tuple[int, int], ...]
+    canonical: tuple[tuple[int, int], ...]
+    forward: tuple[int, ...]
+    slot: tuple[int, ...]
+    tri: tuple[tuple[int, ...], ...]
+    support: tuple[tuple[int, ...], ...]
+    unanimous: tuple[tuple[int, ...], ...]
+    _order_index: dict[WeakOrder, int] = field(repr=False)
+    _codes: dict[WeakOrder, tuple[int, ...]] = field(default_factory=dict, repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.orders) ** self.n
+
+    def profile(self, i: int) -> Profile:
+        """The profile at enumeration index i, as an object."""
+        k = len(self.orders)
+        digits = []
+        for _ in range(self.n):
+            i, d = divmod(i, k)
+            digits.append(d)
+        return Profile(tuple(self.orders[d] for d in reversed(digits)))
+
+    def profile_index(self, f: Profile) -> int | None:
+        """The enumeration index of f, or None when f lies outside the domain."""
+        if f.n != self.n:
+            return None
+        k, i = len(self.orders), 0
+        for w in f.prefs:
+            d = self._order_index.get(w)
+            if d is None:
+                return None
+            i = i * k + d
+        return i
+
+    def codes(self, w: WeakOrder) -> tuple[int, ...]:
+        """The stance code of order w on each of `pairs` (cached per order)."""
+        out = self._codes.get(w)
+        if out is None:
+            out = self._codes[w] = tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in self.pairs)
+        return out
+
+
+def _columns(per_order: list[list[int]], n: int, weight) -> tuple[tuple[int, ...], ...]:
+    """Per pair, fold each voter's per-order value into one int per profile.
+
+    `per_order[o][p]` is order o's value on pair p and `weight(v, value)`
+    voter v's contribution.  Voter 0 is folded first and outermost, so
+    the result follows odometer order with voter n-1 fastest.
+    """
+    out = []
+    for p in range(len(per_order[0]) if per_order else 0):
+        col = [0]
+        for v in range(n):
+            parts = [weight(v, row[p]) for row in per_order]
+            col = [c + part for c in col for part in parts]
+        out.append(tuple(col))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
+    """The cached kernel of (m, n, domain); raises as enumerate_profiles would."""
+    check_profile_space(m, n, domain)
+    orders = tuple(domain.orders(m))
+    pairs = tuple(ordered_pairs(m))
+    canonical = tuple(unordered_pairs(m))
+    stance = [[STANCE_CODE[pair_stance(w, x, y)] for x, y in pairs] for w in orders]
+    forward = tuple(pairs.index(pair) for pair in canonical)
+    tri = _columns([[row[p] for p in forward] for row in stance], n, lambda v, s: s * 3**v)
+    support = _columns(stance, n, lambda v, s: (s == FIRST) << v)
+    everyone = (1 << n) - 1
+    unanimous = tuple(tuple(i for i, mask in enumerate(col) if mask == everyone) for col in support)
+    return DomainKernel(
+        m=m,
+        n=n,
+        domain=domain,
+        orders=orders,
+        pairs=pairs,
+        canonical=canonical,
+        forward=forward,
+        slot=tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs),
+        tri=tri,
+        support=support,
+        unanimous=unanimous,
+        _order_index={w: i for i, w in enumerate(orders)},
+    )
+
+
+# At most 3 ** (m(m-1)/2) keys per m: 729 at m=4, 59049 at m=5.
+@lru_cache(maxsize=None)
+def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationResult, WeakOrder | None]:
+    """Compose stance codes on the canonical pairs into one relation.
+
+    Returns the relation, its weak-order validation and, when valid,
+    its canonical form.  This is the one place where per-pair stances
+    become a verdict order.
+    """
+    grid = [[False] * m for _ in range(m)]
+    for (x, y), s in zip(unordered_pairs(m), codes):
+        if s == FIRST:
+            grid[x][y] = True
+        elif s == SECOND:
+            grid[y][x] = True
+    rel = BinaryRelation(tuple(tuple(row) for row in grid))
+    res = validate_weak_order(rel)
+    return rel, res, to_canonical(rel) if res.ok else None

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement
 from .profiles import Domain, Profile, enumerate_profiles
 from .relations import BinaryRelation, PairStance, WeakOrder, ordered_pairs, to_canonical, validate_weak_order
-from .swf import AxiomReport, ExplicitSwf, Swf, find_dictator, full_report
+from .kernel import FIRST, domain_kernel
+from .swf import AxiomReport, ExplicitSwf, Swf, find_dictator, full_report, require_defined
 
 
 class NotArrovianError(ValueError):
@@ -59,23 +60,16 @@ def extract_decisive_family(swf: Swf, require_arrovian: bool = True) -> Decisive
         report = full_report(swf)
         if not report.arrovian():
             raise NotArrovianError(report)
-    n = swf.n
-    profiles = swf.domain_profiles()
-    pairs = ordered_pairs(swf.m)
-    supporters: list[tuple[int, bool]] = []
-    for f in profiles:
-        for x, y in pairs:
-            mask = 0
-            for v in range(n):
-                if f.stance(v, x, y) is PairStance.FIRST_PREFERRED:
-                    mask |= 1 << v
-            wins = swf.stance(f, x, y) is PairStance.FIRST_PREFERRED
-            supporters.append((mask, wins))
-    members = []
-    for coalition in range(1 << n):
-        if all(wins for mask, wins in supporters if coalition & ~mask == 0):
-            members.append(coalition)
-    family = CoalitionFamily(n, frozenset(members))
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    cols = swf.stance_columns(k)
+    require_defined(swf, k, cols)
+    # Supporter sets that some verdict overrules; a coalition is decisive
+    # exactly when it lies inside none of them.
+    overruled = set()
+    for support, col in zip(k.support, cols):
+        overruled.update(mask for mask, s in zip(support, col) if s != FIRST)
+    members = [c for c in range(1 << swf.n) if not any(c & ~mask == 0 for mask in overruled)]
+    family = CoalitionFamily(swf.n, frozenset(members))
     return DecisiveFamily(family, provenance=swf.describe())
 
 

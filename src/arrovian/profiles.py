@@ -195,13 +195,11 @@ def domain_size(m: int, n: int, domain: Domain) -> int:
     return len(domain.orders(m)) ** n
 
 
-def enumerate_profiles(
-    m: int, n: int, domain: Domain, budget: int = PROFILE_BUDGET_DEFAULT
-) -> Iterator[Profile]:
-    """All profiles of the domain in odometer order (voter n-1 fastest).
+def check_profile_space(m: int, n: int, domain: Domain, budget: int = PROFILE_BUDGET_DEFAULT) -> None:
+    """Raise unless the domain's profiles can be enumerated.
 
-    Raises BudgetExceededError when the domain holds more than `budget`
-    profiles; partial enumeration is never silently returned.
+    ValueError for fewer than one voter or m out of range, and
+    BudgetExceededError when the domain holds more than `budget` profiles.
     """
     if n < 1:
         raise ValueError(f"need at least one voter, got n={n}")
@@ -210,6 +208,17 @@ def enumerate_profiles(
         raise BudgetExceededError(
             f"domain holds {size} profiles, over the budget of {budget}"
         )
+
+
+def enumerate_profiles(
+    m: int, n: int, domain: Domain, budget: int = PROFILE_BUDGET_DEFAULT
+) -> Iterator[Profile]:
+    """All profiles of the domain in odometer order (voter n-1 fastest).
+
+    Raises BudgetExceededError when the domain holds more than `budget`
+    profiles; partial enumeration is never silently returned.
+    """
+    check_profile_space(m, n, domain, budget)
     orders = domain.orders(m)
     return (Profile(combo) for combo in product(orders, repeat=n))
 

@@ -25,7 +25,7 @@ round-trip exactly on canonical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -177,6 +177,7 @@ class WeakOrder:
     """
 
     classes: tuple[tuple[int, ...], ...]
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = tuple(tuple(sorted(c)) for c in self.classes)
@@ -186,10 +187,7 @@ class WeakOrder:
         members = sorted(x for c in norm for x in c)
         if members != list(range(len(members))):
             raise ValueError("classes must partition 0..m-1 with no gaps or repeats")
-
-    @property
-    def m(self) -> int:
-        return sum(len(c) for c in self.classes)
+        object.__setattr__(self, "m", len(members))
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:

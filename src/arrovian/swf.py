@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .relations import (
+    MAX_ALTERNATIVES,
     AlternativeSet,
     BinaryRelation,
     PairStance,
@@ -43,12 +44,9 @@ from .relations import (
     WeakOrder,
     default_labels,
     format_weak_order,
-    ordered_pairs,
     pair_stance,
     parse_weak_order,
-    to_canonical,
     unordered_pairs,
-    validate_weak_order,
 )
 from .profiles import (
     Domain,
@@ -58,10 +56,15 @@ from .profiles import (
     enumerate_tripartitions,
     pair_partition,
 )
+from .kernel import FIRST, FLIP, MISSING, STANCE_CODE, STANCES, DomainKernel, compose, domain_kernel
 
 
 class SwfFormatError(ValueError):
-    """An SWF file failed schema validation."""
+    """An SWF file failed schema validation; `location` says where, when known."""
+
+    def __init__(self, message: str, location: str | None = None):
+        self.location = location
+        super().__init__(message if location is None else f"{location}: {message}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,20 @@ class ExplicitSwf:
 
     def stance(self, f: Profile, x: int, y: int) -> PairStance:
         return pair_stance(self.verdict(f), x, y)
+
+    def verdict_rows(self, k: DomainKernel) -> list[WeakOrder | None]:
+        """The verdict of each domain profile by enumeration index; None where absent."""
+        rows: list[WeakOrder | None] = [None] * k.size
+        for f, w in self.verdicts.items():
+            i = k.profile_index(f)
+            if i is not None:
+                rows[i] = w
+        return rows
+
+    def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
+        """Per ordered pair of `k.pairs`, the verdict's stance code on each profile."""
+        missing = (MISSING,) * len(k.pairs)
+        return list(zip(*(missing if w is None else k.codes(w) for w in self.verdict_rows(k))))
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -139,19 +156,22 @@ class PairwiseRuleSwf:
         Returns the canonical weak order when the stances cohere, and a
         CompositionFailure carrying the offending relation otherwise.
         """
-        m = self.m
-        grid = [[False] * m for _ in range(m)]
-        for x, y in unordered_pairs(m):
-            s = self.rule_stance((x, y), pair_partition(f, x, y))
-            if s is PairStance.FIRST_PREFERRED:
-                grid[x][y] = True
-            elif s is PairStance.SECOND_PREFERRED:
-                grid[y][x] = True
-        rel = BinaryRelation(tuple(tuple(row) for row in grid))
-        res = validate_weak_order(rel)
-        if not res.ok:
-            return CompositionFailure(f, rel, res)
-        return to_canonical(rel)
+        codes = tuple(
+            STANCE_CODE[self.rule_stance(pair, pair_partition(f, *pair))]
+            for pair in unordered_pairs(self.m)
+        )
+        rel, res, order = compose(self.m, codes)
+        return order if res.ok else CompositionFailure(f, rel, res)
+
+    def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
+        """Per ordered pair of `k.pairs`, the rule's stance code on each profile."""
+        forward = []
+        for pair, tri in zip(k.canonical, k.tri):
+            table = dict.fromkeys(tri, MISSING)
+            table.update((t.code(), STANCE_CODE[s]) for t, s in self.rules.get(pair, {}).items() if t.n == self.n)
+            forward.append(tuple(map(table.__getitem__, tri)))
+        flipped = [tuple(map(FLIP.__getitem__, col)) for col in forward]
+        return [forward[q] if x < y else flipped[q] for (x, y), q in zip(k.pairs, k.slot)]
 
     def describe(self) -> str:
         return f"pairwise-rule swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -179,57 +199,100 @@ class IndependenceCheck:
     by_construction: bool = False
 
 
+def _profile_at(swf: Swf, k: DomainKernel, i: int, pair: tuple[int, int], code: int) -> Profile:
+    """Profile i as an object, for a witness at `pair`.
+
+    When the verdict there is undefined (`MISSING`), asking the SWF for
+    it raises the LookupError that names the missing verdict or rule cell.
+    """
+    f = k.profile(i)
+    if code == MISSING:
+        swf.stance(f, *pair)
+    return f
+
+
 def check_unanimity(swf: Swf) -> UnanimityCheck:
     """Whenever every voter strictly prefers a to b, so must the verdict.
 
     Pairs are scanned in lexicographic order, profiles in enumeration
     order, so a failing witness is deterministic.
     """
-    profiles = swf.domain_profiles()
-    for a, b in ordered_pairs(swf.m):
-        for f in profiles:
-            if all(f.stance(v, a, b) is PairStance.FIRST_PREFERRED for v in range(swf.n)):
-                if swf.stance(f, a, b) is not PairStance.FIRST_PREFERRED:
-                    return UnanimityCheck(False, f, (a, b))
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    cols = swf.stance_columns(k)
+    for pair, col, unanimous in zip(k.pairs, cols, k.unanimous):
+        for i in unanimous:
+            if col[i] != FIRST:
+                return UnanimityCheck(False, _profile_at(swf, k, i, pair, col[i]), pair)
     return UnanimityCheck(True)
 
 
 def check_independence(swf: Swf) -> IndependenceCheck:
     """The verdict on a pair may depend only on the voters' stances there.
 
-    Profiles are grouped by their stance signature per pair, one hash
-    pass over the domain; any two groups members with different verdict
+    Profiles are grouped by their tri-partition code per pair, one hash
+    pass over the domain; any two group members with different verdict
     stances are a counterexample.  Pairwise-rule SWFs satisfy this by
     construction and are accepted immediately.
     """
     if isinstance(swf, PairwiseRuleSwf):
         return IndependenceCheck(True, by_construction=True)
-    profiles = swf.domain_profiles()
-    for x, y in unordered_pairs(swf.m):
-        seen: dict[tuple[PairStance, ...], tuple[Profile, PairStance]] = {}
-        for f in profiles:
-            sig = tuple(f.stance(v, x, y) for v in range(swf.n))
-            verdict = swf.stance(f, x, y)
-            if sig not in seen:
-                seen[sig] = (f, verdict)
-            elif seen[sig][1] is not verdict:
-                return IndependenceCheck(False, seen[sig][0], f, (x, y))
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    cols = swf.stance_columns(k)
+    for pair, tri, p in zip(k.canonical, k.tri, k.forward):
+        seen: dict[int, tuple[int, int]] = {}
+        for i, (t, s) in enumerate(zip(tri, cols[p])):
+            if s == MISSING:
+                _profile_at(swf, k, i, pair, s)
+            first, verdict = seen.setdefault(t, (i, s))
+            if verdict != s:
+                return IndependenceCheck(False, k.profile(first), k.profile(i), pair)
     return IndependenceCheck(True)
+
+
+def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple[int, int] | None]:
+    """Per voter, the first place where the verdict overrules them, or None.
+
+    A place is a (profile, ordered pair) index, compared in that order:
+    the voter strictly prefers the pair's first alternative there and
+    the verdict does not.
+    """
+    first: list[tuple[int, int] | None] = [None] * k.n
+    for p, (support, col) in enumerate(zip(k.support, cols)):
+        pending = (1 << k.n) - 1
+        for i, (mask, s) in enumerate(zip(support, col)):
+            hit = mask & pending
+            if hit and s != FIRST:
+                pending ^= hit
+                for v in range(k.n):
+                    if hit >> v & 1 and (first[v] is None or (i, p) < first[v]):
+                        first[v] = (i, p)
+                if not pending:
+                    break
+    return first
 
 
 def find_dictator(swf: Swf) -> int | None:
     """The least voter whose strict preferences the verdict always follows."""
-    profiles = swf.domain_profiles()
-    pairs = ordered_pairs(swf.m)
-    for v in range(swf.n):
-        if all(
-            f.stance(v, a, b) is not PairStance.FIRST_PREFERRED
-            or swf.stance(f, a, b) is PairStance.FIRST_PREFERRED
-            for f in profiles
-            for a, b in pairs
-        ):
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    cols = swf.stance_columns(k)
+    for v, at in enumerate(_first_overruled(k, cols)):
+        if at is None:
             return v
+        i, p = at
+        _profile_at(swf, k, i, k.pairs[p], cols[p][i])
     return None
+
+
+def require_defined(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> None:
+    """Raise the LookupError of the first undefined verdict, if any.
+
+    "First" is in (profile, ordered pair) order, the order in which a
+    walk over every profile and pair would meet it.
+    """
+    gaps = [(col.index(MISSING), p) for p, col in enumerate(cols) if MISSING in col]
+    if gaps:
+        i, p = min(gaps)
+        _profile_at(swf, k, i, k.pairs[p], MISSING)
 
 
 @dataclass
@@ -302,29 +365,25 @@ def full_report(swf: Swf) -> AxiomReport:
     if not a1:
         witnesses["a1"] = {"m": swf.m}
 
-    a2 = True
+    k = domain_kernel(swf.m, swf.n, swf.domain)
     if isinstance(swf, PairwiseRuleSwf):
-        for f in swf.domain_profiles():
-            try:
-                verdict = swf.assemble(f)
-            except LookupError as exc:
-                a2 = False
-                witnesses["a2"] = {"profile": f, "error": str(exc)}
-                break
-            if isinstance(verdict, CompositionFailure):
-                a2 = False
-                witnesses["a2"] = {
-                    "profile": f,
-                    "axiom": verdict.validation.axiom,
-                    "witness": verdict.validation.witness,
-                }
+        cols = swf.stance_columns(k)
+        for i, codes in enumerate(zip(*(cols[p] for p in k.forward))):
+            if MISSING in codes or not compose(swf.m, codes)[1].ok:
+                f = k.profile(i)
+                try:
+                    failure = swf.assemble(f)
+                except LookupError as exc:
+                    witnesses["a2"] = {"profile": f, "error": str(exc)}
+                else:
+                    res = failure.validation
+                    witnesses["a2"] = {"profile": f, "axiom": res.axiom, "witness": res.witness}
                 break
     else:
-        for f in swf.domain_profiles():
-            if f not in swf.verdicts:
-                a2 = False
-                witnesses["a2"] = {"profile": f, "error": "no verdict recorded"}
-                break
+        rows = swf.verdict_rows(k)
+        if None in rows:
+            witnesses["a2"] = {"profile": k.profile(rows.index(None)), "error": "no verdict recorded"}
+    a2 = "a2" not in witnesses
 
     try:
         una = check_unanimity(swf)
@@ -465,21 +524,30 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     Raises when two profiles sharing a pair's tri-partition disagree on
     the verdict stance, i.e. when independence fails.
     """
-    rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {
-        pair: {} for pair in unordered_pairs(swf.m)
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    cols = swf.stance_columns(k)
+    tables: list[dict[int, int]] = []
+    stop: tuple[int, int] | None = None
+    for q, (tri, p) in enumerate(zip(k.tri, k.forward)):
+        seen: dict[int, int] = {}
+        for i, (t, s) in enumerate(zip(tri, cols[p])):
+            if s == MISSING or seen.setdefault(t, s) != s:
+                stop = min(stop or (i, q), (i, q))
+                break
+        tables.append(seen)
+    if stop is not None:
+        i, q = stop
+        pair = k.canonical[q]
+        f = _profile_at(swf, k, i, pair, cols[k.forward[q]][i])
+        t = pair_partition(f, *pair).code()
+        raise ValueError(
+            f"independence fails on pair {pair}: tri-partition code {t} "
+            f"maps to both {STANCES[tables[q][t]].value} and {swf.stance(f, *pair).value}"
+        )
+    rules = {
+        pair: {TriPartition.from_code(k.n, t): STANCES[s] for t, s in seen.items()}
+        for pair, seen in zip(k.canonical, tables)
     }
-    for f in swf.domain_profiles():
-        for pair in unordered_pairs(swf.m):
-            t = pair_partition(f, *pair)
-            s = swf.stance(f, *pair)
-            prev = rules[pair].get(t)
-            if prev is None:
-                rules[pair][t] = s
-            elif prev is not s:
-                raise ValueError(
-                    f"independence fails on pair {pair}: tri-partition code {t.code()} "
-                    f"maps to both {prev.value} and {s.value}"
-                )
     return PairwiseRuleSwf(swf.m, swf.n, swf.domain, rules)
 
 
@@ -538,15 +606,21 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     m, n = obj["m"], obj["n"]
     if not isinstance(m, int) or not isinstance(n, int) or isinstance(m, bool) or isinstance(n, bool):
         raise SwfFormatError("m and n must be integers")
+    if not 1 <= m <= MAX_ALTERNATIVES:
+        raise SwfFormatError(f"must be between 1 and {MAX_ALTERNATIVES}, got {m}", location="m")
+    if n < 1:
+        raise SwfFormatError(f"need at least one voter, got {n}", location="n")
     try:
         domain = Domain.from_name(obj["domain"])
     except ValueError as exc:
         raise SwfFormatError(str(exc)) from None
     labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise SwfFormatError("must be a list of strings", location="labels")
     try:
         alts = AlternativeSet(m, tuple(labels)) if labels is not None else AlternativeSet(m)
-    except (ValueError, TypeError) as exc:
-        raise SwfFormatError(f"labels: {exc}") from None
+    except ValueError as exc:
+        raise SwfFormatError(str(exc), location="labels") from None
 
     if kind == "explicit":
         entries = obj.get("entries")

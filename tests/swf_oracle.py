@@ -1,0 +1,147 @@
+"""Object-level reference for the quantified SWF checks.
+
+These are the direct readings of the axioms: walk every `Profile` of the
+domain and ask the SWF for its stance pair by pair.  The package runs
+the same checks as integer lookups over `arrovian.kernel`; the tests
+require both to give equal answers and equal witnesses.  Only tests
+import this module.
+"""
+
+from __future__ import annotations
+
+from arrovian.filters import CoalitionFamily
+from arrovian.profiles import Profile, TriPartition, pair_partition
+from arrovian.relations import PairStance, ordered_pairs, unordered_pairs
+from arrovian.swf import (
+    AxiomReport,
+    CompositionFailure,
+    ExplicitSwf,
+    IndependenceCheck,
+    PairwiseRuleSwf,
+    Swf,
+    UnanimityCheck,
+)
+
+
+def check_unanimity(swf: Swf) -> UnanimityCheck:
+    profiles = swf.domain_profiles()
+    for a, b in ordered_pairs(swf.m):
+        for f in profiles:
+            if all(f.stance(v, a, b) is PairStance.FIRST_PREFERRED for v in range(swf.n)):
+                if swf.stance(f, a, b) is not PairStance.FIRST_PREFERRED:
+                    return UnanimityCheck(False, f, (a, b))
+    return UnanimityCheck(True)
+
+
+def check_independence(swf: Swf) -> IndependenceCheck:
+    if isinstance(swf, PairwiseRuleSwf):
+        return IndependenceCheck(True, by_construction=True)
+    profiles = swf.domain_profiles()
+    for x, y in unordered_pairs(swf.m):
+        seen: dict[tuple[PairStance, ...], tuple[Profile, PairStance]] = {}
+        for f in profiles:
+            sig = tuple(f.stance(v, x, y) for v in range(swf.n))
+            verdict = swf.stance(f, x, y)
+            if sig not in seen:
+                seen[sig] = (f, verdict)
+            elif seen[sig][1] is not verdict:
+                return IndependenceCheck(False, seen[sig][0], f, (x, y))
+    return IndependenceCheck(True)
+
+
+def find_dictator(swf: Swf) -> int | None:
+    profiles = swf.domain_profiles()
+    pairs = ordered_pairs(swf.m)
+    for v in range(swf.n):
+        if all(
+            f.stance(v, a, b) is not PairStance.FIRST_PREFERRED
+            or swf.stance(f, a, b) is PairStance.FIRST_PREFERRED
+            for f in profiles
+            for a, b in pairs
+        ):
+            return v
+    return None
+
+
+def _totality(swf: Swf) -> dict | None:
+    """The a2 witness, or None when every domain profile has a valid verdict."""
+    for f in swf.domain_profiles():
+        if isinstance(swf, ExplicitSwf):
+            if f not in swf.verdicts:
+                return {"profile": f, "error": "no verdict recorded"}
+            continue
+        try:
+            verdict = swf.assemble(f)
+        except LookupError as exc:
+            return {"profile": f, "error": str(exc)}
+        if isinstance(verdict, CompositionFailure):
+            return {"profile": f, "axiom": verdict.validation.axiom, "witness": verdict.validation.witness}
+    return None
+
+
+def full_report(swf: Swf) -> AxiomReport:
+    witnesses: dict[str, dict] = {}
+    a1 = swf.m >= 3
+    if not a1:
+        witnesses["a1"] = {"m": swf.m}
+    totality = _totality(swf)
+    a2 = totality is None
+    if not a2:
+        witnesses["a2"] = totality
+    try:
+        una = check_unanimity(swf)
+        a3 = una.ok
+        if not a3:
+            witnesses["a3"] = {"profile": una.profile, "pair": una.pair}
+    except LookupError as exc:
+        a3 = False
+        witnesses["a3"] = {"error": f"not evaluable: {exc}"}
+    try:
+        ind = check_independence(swf)
+        a4 = ind.ok
+        if not a4:
+            witnesses["a4"] = {"profile_a": ind.profile_a, "profile_b": ind.profile_b, "pair": ind.pair}
+    except LookupError as exc:
+        a4 = False
+        witnesses["a4"] = {"error": f"not evaluable: {exc}"}
+    try:
+        dictator = find_dictator(swf)
+        a5 = dictator is None
+        if not a5:
+            witnesses["a5"] = {"dictator": dictator}
+    except LookupError as exc:
+        dictator = None
+        a5 = False
+        witnesses["a5"] = {"error": f"not evaluable: {exc}"}
+    return AxiomReport(a1, a2, a3, a4, a5, dictator, witnesses)
+
+
+def decisive_family(swf: Swf) -> CoalitionFamily:
+    """Every coalition whose unanimous strict preference the verdict always echoes."""
+    supporters: list[tuple[int, bool]] = []
+    for f in swf.domain_profiles():
+        for x, y in ordered_pairs(swf.m):
+            mask = 0
+            for v in range(swf.n):
+                if f.stance(v, x, y) is PairStance.FIRST_PREFERRED:
+                    mask |= 1 << v
+            supporters.append((mask, swf.stance(f, x, y) is PairStance.FIRST_PREFERRED))
+    members = [c for c in range(1 << swf.n) if all(wins for mask, wins in supporters if c & ~mask == 0)]
+    return CoalitionFamily(swf.n, frozenset(members))
+
+
+def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
+    rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {pair: {} for pair in unordered_pairs(swf.m)}
+    for f in swf.domain_profiles():
+        for pair in unordered_pairs(swf.m):
+            t = pair_partition(f, *pair)
+            s = swf.stance(f, *pair)
+            prev = rules[pair].get(t)
+            if prev is None:
+                rules[pair][t] = s
+            elif prev is not s:
+                raise ValueError(
+                    f"independence fails on pair {pair}: tri-partition code {t.code()} "
+                    f"maps to both {prev.value} and {s.value}"
+                )
+    return PairwiseRuleSwf(swf.m, swf.n, swf.domain, rules)

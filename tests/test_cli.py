@@ -136,6 +136,38 @@ def test_axioms_bad_swf_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def _axioms_on(capsys, tmp_path, doc):
+    path = tmp_path / "swf.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "axioms", "--swf", str(path))
+
+
+def test_axioms_rejects_m_out_of_range(capsys, tmp_path):
+    doc = {"kind": "explicit", "m": 6, "n": 2, "domain": "weak", "entries": []}
+    code, out, _, err = _axioms_on(capsys, tmp_path, doc)
+    assert code == 2
+    assert out == ""
+    assert "m: must be between 1 and 5, got 6" in err
+    assert "Traceback" not in err
+
+
+def test_axioms_rejects_n_below_one(capsys, tmp_path):
+    doc = {"kind": "explicit", "m": 3, "n": 0, "domain": "weak", "entries": []}
+    code, out, _, err = _axioms_on(capsys, tmp_path, doc)
+    assert code == 2
+    assert out == ""
+    assert "n: need at least one voter, got 0" in err
+
+
+@pytest.mark.parametrize("labels", ["ABC", [0, 1, 2]])
+def test_axioms_rejects_labels_that_are_not_a_list_of_strings(capsys, tmp_path, labels):
+    doc = swf_to_json_dict(dictator_rules(1, 3, 2, Domain.LINEAR))
+    code, out, _, err = _axioms_on(capsys, tmp_path, {**doc, "labels": labels})
+    assert code == 2
+    assert out == ""
+    assert "labels: must be a list of strings" in err
+
+
 # --- filters ----------------------------------------------------------------------
 
 
@@ -272,6 +304,14 @@ def test_infinite_demo_dictator_mode(capsys):
     assert "dictator rule for voter 3" in out
     assert "500 of 500 seeded coalitions agree (seed=11)" in out
     assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("mode", [(), ("--dictator", "3")])
+def test_infinite_demo_rejects_negative_samples(capsys, mode):
+    code, out, _, err = run(capsys, "infinite-demo", *mode, "--samples", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 0, got -5" in err
 
 
 def test_infinite_demo_seeded_json_is_deterministic(capsys):

@@ -1,0 +1,218 @@
+"""The integer-coded domain kernel against the object-level oracle.
+
+`swf_oracle` walks Profile objects the way the axioms read; the package
+answers the same questions as lookups over `arrovian.kernel`.  Reports
+(witnesses included), decisive families and derived rules must agree
+on every search survivor, every built-in constructor and partial rules.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+import pytest
+
+import swf_oracle as oracle
+from arrovian.arrow_search import search_arrovian
+from arrovian.kernel import FIRST, SECOND, compose, domain_kernel
+from arrovian.ks_bridge import extract_decisive_family
+from arrovian.profiles import Domain, TriPartition, enumerate_profiles, enumerate_tripartitions, pair_partition
+from arrovian.relations import BinaryRelation, PairStance, WeakOrder, enumerate_weak_orders, unordered_pairs
+from arrovian.swf import (
+    ExplicitSwf,
+    PairwiseRuleSwf,
+    anti_dictator_explicit,
+    borda_explicit,
+    constant_explicit,
+    constant_rules,
+    derive_rules,
+    dictator_explicit,
+    dictator_rules,
+    full_report,
+    majority_rules,
+)
+
+SIZES = [(3, 2, Domain.LINEAR), (3, 3, Domain.WEAK), (4, 2, Domain.WEAK)]
+KINDS = [
+    "dictator explicit",
+    "anti-dictator explicit",
+    "constant explicit",
+    "borda explicit",
+    "dictator pairwise",
+    "anti-dictator pairwise",
+    "constant pairwise",
+    "majority pairwise",
+]
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and text of what it raised."""
+    try:
+        return "value", fn(*args)
+    except (LookupError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_audit(swf):
+    report, expected = full_report(swf), oracle.full_report(swf)
+    assert report.witnesses == expected.witnesses
+    assert report.to_json_dict() == expected.to_json_dict()
+    family = outcome(lambda s: extract_decisive_family(s, require_arrovian=False).family, swf)
+    assert family == outcome(oracle.decisive_family, swf)
+    if isinstance(swf, ExplicitSwf):
+        rules = outcome(lambda s: derive_rules(s).rules, swf)
+        assert rules == outcome(lambda s: oracle.derive_rules(s).rules, swf)
+
+
+@lru_cache(maxsize=None)
+def builtin(kind: str, m: int, n: int, domain: Domain):
+    tied = WeakOrder(((1,), tuple(x for x in range(m) if x != 1)))
+    if kind == "dictator explicit":
+        return dictator_explicit(n - 1, m, n, domain)
+    if kind == "anti-dictator explicit":
+        return anti_dictator_explicit(0, m, n, domain)
+    if kind == "constant explicit":
+        return constant_explicit(tied, n, domain)
+    if kind == "borda explicit":
+        return borda_explicit(m, n, domain)
+    if kind == "dictator pairwise":
+        return dictator_rules(0, m, n, domain)
+    if kind == "anti-dictator pairwise":
+        return oracle.derive_rules(builtin("anti-dictator explicit", m, n, domain))
+    if kind == "constant pairwise":
+        return constant_rules(tied, n, domain)
+    return majority_rules(m, n, domain)
+
+
+# --- the kernel's tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("m,n,domain", [(3, 2, Domain.LINEAR), (3, 3, Domain.WEAK), (2, 3, Domain.LINEAR), (1, 2, Domain.WEAK)])
+def test_tables_match_the_profile_objects(m, n, domain):
+    k = domain_kernel(m, n, domain)
+    profiles = list(enumerate_profiles(m, n, domain))
+    assert k.size == len(profiles)
+    for i, f in enumerate(profiles):
+        assert k.profile(i) == f
+        assert k.profile_index(f) == i
+        for pair, tri in zip(k.canonical, k.tri):
+            assert tri[i] == pair_partition(f, *pair).code()
+        for (x, y), support in zip(k.pairs, k.support):
+            mask = sum(1 << v for v in range(n) if f.stance(v, x, y) is PairStance.FIRST_PREFERRED)
+            assert support[i] == mask
+    for p, (x, y) in enumerate(k.pairs):
+        everyone = [i for i, f in enumerate(profiles)
+                    if all(f.stance(v, x, y) is PairStance.FIRST_PREFERRED for v in range(n))]
+        assert list(k.unanimous[p]) == everyone
+
+
+def test_profiles_outside_the_domain_have_no_index():
+    k = domain_kernel(3, 2, Domain.LINEAR)
+    weak = list(enumerate_profiles(3, 2, Domain.WEAK))
+    assert sum(k.profile_index(f) is None for f in weak) == 169 - 36
+    assert k.profile_index(next(iter(enumerate_profiles(3, 3, Domain.LINEAR)))) is None
+
+
+def test_compose_accepts_exactly_the_weak_orders():
+    orders = set()
+    for codes in product(range(3), repeat=3):
+        rel, res, order = compose(3, codes)
+        grid = [[False] * 3 for _ in range(3)]
+        for (x, y), s in zip(unordered_pairs(3), codes):
+            if s == FIRST:
+                grid[x][y] = True
+            elif s == SECOND:
+                grid[y][x] = True
+        assert rel == BinaryRelation(tuple(tuple(row) for row in grid))
+        assert (order is not None) == res.ok
+        if order is not None:
+            orders.add(order)
+    assert orders == set(enumerate_weak_orders(3))
+
+
+# --- agreement with the oracle ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def weak_survivors():
+    return search_arrovian(3, 2, Domain.WEAK).survivors
+
+
+def test_every_weak_survivor_audits_as_the_oracle_does(weak_survivors):
+    assert len(weak_survivors) == 366
+    for rec in weak_survivors:
+        expected = oracle.full_report(rec.swf)
+        assert full_report(rec.swf).to_json_dict() == expected.to_json_dict()
+        assert rec.dictator == expected.dictator is not None
+        assert extract_decisive_family(rec.swf).family == oracle.decisive_family(rec.swf)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m,n,domain", SIZES, ids=lambda v: getattr(v, "value", v))
+def test_builtin_swfs_audit_as_the_oracle_does(kind, m, n, domain):
+    assert_same_audit(builtin(kind, m, n, domain))
+
+
+@pytest.mark.parametrize("drop", [0, 1, 7, 20, 35])
+def test_partial_verdict_table(drop):
+    complete = dictator_explicit(1, 3, 2, Domain.LINEAR)
+    verdicts = dict(complete.verdicts)
+    del verdicts[list(enumerate_profiles(3, 2, Domain.LINEAR))[drop]]
+    assert_same_audit(ExplicitSwf(3, 2, Domain.LINEAR, verdicts))
+
+
+def test_verdict_table_with_foreign_profiles_and_a_dependent_rule():
+    swf = borda_explicit(3, 2, Domain.WEAK)
+    verdicts = {f: w for f, w in swf.verdicts.items() if f.prefs[0].classes != ((0, 1, 2),)}
+    verdicts.update(dictator_explicit(0, 3, 3, Domain.LINEAR).verdicts)
+    assert_same_audit(ExplicitSwf(3, 2, Domain.WEAK, verdicts))
+
+
+@pytest.mark.parametrize(
+    "pair,code",
+    [((0, 1), 0), ((0, 2), 4), ((1, 2), 8), ((1, 2), 5), ((0, 1), None)],
+)
+def test_partial_rule_table(pair, code):
+    swf = dictator_rules(1, 3, 2, Domain.WEAK)
+    rules = {p: dict(table) for p, table in swf.rules.items()}
+    if code is None:
+        del rules[pair]
+    else:
+        del rules[pair][TriPartition.from_code(2, code)]
+    assert_same_audit(PairwiseRuleSwf(3, 2, Domain.WEAK, rules))
+
+
+# --- brute force against the search -----------------------------------------------
+
+
+def test_brute_force_finds_the_survivors_of_the_search():
+    """Every assignment of the free cells at m=3, n=2 on linear ballots.
+
+    A cell is a (pair, tri-partition) of the independence quotient; the
+    cells where every voter agrees are fixed by unanimity, leaving six
+    free cells and 3**6 rules.  The ones passing a1-a4 must be exactly
+    the search's survivors, stance for stance.
+    """
+    n = 2
+    tris = enumerate_tripartitions(n, Domain.LINEAR)
+    cells = [(pair, t) for pair in unordered_pairs(3) for t in tris]
+    forced = {}
+    for i, (_, t) in enumerate(cells):
+        if len(t.first) == n:
+            forced[i] = 0
+        elif len(t.second) == n:
+            forced[i] = 1
+    free = [i for i in range(len(cells)) if i not in forced]
+    assert len(free) == 6
+    stance_of = (PairStance.FIRST_PREFERRED, PairStance.SECOND_PREFERRED, PairStance.INDIFFERENT)
+    found = set()
+    for choice in product(range(3), repeat=len(free)):
+        stances = dict(forced)
+        stances.update(zip(free, choice))
+        rules = {pair: {} for pair in unordered_pairs(3)}
+        for i, (pair, t) in enumerate(cells):
+            rules[pair][t] = stance_of[stances[i]]
+        if full_report(PairwiseRuleSwf(3, n, Domain.LINEAR, rules)).arrovian():
+            found.add(tuple(stances[i] for i in range(len(cells))))
+    survivors = search_arrovian(3, n, Domain.LINEAR).survivors
+    assert found == {rec.stances for rec in survivors}
+    assert len(found) == 2
