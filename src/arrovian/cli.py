@@ -335,25 +335,32 @@ def _cmd_filters(args: argparse.Namespace, ctx: RunContext) -> int:
     return 0 if check.ok else 1
 
 
+def _refuse_not_arrovian(
+    args: argparse.Namespace, ctx: RunContext, schema: str, exc: NotArrovianError, alts: AlternativeSet
+) -> int:
+    """Report that a bridge command's SWF fails a1-a4; exit code 1."""
+    if args.json:
+        ctx.say(
+            canonical_json(
+                {
+                    "schema": schema,
+                    "ok": False,
+                    "error": str(exc),
+                    "axioms": exc.report.to_json_dict(alts)["axioms"],
+                }
+            )
+        )
+    else:
+        ctx.say(f"not arrovian: {exc}\n")
+    return 1
+
+
 def _cmd_bridge_extract(args: argparse.Namespace, ctx: RunContext) -> int:
     swf, alts = _load_swf(ctx, args.swf)
     try:
         dec = extract_decisive_family(swf)
     except NotArrovianError as exc:
-        if args.json:
-            ctx.say(
-                canonical_json(
-                    {
-                        "schema": "arrovian/bridge-extract/v1",
-                        "ok": False,
-                        "error": str(exc),
-                        "axioms": exc.report.to_json_dict(alts)["axioms"],
-                    }
-                )
-            )
-        else:
-            ctx.say(f"not arrovian: {exc}\n")
-        return 1
+        return _refuse_not_arrovian(args, ctx, "arrovian/bridge-extract/v1", exc, alts)
     cls = classify(dec.family)
     core = sorted(cls.core)
     generator_voter = core[0] if cls.is_ultrafilter and len(core) == 1 else None
@@ -390,20 +397,7 @@ def _cmd_bridge_ks2(args: argparse.Namespace, ctx: RunContext) -> int:
     try:
         rep = verify_ks2(swf)
     except NotArrovianError as exc:
-        if args.json:
-            ctx.say(
-                canonical_json(
-                    {
-                        "schema": "arrovian/bridge-ks2/v1",
-                        "ok": False,
-                        "error": str(exc),
-                        "axioms": exc.report.to_json_dict(alts)["axioms"],
-                    }
-                )
-            )
-        else:
-            ctx.say(f"not arrovian: {exc}\n")
-        return 1
+        return _refuse_not_arrovian(args, ctx, "arrovian/bridge-ks2/v1", exc, alts)
     if args.json:
         ctx.say(
             canonical_json({"schema": "arrovian/bridge-ks2/v1", "ok": True, **rep.to_json_dict()})

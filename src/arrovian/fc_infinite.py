@@ -52,15 +52,13 @@ from typing import Callable, Iterable
 
 from random import Random
 
+from .kernel import STANCE_CODE, compose
 from .relations import (
-    BinaryRelation,
     PairStance,
     WeakOrder,
     enumerate_weak_orders,
     pair_stance,
-    to_canonical,
     unordered_pairs,
-    validate_weak_order,
 )
 
 SAMPLE_BOUND = 200
@@ -454,18 +452,10 @@ def random_measurable_profile(
 
 def frechet_verdict(p: EventuallyConstantProfile) -> WeakOrder:
     """Assemble the rule's stances on every pair into one weak order."""
-    m = p.m
-    grid = [[False] * m for _ in range(m)]
-    for x, y in unordered_pairs(m):
-        s = frechet_stance(p.pair_triple(x, y))
-        if s is PairStance.FIRST_PREFERRED:
-            grid[x][y] = True
-        elif s is PairStance.SECOND_PREFERRED:
-            grid[y][x] = True
-    rel = BinaryRelation(tuple(tuple(row) for row in grid))
-    res = validate_weak_order(rel)
+    codes = tuple(STANCE_CODE[frechet_stance(p.pair_triple(x, y))] for x, y in unordered_pairs(p.m))
+    _, res, order = compose(p.m, codes)
     if not res.ok:
         raise RuntimeError(
             f"internal invariant violated: assembled verdict failed {res.axiom} at {res.witness}"
         )
-    return to_canonical(rel)
+    return order

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .profiles import Domain, Profile, check_profile_space
 from .relations import (
@@ -82,6 +84,13 @@ class DomainKernel:
     @property
     def size(self) -> int:
         return len(self.orders) ** self.n
+
+    def rows(self, columns: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+        """Per profile, its entries across the given per-pair columns.
+
+        With no columns (m=1 has no pairs) every profile reads as ().
+        """
+        return zip(*columns) if columns else repeat((), self.size)
 
     def profile(self, i: int) -> Profile:
         """The profile at enumeration index i, as an object."""

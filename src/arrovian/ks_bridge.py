@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement
 from .profiles import Domain, Profile, enumerate_profiles
-from .relations import BinaryRelation, PairStance, WeakOrder, ordered_pairs, to_canonical, validate_weak_order
-from .kernel import FIRST, domain_kernel
-from .swf import AxiomReport, ExplicitSwf, Swf, find_dictator, full_report, require_defined
+from .relations import WeakOrder
+from .kernel import FIRST, MISSING, SECOND, TIE, DomainKernel, compose, domain_kernel
+from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
 
 class NotArrovianError(ValueError):
@@ -57,11 +57,21 @@ def extract_decisive_family(swf: Swf, require_arrovian: bool = True) -> Decisive
     the raw family of a non-Arrovian rule for diagnostics.
     """
     if require_arrovian:
-        report = full_report(swf)
-        if not report.arrovian():
-            raise NotArrovianError(report)
-    k = domain_kernel(swf.m, swf.n, swf.domain)
-    cols = swf.stance_columns(k)
+        _, k, cols = _audit_arrovian(swf)
+    else:
+        k = domain_kernel(swf.m, swf.n, swf.domain)
+        cols = swf.stance_columns(k)
+    return _decisive_family(swf, k, cols)
+
+
+def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, ...]]]:
+    report, k, cols = audit_columns(swf)
+    if not report.arrovian():
+        raise NotArrovianError(report)
+    return report, k, cols
+
+
+def _decisive_family(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> DecisiveFamily:
     require_defined(swf, k, cols)
     # Supporter sets that some verdict overrules; a coalition is decisive
     # exactly when it lies inside none of them.
@@ -84,22 +94,30 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
         raise ValueError(f"ultrafilter ground set n={u.n} does not match n={n}")
     if not is_ultrafilter_complement(u):
         raise ValueError("the family is not an ultrafilter (complement test failed)")
+    k = domain_kernel(m, n, domain)
+    inside = [c in u.masks for c in range(1 << n)]
+
+    def code(forward: int, reverse: int) -> int:
+        # MISSING marks a pair where u holds both supporter coalitions.
+        if inside[forward]:
+            return MISSING if inside[reverse] else FIRST
+        return SECOND if inside[reverse] else TIE
+
+    cols = [
+        tuple(map(code, k.support[p], k.support[k.pairs.index((y, x))]))
+        for (x, y), p in zip(k.canonical, k.forward)
+    ]
     verdicts: dict[Profile, WeakOrder] = {}
-    for f in enumerate_profiles(m, n, domain):
-        grid = [[False] * m for _ in range(m)]
-        for x, y in ordered_pairs(m):
-            mask = 0
-            for v in range(n):
-                if f.stance(v, x, y) is PairStance.FIRST_PREFERRED:
-                    mask |= 1 << v
-            grid[x][y] = mask in u.masks
-        rel = BinaryRelation(tuple(tuple(row) for row in grid))
-        res = validate_weak_order(rel)
-        if not res.ok:
-            raise RuntimeError(
-                f"internal invariant violated: ultrafilter verdict failed {res.axiom} at {res.witness}"
-            )
-        verdicts[f] = to_canonical(rel)
+    for f, codes in zip(enumerate_profiles(m, n, domain), k.rows(cols)):
+        if MISSING in codes:
+            failed = f"O1 at {k.canonical[codes.index(MISSING)]}"
+        else:
+            _, res, order = compose(m, codes)
+            if res.ok:
+                verdicts[f] = order
+                continue
+            failed = f"{res.axiom} at {res.witness}"
+        raise RuntimeError(f"internal invariant violated: ultrafilter verdict failed {failed}")
     return ExplicitSwf(m, n, domain, verdicts)
 
 
@@ -130,9 +148,10 @@ def verify_ks2(swf: Swf) -> Ks2Report:
     On finite electorates the family is always fixed and the rule always
     has a dictator, so `consistent` asserts the two negatives agree.
     """
-    extracted = extract_decisive_family(swf)
+    report, k, cols = _audit_arrovian(swf)
+    extracted = _decisive_family(swf, k, cols)
     cls = classify(extracted.family)
-    dictator = find_dictator(swf)
+    dictator = report.dictator
     free = not cls.fixed
     return Ks2Report(
         dictator=dictator,

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cache
+from typing import Iterator, Union
 
 from .relations import (
     MAX_ALTERNATIVES,
@@ -108,11 +109,15 @@ class ExplicitSwf:
 
     def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
         """Per ordered pair of `k.pairs`, the verdict's stance code on each profile."""
-        missing = (MISSING,) * len(k.pairs)
-        return list(zip(*(missing if w is None else k.codes(w) for w in self.verdict_rows(k))))
+        return _row_columns(k, self.verdict_rows(k))
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
+
+
+def _row_columns(k: DomainKernel, rows: list[WeakOrder | None]) -> list[tuple[int, ...]]:
+    missing = (MISSING,) * len(k.pairs)
+    return list(zip(*(missing if w is None else k.codes(w) for w in rows)))
 
 
 @dataclass(eq=False)
@@ -211,14 +216,21 @@ def _profile_at(swf: Swf, k: DomainKernel, i: int, pair: tuple[int, int], code: 
     return f
 
 
+def _kernel_columns(swf: Swf) -> tuple[DomainKernel, list[tuple[int, ...]]]:
+    k = domain_kernel(swf.m, swf.n, swf.domain)
+    return k, swf.stance_columns(k)
+
+
 def check_unanimity(swf: Swf) -> UnanimityCheck:
     """Whenever every voter strictly prefers a to b, so must the verdict.
 
     Pairs are scanned in lexicographic order, profiles in enumeration
     order, so a failing witness is deterministic.
     """
-    k = domain_kernel(swf.m, swf.n, swf.domain)
-    cols = swf.stance_columns(k)
+    return _unanimity(swf, *_kernel_columns(swf))
+
+
+def _unanimity(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> UnanimityCheck:
     for pair, col, unanimous in zip(k.pairs, cols, k.unanimous):
         for i in unanimous:
             if col[i] != FIRST:
@@ -236,8 +248,10 @@ def check_independence(swf: Swf) -> IndependenceCheck:
     """
     if isinstance(swf, PairwiseRuleSwf):
         return IndependenceCheck(True, by_construction=True)
-    k = domain_kernel(swf.m, swf.n, swf.domain)
-    cols = swf.stance_columns(k)
+    return _independence(swf, *_kernel_columns(swf))
+
+
+def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[tuple[int, ...]]) -> IndependenceCheck:
     for pair, tri, p in zip(k.canonical, k.tri, k.forward):
         seen: dict[int, tuple[int, int]] = {}
         for i, (t, s) in enumerate(zip(tri, cols[p])):
@@ -273,8 +287,10 @@ def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple
 
 def find_dictator(swf: Swf) -> int | None:
     """The least voter whose strict preferences the verdict always follows."""
-    k = domain_kernel(swf.m, swf.n, swf.domain)
-    cols = swf.stance_columns(k)
+    return _dictator(swf, *_kernel_columns(swf))
+
+
+def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> int | None:
     for v, at in enumerate(_first_overruled(k, cols)):
         if at is None:
             return v
@@ -359,17 +375,26 @@ def full_report(swf: Swf) -> AxiomReport:
     checks a3 through a5 cannot sweep the whole domain; they are then
     reported failed with an explanatory witness rather than raising.
     """
+    return audit_columns(swf)[0]
+
+
+def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, ...]]]:
+    """`full_report`, with the kernel and stance columns it read.
+
+    The columns are built once and shared by every check; callers that
+    scan them again after the audit take them from here.
+    """
+    k = domain_kernel(swf.m, swf.n, swf.domain)
     witnesses: dict[str, dict] = {}
 
     a1 = swf.m >= 3
     if not a1:
         witnesses["a1"] = {"m": swf.m}
 
-    k = domain_kernel(swf.m, swf.n, swf.domain)
     if isinstance(swf, PairwiseRuleSwf):
         cols = swf.stance_columns(k)
-        for i, codes in enumerate(zip(*(cols[p] for p in k.forward))):
-            if MISSING in codes or not compose(swf.m, codes)[1].ok:
+        for i, order in enumerate(_composed(swf.m, k, cols)):
+            if order is None:
                 f = k.profile(i)
                 try:
                     failure = swf.assemble(f)
@@ -381,12 +406,13 @@ def full_report(swf: Swf) -> AxiomReport:
                 break
     else:
         rows = swf.verdict_rows(k)
+        cols = _row_columns(k, rows)
         if None in rows:
             witnesses["a2"] = {"profile": k.profile(rows.index(None)), "error": "no verdict recorded"}
     a2 = "a2" not in witnesses
 
     try:
-        una = check_unanimity(swf)
+        una = _unanimity(swf, k, cols)
         a3 = una.ok
         if not a3:
             witnesses["a3"] = {"profile": una.profile, "pair": una.pair}
@@ -395,7 +421,7 @@ def full_report(swf: Swf) -> AxiomReport:
         witnesses["a3"] = {"error": f"not evaluable: {exc}"}
 
     try:
-        ind = check_independence(swf)
+        ind = check_independence(swf) if isinstance(swf, PairwiseRuleSwf) else _independence(swf, k, cols)
         a4 = ind.ok
         if not a4:
             witnesses["a4"] = {
@@ -408,7 +434,7 @@ def full_report(swf: Swf) -> AxiomReport:
         witnesses["a4"] = {"error": f"not evaluable: {exc}"}
 
     try:
-        dictator = find_dictator(swf)
+        dictator = _dictator(swf, k, cols)
         a5 = dictator is None
         if not a5:
             witnesses["a5"] = {"dictator": dictator}
@@ -417,7 +443,17 @@ def full_report(swf: Swf) -> AxiomReport:
         a5 = False
         witnesses["a5"] = {"error": f"not evaluable: {exc}"}
 
-    return AxiomReport(a1, a2, a3, a4, a5, dictator, witnesses)
+    return AxiomReport(a1, a2, a3, a4, a5, dictator, witnesses), k, cols
+
+
+def _composed(m: int, k: DomainKernel, cols: list[tuple[int, ...]]) -> Iterator[WeakOrder | None]:
+    """Per profile, the rule's stances composed into its verdict order.
+
+    None marks a profile where a rule cell is undefined or the stances
+    do not compose; `assemble` on that profile says which.
+    """
+    for codes in k.rows([cols[p] for p in k.forward]):
+        yield None if MISSING in codes else compose(m, codes)[2]
 
 
 # ---------------------------------------------------------- constructors
@@ -506,15 +542,16 @@ def majority_rules(m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
 
 def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
     """Assemble every domain profile; raises if any composition fails."""
+    k, cols = _kernel_columns(swf)
     verdicts = {}
-    for f in swf.domain_profiles():
-        verdict = swf.assemble(f)
-        if isinstance(verdict, CompositionFailure):
+    for f, order in zip(swf.domain_profiles(), _composed(swf.m, k, cols)):
+        if order is None:
+            failure = swf.assemble(f)  # raises the LookupError of an undefined cell
             raise ValueError(
                 f"rules do not assemble on profile {_profile_texts(f)}: "
-                f"{verdict.validation.axiom} violated at {verdict.validation.witness}"
+                f"{failure.validation.axiom} violated at {failure.validation.witness}"
             )
-        verdicts[f] = verdict
+        verdicts[f] = order
     return ExplicitSwf(swf.m, swf.n, swf.domain, verdicts)
 
 
@@ -524,8 +561,7 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     Raises when two profiles sharing a pair's tri-partition disagree on
     the verdict stance, i.e. when independence fails.
     """
-    k = domain_kernel(swf.m, swf.n, swf.domain)
-    cols = swf.stance_columns(k)
+    k, cols = _kernel_columns(swf)
     tables: list[dict[int, int]] = []
     stop: tuple[int, int] | None = None
     for q, (tri, p) in enumerate(zip(k.tri, k.forward)):
@@ -567,12 +603,13 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
         entries = sorted(
             swf.verdicts.items(), key=lambda kv: tuple(w.classes for w in kv[0].prefs)
         )
+        text = cache(lambda w: format_weak_order(w, alts))  # one rendering per distinct order
+        # Profiles fall back to default labels when alts does not fit them.
+        prof = text if alts.m == swf.m else cache(format_weak_order)
         return {
             "kind": "explicit",
             **base,
-            "entries": [
-                [_profile_texts(f, alts), format_weak_order(w, alts)] for f, w in entries
-            ],
+            "entries": [[[prof(v) for v in f.prefs], text(w)] for f, w in entries],
         }
     rules_json = {}
     for pair in sorted(swf.rules):
@@ -627,6 +664,13 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
         if not isinstance(entries, list):
             raise SwfFormatError("entries must be a list")
         verdicts: dict[Profile, WeakOrder] = {}
+        parse = cache(lambda text: parse_weak_order(text, alts))  # one parse per distinct text
+
+        def order(text) -> WeakOrder:
+            if not isinstance(text, str):
+                raise ValueError(f"order must be a string, got {type(text).__name__}")
+            return parse(text)
+
         for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SwfFormatError(f"entries[{i}]: expected [profile, verdict]")
@@ -634,8 +678,8 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             if not (isinstance(prof_texts, list) and len(prof_texts) == n):
                 raise SwfFormatError(f"entries[{i}]: profile must list {n} orders")
             try:
-                f = Profile(tuple(parse_weak_order(t, alts) for t in prof_texts))
-                w = parse_weak_order(verdict_text, alts)
+                f = Profile(tuple(map(order, prof_texts)))
+                w = order(verdict_text)
             except ValueError as exc:
                 raise SwfFormatError(f"entries[{i}]: {exc}") from None
             if f in verdicts:

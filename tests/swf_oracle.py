@@ -1,17 +1,26 @@
-"""Object-level reference for the quantified SWF checks.
+"""Object-level reference for the quantified SWF checks and table builders.
 
-These are the direct readings of the axioms: walk every `Profile` of the
-domain and ask the SWF for its stance pair by pair.  The package runs
-the same checks as integer lookups over `arrovian.kernel`; the tests
-require both to give equal answers and equal witnesses.  Only tests
-import this module.
+These are the direct readings of the axioms and constructions: walk
+every `Profile` of the domain and ask the SWF, or the ultrafilter, for
+its stance pair by pair.  The package runs the same checks and builds
+the same verdict tables as integer lookups over `arrovian.kernel`; the
+tests require both to give equal answers, equal witnesses and equal
+error texts.  Only tests import this module.
 """
 
 from __future__ import annotations
 
-from arrovian.filters import CoalitionFamily
-from arrovian.profiles import Profile, TriPartition, pair_partition
-from arrovian.relations import PairStance, ordered_pairs, unordered_pairs
+from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
+from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
+from arrovian.relations import (
+    BinaryRelation,
+    PairStance,
+    WeakOrder,
+    ordered_pairs,
+    to_canonical,
+    unordered_pairs,
+    validate_weak_order,
+)
 from arrovian.swf import (
     AxiomReport,
     CompositionFailure,
@@ -20,6 +29,7 @@ from arrovian.swf import (
     PairwiseRuleSwf,
     Swf,
     UnanimityCheck,
+    _profile_texts,
 )
 
 
@@ -145,3 +155,40 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
                     f"maps to both {prev.value} and {s.value}"
                 )
     return PairwiseRuleSwf(swf.m, swf.n, swf.domain, rules)
+
+
+def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
+    verdicts = {}
+    for f in swf.domain_profiles():
+        verdict = swf.assemble(f)
+        if isinstance(verdict, CompositionFailure):
+            raise ValueError(
+                f"rules do not assemble on profile {_profile_texts(f)}: "
+                f"{verdict.validation.axiom} violated at {verdict.validation.witness}"
+            )
+        verdicts[f] = verdict
+    return ExplicitSwf(swf.m, swf.n, swf.domain, verdicts)
+
+
+def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> ExplicitSwf:
+    if u.n != n:
+        raise ValueError(f"ultrafilter ground set n={u.n} does not match n={n}")
+    if not is_ultrafilter_complement(u):
+        raise ValueError("the family is not an ultrafilter (complement test failed)")
+    verdicts: dict[Profile, WeakOrder] = {}
+    for f in enumerate_profiles(m, n, domain):
+        grid = [[False] * m for _ in range(m)]
+        for x, y in ordered_pairs(m):
+            mask = 0
+            for v in range(n):
+                if f.stance(v, x, y) is PairStance.FIRST_PREFERRED:
+                    mask |= 1 << v
+            grid[x][y] = mask in u.masks
+        rel = BinaryRelation(tuple(tuple(row) for row in grid))
+        res = validate_weak_order(rel)
+        if not res.ok:
+            raise RuntimeError(
+                f"internal invariant violated: ultrafilter verdict failed {res.axiom} at {res.witness}"
+            )
+        verdicts[f] = to_canonical(rel)
+    return ExplicitSwf(m, n, domain, verdicts)

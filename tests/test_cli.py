@@ -168,6 +168,19 @@ def test_axioms_rejects_labels_that_are_not_a_list_of_strings(capsys, tmp_path, 
     assert "labels: must be a list of strings" in err
 
 
+@pytest.mark.parametrize(
+    "entry,kind",
+    [([[5], "A>B>C"], "int"), ([["A>B>C"], 7], "int"), ([[["A"]], "A>B>C"], "list")],
+)
+def test_axioms_rejects_order_texts_that_are_not_strings(capsys, tmp_path, entry, kind):
+    doc = {"kind": "explicit", "m": 3, "n": 1, "domain": "linear", "entries": [entry]}
+    code, out, _, err = _axioms_on(capsys, tmp_path, doc)
+    assert code == 2
+    assert out == ""
+    assert f"entries[0]: order must be a string, got {kind}" in err
+    assert "Traceback" not in err
+
+
 # --- filters ----------------------------------------------------------------------
 
 

@@ -2,8 +2,9 @@
 
 `swf_oracle` walks Profile objects the way the axioms read; the package
 answers the same questions as lookups over `arrovian.kernel`.  Reports
-(witnesses included), decisive families and derived rules must agree
-on every search survivor, every built-in constructor and partial rules.
+(witnesses included), decisive families, derived rules, expanded verdict
+tables and ultrafilter tables must agree on every search survivor, every
+built-in constructor and partial rules.
 """
 
 from functools import lru_cache
@@ -14,7 +15,9 @@ import pytest
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
 from arrovian.kernel import FIRST, SECOND, compose, domain_kernel
-from arrovian.ks_bridge import extract_decisive_family
+from arrovian import ks_bridge
+from arrovian.filters import CoalitionFamily
+from arrovian.ks_bridge import extract_decisive_family, swf_from_ultrafilter
 from arrovian.profiles import Domain, TriPartition, enumerate_profiles, enumerate_tripartitions, pair_partition
 from arrovian.relations import BinaryRelation, PairStance, WeakOrder, enumerate_weak_orders, unordered_pairs
 from arrovian.swf import (
@@ -27,11 +30,14 @@ from arrovian.swf import (
     derive_rules,
     dictator_explicit,
     dictator_rules,
+    expand_to_explicit,
     full_report,
     majority_rules,
 )
 
 SIZES = [(3, 2, Domain.LINEAR), (3, 3, Domain.WEAK), (4, 2, Domain.WEAK)]
+# Below three alternatives: m=1 has no pairs at all, m=2 a single one.
+SMALL = [(1, 2, Domain.WEAK), (2, 2, Domain.WEAK)]
 KINDS = [
     "dictator explicit",
     "anti-dictator explicit",
@@ -61,11 +67,14 @@ def assert_same_audit(swf):
     if isinstance(swf, ExplicitSwf):
         rules = outcome(lambda s: derive_rules(s).rules, swf)
         assert rules == outcome(lambda s: oracle.derive_rules(s).rules, swf)
+    else:
+        table = outcome(lambda s: expand_to_explicit(s).verdicts, swf)
+        assert table == outcome(lambda s: oracle.expand_to_explicit(s).verdicts, swf)
 
 
 @lru_cache(maxsize=None)
 def builtin(kind: str, m: int, n: int, domain: Domain):
-    tied = WeakOrder(((1,), tuple(x for x in range(m) if x != 1)))
+    tied = WeakOrder(((1,), tuple(x for x in range(m) if x != 1))) if m > 1 else WeakOrder(((0,),))
     if kind == "dictator explicit":
         return dictator_explicit(n - 1, m, n, domain)
     if kind == "anti-dictator explicit":
@@ -147,7 +156,7 @@ def test_every_weak_survivor_audits_as_the_oracle_does(weak_survivors):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("m,n,domain", SIZES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("m,n,domain", SIZES + SMALL, ids=lambda v: getattr(v, "value", v))
 def test_builtin_swfs_audit_as_the_oracle_does(kind, m, n, domain):
     assert_same_audit(builtin(kind, m, n, domain))
 
@@ -179,6 +188,50 @@ def test_partial_rule_table(pair, code):
     else:
         del rules[pair][TriPartition.from_code(2, code)]
     assert_same_audit(PairwiseRuleSwf(3, 2, Domain.WEAK, rules))
+
+
+def test_some_builtin_rules_do_not_assemble():
+    """The expansion comparisons above include the refusal path."""
+    kinds = [(kind, size) for kind in KINDS if kind.endswith("pairwise") for size in SIZES]
+    failures = [outcome(expand_to_explicit, builtin(kind, *size))[0] for kind, size in kinds]
+    assert failures.count("ValueError") >= 1 and failures.count("value") >= 1
+
+
+@pytest.mark.parametrize("m,n,domain", SIZES + SMALL, ids=lambda v: getattr(v, "value", v))
+def test_principal_ultrafilters_build_the_oracle_tables(m, n, domain):
+    for v in range(n):
+        u = CoalitionFamily(n, frozenset(c for c in range(1 << n) if c >> v & 1))
+        built = swf_from_ultrafilter(u, m, n, domain)
+        assert built.verdicts == oracle.swf_from_ultrafilter(u, m, n, domain).verdicts
+        assert built.verdicts == dictator_explicit(v, m, n, domain).verdicts
+
+
+@pytest.mark.parametrize(
+    "u,n",
+    [(CoalitionFamily(2, frozenset({0b11})), 2), (CoalitionFamily(3, frozenset({0b001})), 2)],
+    ids=["not an ultrafilter", "ground set mismatch"],
+)
+def test_ultrafilter_input_errors_match_the_oracle(u, n):
+    got = outcome(swf_from_ultrafilter, u, 3, n, Domain.WEAK)
+    assert got[0] == "ValueError"
+    assert got == outcome(oracle.swf_from_ultrafilter, u, 3, n, Domain.WEAK)
+
+
+@pytest.mark.parametrize(
+    "masks,axiom",
+    [({0b01, 0b10, 0b11}, "O1"), ({0b11}, "O2")],
+    ids=["a coalition and its complement", "only the grand coalition"],
+)
+def test_ultrafilter_internal_invariant(monkeypatch, masks, axiom):
+    """A family the complement test wrongly accepts must not yield a table."""
+    monkeypatch.setattr(ks_bridge, "is_ultrafilter_complement", lambda u: True)
+    monkeypatch.setattr(oracle, "is_ultrafilter_complement", lambda u: True)
+    u = CoalitionFamily(2, frozenset(masks))
+    with pytest.raises(RuntimeError, match=f"failed {axiom} at") as built:
+        swf_from_ultrafilter(u, 3, 2, Domain.LINEAR)
+    with pytest.raises(RuntimeError) as expected:
+        oracle.swf_from_ultrafilter(u, 3, 2, Domain.LINEAR)
+    assert str(built.value) == str(expected.value)
 
 
 # --- brute force against the search -----------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from arrovian.profiles import Domain, TriPartition, pair_partition, profile_from_texts
-from arrovian.relations import PairStance, WeakOrder, parse_weak_order, unordered_pairs
+from arrovian.relations import AlternativeSet, PairStance, WeakOrder, parse_weak_order, unordered_pairs
 from arrovian.swf import (
     CompositionFailure,
     ExplicitSwf,
@@ -295,6 +295,27 @@ def test_swf_json_errors():
     dup["entries"].append(dup["entries"][0])
     with pytest.raises(SwfFormatError, match="duplicate profile"):
         parse_swf_json(dup)
+
+
+@pytest.mark.parametrize("bad", ["A>B>Z", "A>A>C", "A>B", ""])
+def test_explicit_json_error_names_the_first_entry_with_a_bad_order(bad):
+    """Each order text is parsed once per document; a repeat still fails where it first occurs."""
+    doc = swf_to_json_dict(dictator_explicit(0, 3, 2, Domain.LINEAR))
+    doc["entries"][4][1] = bad
+    for i in (9, 17):
+        doc["entries"][i][0][1] = bad
+    with pytest.raises(ValueError) as direct:
+        parse_weak_order(bad, AlternativeSet(3))
+    with pytest.raises(SwfFormatError) as parsed:
+        parse_swf_json(doc)
+    assert str(parsed.value) == f"entries[4]: {direct.value}"
+
+
+def test_explicit_json_names_the_entry_of_a_duplicate_profile():
+    doc = swf_to_json_dict(dictator_explicit(0, 3, 2, Domain.LINEAR))
+    doc["entries"].insert(7, doc["entries"][30])
+    with pytest.raises(SwfFormatError, match=r"^entries\[31\]: duplicate profile$"):
+        parse_swf_json(doc)
 
 
 def test_verdict_of_weak_order_constructor():
