@@ -18,6 +18,13 @@ propagation only ever deletes stances with no support, so no surviving
 rule can be missed, and the leaf-plus-pruned accounting proves that the
 whole space was covered.
 
+Propagation is table-driven: a cell's domain is a 3-bit stance mask, so
+a constraint's three domains index one of 512 entries of a table that
+holds the supported stances of each cell, computed once from the 13
+triples.  Each profile's three cells come from the integer-coded
+`kernel.domain_kernel` view, and every survivor is still audited by
+`swf.full_report`, an independent profile-level cross-check.
+
 Determinism: cells are ordered by (pair, tri-partition code), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
 sorted keys, so two runs produce byte-identical output.
@@ -30,8 +37,8 @@ from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from ._util import canonical_json
-from .kernel import STANCE_CODE, STANCES
-from .profiles import Domain, Profile, TriPartition, enumerate_profiles, enumerate_tripartitions, pair_partition
+from .kernel import STANCE_CODE, STANCES, domain_kernel
+from .profiles import Domain, Profile, TriPartition, enumerate_profiles, enumerate_tripartitions
 from .relations import PairStance, enumerate_weak_orders, pair_stance, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
@@ -57,12 +64,18 @@ class SearchProblem:
     n: int
     domain: Domain
     cells: tuple[SearchCell, ...]
+    partitions: tuple[TriPartition, ...]
     cell_index: dict[SearchCell, int]
     constraints: tuple[tuple[int, int, int], ...]
-    profiles: tuple[Profile, ...]
     cell_constraints: tuple[tuple[int, ...], ...]
     forced: dict[int, int]
     allowed: tuple[tuple[int, int, int], ...]
+    supports: tuple[tuple[int, int, int], ...]
+
+    @property
+    def profiles(self) -> tuple[Profile, ...]:
+        """The domain profiles, one per constraint and in the same order."""
+        return tuple(enumerate_profiles(self.m, self.n, self.domain))
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +88,28 @@ def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(triples))
 
 
+@lru_cache(maxsize=None)
+def _support_table() -> tuple[tuple[int, int, int], ...]:
+    """Supported stance masks of a constraint's cells, by their domains.
+
+    Entry `d1 | d2 << 3 | d3 << 6` holds (s1, s2, s3): the stances of
+    each cell that occur in an allowed triple drawn from the three
+    domain masks.  An empty domain supports nothing.
+    """
+    allowed = _allowed_triples()
+    table = []
+    for key in range(512):
+        d1, d2, d3 = key & 7, key >> 3 & 7, key >> 6
+        s1 = s2 = s3 = 0
+        for a, b, c in allowed:
+            if d1 >> a & 1 and d2 >> b & 1 and d3 >> c & 1:
+                s1 |= 1 << a
+                s2 |= 1 << b
+                s3 |= 1 << c
+        table.append((s1, s2, s3))
+    return tuple(table)
+
+
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     if m != 3:
         raise ValueError(f"the base-case search is specific to m=3, got m={m}")
@@ -83,11 +118,9 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     tris = enumerate_tripartitions(n, domain)
     cells = tuple(SearchCell(pair, t.code()) for pair in _PAIRS3 for t in tris)
     cell_index = {cell: i for i, cell in enumerate(cells)}
-    profiles = tuple(enumerate_profiles(m, n, domain))
-    constraints = tuple(
-        tuple(cell_index[SearchCell(pair, pair_partition(f, *pair).code())] for pair in _PAIRS3)
-        for f in profiles
-    )
+    k = domain_kernel(m, n, domain)  # k.canonical is _PAIRS3
+    per_pair = [[cell_index[SearchCell(pair, code)] for code in col] for pair, col in zip(k.canonical, k.tri)]
+    constraints = tuple(zip(*per_pair))
     per_cell: list[list[int]] = [[] for _ in cells]
     for ci, cons in enumerate(constraints):
         for cell in cons:
@@ -103,12 +136,13 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         n=n,
         domain=domain,
         cells=cells,
+        partitions=tuple(tris) * len(_PAIRS3),
         cell_index=cell_index,
         constraints=constraints,
-        profiles=profiles,
         cell_constraints=tuple(tuple(v) for v in per_cell),
         forced=forced,
         allowed=_allowed_triples(),
+        supports=_support_table(),
     )
 
 
@@ -124,6 +158,7 @@ def _gac(
     consistent stays reachable (pruning is sound).  Deletions are pushed
     onto `trail` so the caller can restore the exact previous state.
     """
+    constraints, watchers, supports = problem.constraints, problem.cell_constraints, problem.supports
     queued = set(pending)
     queue = list(pending)
     head = 0
@@ -131,14 +166,11 @@ def _gac(
         ci = queue[head]
         head += 1
         queued.discard(ci)
-        c1, c2, c3 = problem.constraints[ci]
+        c1, c2, c3 = constraints[ci]
         d1, d2, d3 = domains[c1], domains[c2], domains[c3]
-        s1 = s2 = s3 = 0
-        for a, b, c in problem.allowed:
-            if d1 >> a & 1 and d2 >> b & 1 and d3 >> c & 1:
-                s1 |= 1 << a
-                s2 |= 1 << b
-                s3 |= 1 << c
+        s1, s2, s3 = supports[d1 | d2 << 3 | d3 << 6]
+        if s1 == d1 and s2 == d2 and s3 == d3:
+            continue
         for cell, old, new in ((c1, d1, s1), (c2, d2, s2), (c3, d3, s3)):
             if new == old:
                 continue
@@ -146,7 +178,7 @@ def _gac(
                 return False
             domains[cell] = new
             trail.append((cell, old))
-            for cj in problem.cell_constraints[cell]:
+            for cj in watchers[cell]:
                 if cj != ci and cj not in queued:
                     queue.append(cj)
                     queued.add(cj)
@@ -240,8 +272,7 @@ def _rules_from_stances(problem: SearchProblem, stances: list[int]) -> PairwiseR
     rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {
         pair: {} for pair in unordered_pairs(problem.m)
     }
-    for cell, s in zip(problem.cells, stances):
-        t = TriPartition.from_code(problem.n, cell.code)
+    for cell, t, s in zip(problem.cells, problem.partitions, stances):
         rules[cell.pair][t] = STANCES[s]
     return PairwiseRuleSwf(problem.m, problem.n, problem.domain, rules)
 

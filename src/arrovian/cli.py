@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -126,20 +125,6 @@ class RunContext:
             "seed": self.seed,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("ARROVIAN_THREADS")
-        if env is None or not env.strip():
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError(f"ARROVIAN_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise CliError(f"threads must be at least 1, got {value}")
-    return value
 
 
 def _set_text(s) -> str:
@@ -273,8 +258,7 @@ def _cmd_filters(args: argparse.Namespace, ctx: RunContext) -> int:
         n = args.enumerate
         if not 1 <= n <= MAX_GROUND:
             raise CliError(f"ground set size must be between 1 and {MAX_GROUND}, got {n}")
-        threads = _resolve_threads(args.threads)
-        fams = enumerate_filters(n, threads=threads)
+        fams = enumerate_filters(n)
         classified = [(fam, classify(fam)) for fam in fams]
         if args.json:
             ctx.say(
@@ -583,7 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="coalition-family JSON file")
     group.add_argument("--enumerate", type=int, metavar="N", help="scan all families on N voters")
-    p.add_argument("--threads", type=int, help="scan parallelism (default ARROVIAN_THREADS or 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_filters, command_name="filters")
 

@@ -27,7 +27,6 @@ JSON family format::
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -259,8 +258,8 @@ def _sup_table(n: int) -> list[int]:
     return table
 
 
-def _scan_codes(n: int, lo: int, hi: int) -> list[int]:
-    """Family codes in [lo, hi) that encode filters.
+def _scan_codes(n: int) -> list[int]:
+    """The family codes on n voters that encode filters, ascending.
 
     A family code has bit i set when coalition mask i belongs to the
     family; the scan applies the checks of `is_filter` in integer form.
@@ -268,7 +267,7 @@ def _scan_codes(n: int, lo: int, hi: int) -> list[int]:
     sup = _sup_table(n)
     nsub = 1 << n
     found = []
-    for code in range(lo, hi):
+    for code in range(1 << nsub):
         if code == 0 or code & 1:
             continue
         members = [i for i in range(nsub) if code >> i & 1]
@@ -304,24 +303,11 @@ def family_to_code(fam: CoalitionFamily) -> int:
     return code
 
 
-def enumerate_filters(n: int, threads: int = 1) -> list[CoalitionFamily]:
+def enumerate_filters(n: int) -> list[CoalitionFamily]:
     """All filters on 0..n-1 by full scan of the 2**(2**n) families.
 
-    Results are ascending by family code, so the output is deterministic
-    regardless of `threads`; worker processes each scan a contiguous
-    chunk of the code space and the chunks are merged in order.
+    Results are ascending by family code, so the output is deterministic.
     """
     if not 1 <= n <= MAX_GROUND:
         raise ValueError(f"full family scan supports 1 <= n <= {MAX_GROUND}, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    space = 1 << (1 << n)
-    if threads == 1 or space < 1 << 12:
-        codes = _scan_codes(n, 0, space)
-    else:
-        chunk = (space + threads - 1) // threads
-        bounds = [(n, lo, min(lo + chunk, space)) for lo in range(0, space, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_scan_codes, *zip(*bounds)))
-        codes = [code for part in parts for code in part]
-    return [family_from_code(n, code) for code in codes]
+    return [family_from_code(n, code) for code in _scan_codes(n)]

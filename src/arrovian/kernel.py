@@ -27,7 +27,7 @@ with `zip`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -64,7 +64,7 @@ class DomainKernel:
     in `canonical`.  `tri[q][i]` is the tri-partition code of profile i on
     `canonical[q]`, `support[p][i]` the supporter mask of profile i on
     `pairs[p]`, and `unanimous[p]` the profiles whose voters all support
-    `pairs[p]`, in order.
+    `pairs[p]`, in order.  `strict_support` is built on first use.
     """
 
     m: int
@@ -84,6 +84,25 @@ class DomainKernel:
     @property
     def size(self) -> int:
         return len(self.orders) ** self.n
+
+    @cached_property
+    def strict_support(self) -> tuple[tuple[int, ...], ...]:
+        """Per pair of `pairs` and voter v, its supporters as a byte-wise int.
+
+        Byte i of `strict_support[p][v]` is 1 when voter v strictly
+        prefers the first alternative of `pairs[p]` in profile i, else 0,
+        so a scan over all profiles is one integer operation.  In odometer
+        order voter v holds order d for runs of k**(n-1-v) profiles, d
+        cycling 0..k-1, the cycle repeated k**v times; voter n-1's bit in
+        profile d < k gives order d's flag.
+        """
+        k, n = len(self.orders), self.n
+        out = []
+        for col in self.support:
+            flags = [bytes([col[d] >> (n - 1) & 1]) for d in range(k)]
+            runs = (b"".join(f * k ** (n - 1 - v) for f in flags) * k**v for v in range(n))
+            out.append(tuple(int.from_bytes(run, "little") for run in runs))
+        return tuple(out)
 
     def rows(self, columns: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
         """Per profile, its entries across the given per-pair columns.

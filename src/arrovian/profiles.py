@@ -18,7 +18,7 @@ JSON profile format::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Iterator
@@ -109,6 +109,7 @@ class TriPartition:
     first: frozenset[int]
     second: frozenset[int]
     tie: frozenset[int]
+    _code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         first = frozenset(self.first)
@@ -119,14 +120,15 @@ class TriPartition:
         object.__setattr__(self, "tie", tie)
         if len(first) + len(second) + len(tie) != self.n or (first | second | tie) != frozenset(range(self.n)):
             raise ValueError("parts must partition the voters 0..n-1")
+        total = 0
+        for v in range(self.n):
+            digit = 0 if v in first else 1 if v in second else 2
+            total += digit * 3**v
+        object.__setattr__(self, "_code", total)
 
     def code(self) -> int:
         """Base-3 encoding: voter v contributes digit 0/1/2 with weight 3**v."""
-        total = 0
-        for v in range(self.n):
-            digit = 0 if v in self.first else 1 if v in self.second else 2
-            total += digit * 3**v
-        return total
+        return self._code
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "TriPartition":

@@ -172,8 +172,10 @@ class PairwiseRuleSwf:
         """Per ordered pair of `k.pairs`, the rule's stance code on each profile."""
         forward = []
         for pair, tri in zip(k.canonical, k.tri):
-            table = dict.fromkeys(tri, MISSING)
-            table.update((t.code(), STANCE_CODE[s]) for t, s in self.rules.get(pair, {}).items() if t.n == self.n)
+            table = [MISSING] * 3**self.n  # by tri-partition code
+            for t, s in self.rules.get(pair, {}).items():
+                if t.n == self.n:
+                    table[t.code()] = STANCE_CODE[s]
             forward.append(tuple(map(table.__getitem__, tri)))
         flipped = [tuple(map(FLIP.__getitem__, col)) for col in forward]
         return [forward[q] if x < y else flipped[q] for (x, y), q in zip(k.pairs, k.slot)]
@@ -263,25 +265,28 @@ def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[tuple[int, ...]]
     return IndependenceCheck(True)
 
 
+# Byte translation: a stance code to 1 unless it is FIRST.
+_NOT_FIRST = bytes(int(s != FIRST) for s in range(256))
+
+
 def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple[int, int] | None]:
     """Per voter, the first place where the verdict overrules them, or None.
 
     A place is a (profile, ordered pair) index, compared in that order:
     the voter strictly prefers the pair's first alternative there and
-    the verdict does not.
+    the verdict does not.  Both sides are byte-wise ints with byte i for
+    profile i, so one AND finds every such profile of a (pair, voter) and
+    its lowest set byte is the first.
     """
     first: list[tuple[int, int] | None] = [None] * k.n
-    for p, (support, col) in enumerate(zip(k.support, cols)):
-        pending = (1 << k.n) - 1
-        for i, (mask, s) in enumerate(zip(support, col)):
-            hit = mask & pending
-            if hit and s != FIRST:
-                pending ^= hit
-                for v in range(k.n):
-                    if hit >> v & 1 and (first[v] is None or (i, p) < first[v]):
-                        first[v] = (i, p)
-                if not pending:
-                    break
+    for p, (strict, col) in enumerate(zip(k.strict_support, cols)):
+        overruled = int.from_bytes(bytes(col).translate(_NOT_FIRST), "little")
+        for v, mask in enumerate(strict):
+            hit = mask & overruled
+            if hit:
+                at = (((hit & -hit).bit_length() - 1) >> 3, p)
+                if first[v] is None or at < first[v]:
+                    first[v] = at
     return first
 
 
@@ -393,9 +398,13 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
 
     if isinstance(swf, PairwiseRuleSwf):
         cols = swf.stance_columns(k)
-        for i, order in enumerate(_composed(swf.m, k, cols)):
-            if order is None:
-                f = k.profile(i)
+        # Each distinct row of stance codes is composed once, in order of
+        # first occurrence, so the first failing row's first occurrence is
+        # the first failing profile.
+        rows = list(k.rows([cols[p] for p in k.forward]))
+        for codes in dict.fromkeys(rows):
+            if MISSING in codes or not compose(swf.m, codes)[1].ok:
+                f = k.profile(rows.index(codes))
                 try:
                     failure = swf.assemble(f)
                 except LookupError as exc:
@@ -611,13 +620,14 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
             **base,
             "entries": [[[prof(v) for v in f.prefs], text(w)] for f, w in entries],
         }
+    lists = cache(TriPartition.to_json_lists)  # one rendering per distinct tri-partition
     rules_json = {}
     for pair in sorted(swf.rules):
         key = f"{alts.label(pair[0])},{alts.label(pair[1])}"
         table = swf.rules[pair]
         rules_json[key] = [
-            [t.to_json_lists(), table[t].value]
-            for t in sorted(table, key=lambda t: t.code())
+            [lists(t), table[t].value]
+            for t in sorted(table, key=TriPartition.code)
         ]
     return {"kind": "pairwise", **base, "rules": rules_json}
 

@@ -1,15 +1,16 @@
 """Object-level reference for the quantified SWF checks and table builders.
 
 These are the direct readings of the axioms and constructions: walk
-every `Profile` of the domain and ask the SWF, or the ultrafilter, for
-its stance pair by pair.  The package runs the same checks and builds
-the same verdict tables as integer lookups over `arrovian.kernel`; the
-tests require both to give equal answers, equal witnesses and equal
-error texts.  Only tests import this module.
+every `Profile` of the domain and ask the SWF, the ultrafilter or the
+search problem for its stance or cell pair by pair.  The package runs
+the same checks and builds the same tables as integer lookups over
+`arrovian.kernel`; the tests require both to give equal answers, equal
+witnesses and equal error texts.  Only tests import this module.
 """
 
 from __future__ import annotations
 
+from arrovian.arrow_search import SearchCell, SearchProblem
 from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
 from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
 from arrovian.relations import (
@@ -192,3 +193,14 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
             )
         verdicts[f] = to_canonical(rel)
     return ExplicitSwf(m, n, domain, verdicts)
+
+
+def search_constraints(problem: SearchProblem) -> tuple[tuple[int, ...], ...]:
+    """Per domain profile, in enumeration order, the indices of its cells."""
+    return tuple(
+        tuple(
+            problem.cell_index[SearchCell(pair, pair_partition(f, *pair).code())]
+            for pair in unordered_pairs(problem.m)
+        )
+        for f in enumerate_profiles(problem.m, problem.n, problem.domain)
+    )

@@ -2,16 +2,22 @@
 
 import json
 from collections import Counter
+from itertools import product
 
 import pytest
 
+import swf_oracle as oracle
+from arrovian._util import sha256_hex
 from arrovian.arrow_search import (
     SearchCell,
     SearchIncompleteError,
+    _allowed_triples,
+    _support_table,
     build_problem,
     propagate,
     search_arrovian,
 )
+from arrovian.cli import main
 from arrovian.profiles import Domain, TriPartition, pair_partition, profile_from_texts
 from arrovian.relations import PairStance
 from arrovian.swf import dictator_rules, parse_swf_json
@@ -64,6 +70,29 @@ def test_every_profile_constraint_touches_three_cells():
         assert len(cons) == 3
         pairs = [p.cells[c].pair for c in cons]
         assert pairs == [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "n,domain",
+    [(1, Domain.LINEAR), (2, Domain.LINEAR), (3, Domain.LINEAR), (1, Domain.WEAK), (2, Domain.WEAK), (3, Domain.WEAK)],
+)
+def test_constraints_match_the_profile_objects(n, domain):
+    p = build_problem(3, n, domain)
+    assert p.constraints == oracle.search_constraints(p)
+    assert len(p.profiles) == len(p.constraints)
+    assert [t.code() for t in p.partitions] == [cell.code for cell in p.cells]
+    assert all(t.n == n for t in p.partitions)
+
+
+def test_support_table_matches_the_thirteen_triples():
+    """Entry d1 | d2 << 3 | d3 << 6: per cell, the stances of some allowed
+    triple whose three stances all lie in the three domains."""
+    table = _support_table()
+    assert len(table) == 512
+    for doms in product(range(8), repeat=3):
+        live = [t for t in _allowed_triples() if all(doms[j] >> t[j] & 1 for j in range(3))]
+        expected = tuple(sum(1 << s for s in {t[j] for t in live}) for j in range(3))
+        assert table[doms[0] | doms[1] << 3 | doms[2] << 6] == expected
 
 
 # --- propagation --------------------------------------------------------------
@@ -207,3 +236,31 @@ def test_certificate_contents():
     swf, _ = parse_swf_json(doc["survivors"][0]["rules"])
     assert swf.rules == cert.survivors[0].swf.rules
     json.loads(cert.to_json_text())  # well-formed
+
+
+# sha256 of (certificate, stdout) per arrow-search command, run from the
+# certificate's directory; the same digests as perfbench/pins.json.
+PINNED = {
+    "--voters 2 --domain linear --certificate cert-linear-2.json": (
+        "0817bcc62d1d45835d4fc17beb1f6339d22f149c85f1c03d530c6d0a4687f18f",
+        "115968bf487d47cac73fbeb61186c50a0f342557e268fe6c3d632bff9def4dde",
+    ),
+    "--voters 3 --domain linear --allow-long --certificate cert-linear-3.json": (
+        "bd94d849d371c248004be7f91c9e3ec3928963bf792783501368661feb636100",
+        "6748f95173da9f8dc496a88ea1d0d9f3b5cf50461a07b13ba8476d15aae23ff5",
+    ),
+    "--voters 2 --domain weak --certificate cert-weak-2.json": (
+        "9da50675d21a9c0b1c0bbf5e8b40af9cab73894073d0947a2885f6d2fef709a7",
+        "3be9b3b92febff8bb3970c8bfcbae5e9b500e645fd3bc2cb88c751792127a8e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", PINNED)
+def test_search_output_bytes_are_pinned(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = args.split()
+    assert main(["arrow-search", *argv]) == 0
+    certificate, stdout = PINNED[args]
+    assert sha256_hex(capsys.readouterr().out) == stdout
+    assert sha256_hex((tmp_path / argv[-1]).read_bytes()) == certificate

@@ -192,13 +192,6 @@ def test_filters_enumerate_human(capsys):
     assert any("ultrafilter FIXED core={0}" in line for line in lines)
 
 
-def test_filters_enumerate_threads_agree(capsys):
-    _, out_serial, _, _ = run(capsys, "filters", "--enumerate", "4", "--json")
-    _, out_par, _, _ = run(capsys, "filters", "--enumerate", "4", "--threads", "2", "--json")
-    assert out_serial == out_par
-    assert json.loads(out_serial)["count"] == 15
-
-
 def test_filters_family_failure(capsys, tmp_path):
     fam = CoalitionFamily(2, frozenset({0b01, 0b10, 0b11}))
     path = tmp_path / "family.json"
@@ -340,17 +333,6 @@ def test_infinite_demo_seeded_json_is_deterministic(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ARROVIAN_THREADS", "2")
-    code, out, _, _ = run(capsys, "filters", "--enumerate", "3", "--json")
-    assert code == 0
-    assert json.loads(out)["count"] == 7
-    monkeypatch.setenv("ARROVIAN_THREADS", "zero")
-    code, _, _, err = run(capsys, "filters", "--enumerate", "3")
-    assert code == 2
-    assert "ARROVIAN_THREADS" in err
 
 
 def test_manifest_carries_parameters(capsys):

@@ -111,11 +111,6 @@ def test_enumeration_is_deterministic_and_sorted():
     assert fams == enumerate_filters(3)
 
 
-def test_threaded_scan_matches_serial():
-    assert enumerate_filters(4, threads=2) == enumerate_filters(4, threads=1)
-    assert enumerate_filters(3, threads=3) == enumerate_filters(3)
-
-
 def test_enumerate_range_errors():
     with pytest.raises(ValueError):
         enumerate_filters(0)

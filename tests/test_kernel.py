@@ -105,9 +105,10 @@ def test_tables_match_the_profile_objects(m, n, domain):
         assert k.profile_index(f) == i
         for pair, tri in zip(k.canonical, k.tri):
             assert tri[i] == pair_partition(f, *pair).code()
-        for (x, y), support in zip(k.pairs, k.support):
+        for (x, y), support, strict in zip(k.pairs, k.support, k.strict_support):
             mask = sum(1 << v for v in range(n) if f.stance(v, x, y) is PairStance.FIRST_PREFERRED)
             assert support[i] == mask
+            assert [b >> 8 * i & 0xFF for b in strict] == [mask >> v & 1 for v in range(n)]
     for p, (x, y) in enumerate(k.pairs):
         everyone = [i for i, f in enumerate(profiles)
                     if all(f.stance(v, x, y) is PairStance.FIRST_PREFERRED for v in range(n))]
