@@ -51,6 +51,24 @@ def _render(o, nl: str) -> str:
     return _scalar(o)
 
 
+def load_json(text: str):
+    """json.loads, where every failure to decode is a ValueError.
+
+    json.JSONDecodeError passes through, with its position.  Nesting deeper
+    than the interpreter's recursion limit, and an integer literal longer
+    than the interpreter converts, have none; they are raised as a plain
+    ValueError that says which.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {str(exc).split(';')[0]}") from None
+
+
 def sha256_hex(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")

@@ -31,6 +31,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from random import Random
 
@@ -48,13 +49,13 @@ from .fc_infinite import (
     validate_fc_filter_axioms,
 )
 from .filters import MAX_GROUND, CoalitionFamily, classify, enumerate_filters
+from .kernel import compose, majority_codes
 from .ks_bridge import NotArrovianError, extract_decisive_family, verify_ks2
 from .profiles import (
     BudgetExceededError,
     Domain,
     ProfileFormatError,
     condorcet_profile,
-    pairwise_majority,
     parse_profile_json,
 )
 from .relations import (
@@ -62,8 +63,6 @@ from .relations import (
     AlternativeSet,
     PairStance,
     format_weak_order,
-    to_canonical,
-    validate_weak_order,
 )
 from .swf import SwfFormatError, full_report, parse_swf_json
 
@@ -182,10 +181,9 @@ def _cmd_condorcet_demo(args: argparse.Namespace, ctx: RunContext) -> int:
     else:
         f = condorcet_profile()
         alts = AlternativeSet(3)
-    rel = pairwise_majority(f)
-    res = validate_weak_order(rel)
+    rel, res, verdict = compose(f.m, majority_codes(f))
     edge_labels = [[alts.label(x), alts.label(y)] for x, y in rel.edges()]
-    verdict_text = format_weak_order(to_canonical(rel), alts) if res.ok else None
+    verdict_text = format_weak_order(verdict, alts) if res.ok else None
     witness_labels = [alts.label(x) for x in res.witness] if res.witness is not None else None
 
     if args.json:
@@ -540,6 +538,9 @@ def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> int:
 # ------------------------------------------------------------ the parser
 
 
+# Built once per process: the parser holds no per-run state, and each
+# parse_args call returns a fresh Namespace.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrovian",

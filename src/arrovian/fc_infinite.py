@@ -74,7 +74,10 @@ class FcSet:
     """A finite or cofinite set of naturals with explicit exceptions.
 
     For FINITE mode `exceptions` are the members; for COFINITE mode they
-    are the non-members.
+    are the non-members.  Elements are checked once, where a set enters
+    the algebra: construction checks them, `parse_fc` admits digit runs
+    only, and the seeded draws take them from a range.  Complement, union
+    and intersection build their results from exceptions already checked.
     """
 
     mode: FcMode
@@ -83,9 +86,11 @@ class FcSet:
     def __post_init__(self) -> None:
         exc = frozenset(self.exceptions)
         object.__setattr__(self, "exceptions", exc)
-        for v in exc:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"exception {v!r} is not a natural number")
+        # Plain non-negative ints pass at once; otherwise name the first offender.
+        if exc and not (all(type(v) is int for v in exc) and min(exc) >= 0):
+            for v in exc:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    raise ValueError(f"exception {v!r} is not a natural number")
 
     @classmethod
     def finite(cls, members: Iterable[int] = ()) -> "FcSet":
@@ -99,8 +104,17 @@ class FcSet:
         return format_fc(self)
 
 
+def _fc(mode: FcMode, exceptions: frozenset[int]) -> FcSet:
+    """An FcSet from exceptions that are known naturals, unchecked."""
+    a = object.__new__(FcSet)
+    object.__setattr__(a, "mode", mode)
+    object.__setattr__(a, "exceptions", exceptions)
+    return a
+
+
 EMPTY = FcSet.finite()
 NATURALS = FcSet.cofinite()
+_FIN, _COF = FcMode.FINITE, FcMode.COFINITE
 
 
 def fc_member(a: FcSet, v: int) -> bool:
@@ -112,21 +126,27 @@ def fc_member(a: FcSet, v: int) -> bool:
 
 
 def fc_complement(a: FcSet) -> FcSet:
-    mode = FcMode.COFINITE if a.mode is FcMode.FINITE else FcMode.FINITE
-    return FcSet(mode, a.exceptions)
+    return _fc(_COF if a.mode is _FIN else _FIN, a.exceptions)
 
 
 def fc_union(a: FcSet, b: FcSet) -> FcSet:
-    if a.mode is FcMode.FINITE and b.mode is FcMode.FINITE:
-        return FcSet.finite(a.exceptions | b.exceptions)
-    if a.mode is FcMode.COFINITE and b.mode is FcMode.COFINITE:
-        return FcSet.cofinite(a.exceptions & b.exceptions)
-    fin, cof = (a, b) if a.mode is FcMode.FINITE else (b, a)
-    return FcSet.cofinite(cof.exceptions - fin.exceptions)
+    if a.mode is _FIN:
+        if b.mode is _FIN:
+            return _fc(_FIN, a.exceptions | b.exceptions)
+        return _fc(_COF, b.exceptions - a.exceptions)
+    if b.mode is _FIN:
+        return _fc(_COF, a.exceptions - b.exceptions)
+    return _fc(_COF, a.exceptions & b.exceptions)
 
 
 def fc_intersect(a: FcSet, b: FcSet) -> FcSet:
-    return fc_complement(fc_union(fc_complement(a), fc_complement(b)))
+    if a.mode is _COF:
+        if b.mode is _COF:
+            return _fc(_COF, a.exceptions | b.exceptions)
+        return _fc(_FIN, b.exceptions - a.exceptions)
+    if b.mode is _COF:
+        return _fc(_FIN, a.exceptions - b.exceptions)
+    return _fc(_FIN, a.exceptions & b.exceptions)
 
 
 def fc_is_empty(a: FcSet) -> bool:
@@ -139,8 +159,12 @@ def fc_any_member(a: FcSet) -> int:
         raise ValueError("the empty set has no members")
     if a.mode is FcMode.FINITE:
         return min(a.exceptions)
+    return _least_outside(a.exceptions)
+
+
+def _least_outside(exceptions: frozenset[int]) -> int:
     v = 0
-    while v in a.exceptions:
+    while v in exceptions:
         v += 1
     return v
 
@@ -159,8 +183,8 @@ def parse_fc(text: str) -> FcSet:
         raise ValueError(f"bad coalition text {text!r}; expected e.g. 'fin{{1,2}}' or 'cof{{}}'")
     mode = FcMode.FINITE if match.group(1) == "fin" else FcMode.COFINITE
     inner = match.group(2)
-    exceptions = frozenset(int(tok) for tok in inner.split(",")) if inner else frozenset()
-    return FcSet(mode, exceptions)
+    # The pattern admits digit runs only, so every element is a natural.
+    return _fc(mode, frozenset(map(int, inner.split(","))) if inner else frozenset())
 
 
 # ------------------------------------------------------------- triples
@@ -197,19 +221,34 @@ class InvalidTripleError(ValueError):
 
 
 def check_fc_triple(t: FcTriple) -> None:
-    """Raise InvalidTripleError unless the parts partition the naturals."""
+    """Raise InvalidTripleError unless the parts partition the naturals.
+
+    Pairs are tested in the order (first, second), (first, tie),
+    (second, tie), then coverage; each witness is the least voter in the
+    offending set.
+    """
     parts = t.parts()
     for i, (name_a, a) in enumerate(parts):
         for name_b, b in parts[i + 1 :]:
-            overlap = fc_intersect(a, b)
-            if not fc_is_empty(overlap):
+            ea, eb = a.exceptions, b.exceptions
+            if a.mode is _FIN:
+                overlap = ea & eb if b.mode is _FIN else ea - eb
+            elif b.mode is _FIN:
+                overlap = eb - ea
+            else:
+                # Two cofinite sets always meet, beyond both exception lists.
                 raise InvalidTripleError(
-                    f"parts {name_a!r} and {name_b!r} overlap", fc_any_member(overlap)
+                    f"parts {name_a!r} and {name_b!r} overlap", _least_outside(ea | eb)
                 )
-    union = fc_union(fc_union(t.first, t.second), t.tie)
-    missing = fc_complement(union)
-    if not fc_is_empty(missing):
-        raise InvalidTripleError("parts do not cover the electorate", fc_any_member(missing))
+            if overlap:
+                raise InvalidTripleError(f"parts {name_a!r} and {name_b!r} overlap", min(overlap))
+    cofinite = [part.exceptions for _, part in parts if part.mode is _COF]
+    covered = frozenset().union(*(part.exceptions for _, part in parts if part.mode is _FIN))
+    if not cofinite:
+        raise InvalidTripleError("parts do not cover the electorate", _least_outside(covered))
+    missing = frozenset.intersection(*cofinite) - covered
+    if missing:
+        raise InvalidTripleError("parts do not cover the electorate", min(missing))
 
 
 def cofinite_part(t: FcTriple) -> tuple[str, FcSet]:
@@ -288,10 +327,14 @@ def non_dictatorship_witness(v0: int) -> FcTriple:
 
 
 def random_fc_set(rng: Random, bound: int = SAMPLE_BOUND, max_exceptions: int = 8) -> FcSet:
-    mode = FcMode.COFINITE if rng.random() < 0.5 else FcMode.FINITE
+    """A seeded draw; its exceptions come from range(bound + 1), so they are naturals."""
+    mode = _COF if rng.random() < 0.5 else _FIN
     k = rng.randint(0, max_exceptions)
-    exceptions = frozenset(rng.sample(range(bound + 1), k))
-    return FcSet(mode, exceptions)
+    return _fc(mode, frozenset(rng.sample(range(bound + 1), k)))
+
+
+def _random_cofinite(rng: Random, bound: int) -> FcSet:
+    return _fc(_COF, frozenset(rng.sample(range(bound + 1), rng.randint(0, 8))))
 
 
 @dataclass
@@ -335,7 +378,7 @@ def validate_fc_filter_axioms(seed: int = 0, samples: int = 500, bound: int = SA
 
     upward = True
     for _ in range(samples):
-        a = FcSet.cofinite(frozenset(rng.sample(range(bound + 1), rng.randint(0, 8))))
+        a = _random_cofinite(rng, bound)
         b = fc_union(a, random_fc_set(rng, bound))
         if not decide_frechet_membership(b):
             upward = False
@@ -343,8 +386,8 @@ def validate_fc_filter_axioms(seed: int = 0, samples: int = 500, bound: int = SA
 
     inter = True
     for _ in range(samples):
-        a = FcSet.cofinite(frozenset(rng.sample(range(bound + 1), rng.randint(0, 8))))
-        b = FcSet.cofinite(frozenset(rng.sample(range(bound + 1), rng.randint(0, 8))))
+        a = _random_cofinite(rng, bound)
+        b = _random_cofinite(rng, bound)
         if not decide_frechet_membership(fc_intersect(a, b)):
             inter = False
             failures.append(f"intersection of {format_fc(a)} and {format_fc(b)} not a member")
@@ -362,7 +405,7 @@ def validate_fc_filter_axioms(seed: int = 0, samples: int = 500, bound: int = SA
 
     free = True
     for v in range(100):
-        member = FcSet.cofinite({v})
+        member = _fc(_COF, frozenset((v,)))
         if not decide_frechet_membership(member) or fc_member(member, v):
             free = False
             failures.append(f"voter {v} survives in cof{{{v}}}")

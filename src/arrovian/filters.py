@@ -30,7 +30,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._util import load_json
+
 MAX_GROUND = 4
+# Largest ground set a family document may name.  Masks stay word-sized,
+# and past this a filter has too many members to list anyway.
+MAX_FAMILY_VOTERS = 64
 
 
 def set_to_mask(s: Iterable[int], n: int) -> int:
@@ -89,7 +94,7 @@ class CoalitionFamily:
     def from_json_dict(cls, data: str | dict) -> "CoalitionFamily":
         if isinstance(data, str):
             try:
-                obj = json.loads(data)
+                obj = load_json(data)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
         else:
@@ -99,8 +104,13 @@ class CoalitionFamily:
         n, members = obj["n"], obj["members"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("n must be an integer")
+        if n > MAX_FAMILY_VOTERS:
+            raise ValueError(f"n must be at most {MAX_FAMILY_VOTERS}")
         if not isinstance(members, list) or not all(isinstance(s, list) for s in members):
             raise ValueError("members must be a list of voter lists")
+        for i, s in enumerate(members):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
+                raise ValueError(f"members[{i}]: voter must be an integer")
         return cls.from_sets(n, members)
 
 
@@ -241,52 +251,34 @@ def classify(fam: CoalitionFamily) -> FilterClassification:
     return FilterClassification(check, ultra, core != 0, mask_to_set(core))
 
 
-def _sup_table(n: int) -> list[int]:
-    """For each coalition mask i, the family-bit mask of all supersets of i."""
-    full = (1 << n) - 1
-    table = []
-    for i in range(full + 1):
-        bits = 0
-        comp = full & ~i
-        sub = comp
-        while True:
-            bits |= 1 << (i | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-        table.append(bits)
-    return table
-
-
 def _scan_codes(n: int) -> list[int]:
     """The family codes on n voters that encode filters, ascending.
 
     A family code has bit i set when coalition mask i belongs to the
-    family; the scan applies the checks of `is_filter` in integer form.
+    family; every code is visited and gets the checks of `is_filter` in
+    integer form.  A nonempty upward-closed family holds the full
+    coalition, so a code without it, or with the empty coalition, is
+    out at once.  F1 is tested bit-parallel, one voter v at a time:
+    `lack` holds the bits of the coalitions without v, and shifting a
+    code's share of them by 2**v adds v to each, which must land on
+    members again.  That suffices, since every superset is reached by
+    adding voters one by one.  Only codes that pass F1 reach the F2 pair
+    loop.
     """
-    sup = _sup_table(n)
     nsub = 1 << n
+    top = 1 << (nsub - 1)
+    steps = [(sum(1 << i for i in range(nsub) if not i >> v & 1), 1 << v) for v in range(n)]
     found = []
     for code in range(1 << nsub):
-        if code == 0 or code & 1:
+        if code & 1 or not code & top:
             continue
-        members = [i for i in range(nsub) if code >> i & 1]
-        ok = True
-        for i in members:
-            if code & sup[i] != sup[i]:
-                ok = False
+        for lack, shift in steps:
+            if (code & lack) << shift & ~code:
                 break
-        if not ok:
-            continue
-        for ai, a in enumerate(members):
-            for b in members[ai:]:
-                if not code >> (a & b) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(code)
+        else:
+            members = [i for i in range(nsub) if code >> i & 1]
+            if all(code >> (a & b) & 1 for ai, a in enumerate(members) for b in members[ai + 1 :]):
+                found.append(code)
     return found
 
 

@@ -204,3 +204,20 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
     rel = BinaryRelation(tuple(tuple(row) for row in grid))
     res = validate_weak_order(rel)
     return rel, res, to_canonical(rel) if res.ok else None
+
+
+def majority_codes(f: Profile) -> tuple[int, ...]:
+    """The strict-majority stance code of profile f on each canonical pair.
+
+    FIRST when more voters prefer x to y than y to x, SECOND for the
+    reverse, TIE otherwise; `compose(f.m, majority_codes(f))` gives the
+    relation of `profiles.pairwise_majority`, its check and its order.
+    """
+    out = []
+    for x, y in unordered_pairs(f.m):
+        margin = 0
+        for w in f.prefs:
+            rx, ry = w.rank(x), w.rank(y)
+            margin += (rx < ry) - (ry < rx)
+        out.append(FIRST if margin > 0 else SECOND if margin < 0 else TIE)
+    return tuple(out)

@@ -23,7 +23,9 @@ from enum import Enum
 from itertools import product
 from typing import Iterator
 
+from ._util import load_json
 from .relations import (
+    MAX_ALTERNATIVES,
     AlternativeSet,
     BinaryRelation,
     PairStance,
@@ -145,8 +147,10 @@ class TriPartition:
 
     @classmethod
     def from_json_lists(cls, n: int, lists: list[list[int]]) -> "TriPartition":
-        if len(lists) != 3:
+        if not (isinstance(lists, list) and len(lists) == 3 and all(isinstance(p, list) for p in lists)):
             raise ValueError("tri-partition JSON must have exactly three voter arrays")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for p in lists for v in p):
+            raise ValueError("voter must be an integer")
         return cls(n, frozenset(lists[0]), frozenset(lists[1]), frozenset(lists[2]))
 
 
@@ -202,9 +206,14 @@ def check_profile_space(m: int, n: int, domain: Domain, budget: int = PROFILE_BU
 
     ValueError for fewer than one voter or m out of range, and
     BudgetExceededError when the domain holds more than `budget` profiles.
+    So are n voters with 2**n above the budget, even where each voter has
+    a single order (m=1): a scan over them handles 2**n coalitions.  The
+    domain's size is computed only below that bound.
     """
     if n < 1:
         raise ValueError(f"need at least one voter, got n={n}")
+    if n >= budget.bit_length():  # 2**n > budget
+        raise BudgetExceededError(f"{n} voters: 2**{n} coalitions, over the budget of {budget}")
     size = domain_size(m, n, domain)
     if size > budget:
         raise BudgetExceededError(
@@ -268,11 +277,13 @@ def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     """
     if isinstance(data, str):
         try:
-            obj = json.loads(data)
+            obj = load_json(data)
         except json.JSONDecodeError as exc:
             raise ProfileFormatError(
                 f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
             ) from None
+        except ValueError as exc:
+            raise ProfileFormatError(str(exc)) from None
     else:
         obj = data
     if not isinstance(obj, dict):
@@ -287,8 +298,12 @@ def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     m, n = obj["m"], obj["n"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise ProfileFormatError("must be an integer", location="m")
+    if not 1 <= m <= MAX_ALTERNATIVES:
+        raise ProfileFormatError(f"must be between 1 and {MAX_ALTERNATIVES}, got {m}", location="m")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ProfileFormatError("must be an integer", location="n")
+    if n < 1:
+        raise ProfileFormatError(f"need at least one voter, got {n}", location="n")
     if "labels" in obj:
         labels = obj["labels"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):

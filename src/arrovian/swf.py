@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator, Union
 
+from ._util import load_json
 from .relations import (
     MAX_ALTERNATIVES,
     AlternativeSet,
@@ -635,11 +636,13 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
 def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     if isinstance(data, str):
         try:
-            obj = json.loads(data)
+            obj = load_json(data)
         except json.JSONDecodeError as exc:
             raise SwfFormatError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except ValueError as exc:
+            raise SwfFormatError(str(exc)) from None
     else:
         obj = data
     if not isinstance(obj, dict):

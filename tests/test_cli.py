@@ -1,11 +1,12 @@
 """Command-line behaviour: outputs, exit codes, manifests."""
 
 import json
+import sys
 
 import pytest
 
 from arrovian._util import canonical_json
-from arrovian.cli import main
+from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
 from arrovian.profiles import Domain
 from arrovian.swf import borda_explicit, dictator_rules, swf_to_json_dict
@@ -105,6 +106,25 @@ def test_condorcet_demo_bad_file(capsys, tmp_path):
     assert "prefs" in err
 
 
+def test_condorcet_demo_rejects_m_out_of_range(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": 10**9, "n": 1, "prefs": ["A"]}))
+    code, out, _, err = run(capsys, "condorcet-demo", "--profile", str(path))
+    assert code == 2
+    assert out == ""
+    assert "wide.json: m: must be between 1 and 5, got 1000000000" in err
+
+
+def test_condorcet_demo_rejects_an_empty_electorate(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"m": 3, "n": 0, "prefs": []}))
+    code, out, _, err = run(capsys, "condorcet-demo", "--profile", str(path))
+    assert code == 2
+    assert out == ""
+    assert "empty.json: n: need at least one voter, got 0" in err
+    assert "Traceback" not in err
+
+
 # --- axioms ---------------------------------------------------------------------
 
 
@@ -168,6 +188,48 @@ def test_axioms_rejects_labels_that_are_not_a_list_of_strings(capsys, tmp_path, 
     assert "labels: must be a list of strings" in err
 
 
+def test_axioms_rejects_a_huge_electorate(capsys, tmp_path):
+    for m in (1, 3):
+        doc = {"kind": "explicit", "m": m, "n": 10**30, "domain": "weak", "entries": []}
+        code, out, _, err = _axioms_on(capsys, tmp_path, doc)
+        assert code == 2
+        assert out == ""
+        assert "over the budget" in err
+        assert "Traceback" not in err
+
+
+def test_axioms_rejects_a_tri_partition_that_is_not_three_lists(capsys, tmp_path):
+    doc = swf_to_json_dict(dictator_rules(1, 3, 2, Domain.LINEAR))
+    for cell in ([{"0": [0], "1": [1], "2": []}, "FIRST"], [[[0], [True], []], "FIRST"]):
+        code, out, _, err = _axioms_on(capsys, tmp_path, {**doc, "rules": {"A,B": [cell]}})
+        assert code == 2
+        assert out == ""
+        assert "rules['A,B'][0]: " in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["deep", "long int"])
+@pytest.mark.parametrize(
+    "argv",
+    [["axioms", "--swf"], ["bridge", "ks2", "--swf"], ["condorcet-demo", "--profile"], ["filters", "--family"]],
+)
+def test_json_the_decoder_cannot_hold_exits_2(capsys, tmp_path, case, argv):
+    if case == "deep":
+        text, reason = "[" * 100_000 + "]" * 100_000, "nested too deeply"
+    else:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer literals of any length")
+        text, reason = '{"n": ' + "1" * (limit + 1) + "}", "integer string conversion"
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert "doc.json: invalid JSON" in err and reason in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "entry,kind",
     [([[5], "A>B>C"], "int"), ([["A>B>C"], 7], "int"), ([[["A"]], "A>B>C"], "list")],
@@ -204,6 +266,27 @@ def test_filters_family_failure(capsys, tmp_path):
 def test_filters_requires_a_mode(capsys):
     assert main(["filters"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("members", [[[0, "a"]], [[0], [True]]])
+def test_filters_family_rejects_voters_that_are_not_integers(capsys, tmp_path, members):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "members": members}))
+    code, out, _, err = run(capsys, "filters", "--family", str(path))
+    assert code == 2
+    assert out == ""
+    where = len(members) - 1
+    assert f"family.json: members[{where}]: voter must be an integer" in err
+    assert "Traceback" not in err
+
+
+def test_filters_family_rejects_a_huge_ground_set(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2**70, "members": [[0]]}))
+    code, out, _, err = run(capsys, "filters", "--family", str(path))
+    assert code == 2
+    assert out == ""
+    assert "n must be at most 64" in err
 
 
 # --- bridge ----------------------------------------------------------------------
@@ -340,3 +423,30 @@ def test_manifest_carries_parameters(capsys):
     assert manifest["parameters"]["alternatives"] == 3
     assert manifest["parameters"]["json"] is True
     assert "wall_time_s" in manifest
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_back_to_back_runs_share_no_state(capsys, tmp_path):
+    _, _, first, _ = run(capsys, "infinite-demo", "--dictator", "3", "--json")
+    code, out, second, _ = run(capsys, "infinite-demo", "--json")
+    assert code == 0
+    assert first["parameters"]["dictator"] == 3
+    assert "dictator" not in second["parameters"]
+    assert json.loads(out)["mode"] == "frechet"
+
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "members": [[0], [0, 1]]}))
+    run(capsys, "filters", "--enumerate", "2")
+    code, out, manifest, _ = run(capsys, "filters", "--family", str(path))
+    assert code == 0
+    assert out.startswith("family on n=2: {0}, {0,1}\n")
+    assert "enumerate" not in manifest["parameters"]
+    assert list(manifest["inputs"]) == [str(path)]
+
+    _, out_json, _, _ = run(capsys, "orders", "-m", "2", "--json")
+    _, out_text, manifest, _ = run(capsys, "orders", "-m", "2")
+    assert out_json.startswith("{") and not out_text.startswith("{")
+    assert manifest["parameters"]["json"] is False

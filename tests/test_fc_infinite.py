@@ -267,3 +267,103 @@ def test_seeded_profiles_are_measurable_and_tail_ruled():
             for y in range(x + 1, p.m):
                 check_fc_triple(p.pair_triple(x, y))
         assert frechet_verdict(p) == p.tail
+
+
+# --- rewritten paths against a pointwise oracle ----------------------------------
+
+WINDOW = 60  # exceptions stay below 41, so every behaviour shows inside 0..59
+PART_NAMES = ("first", "second", "tie")
+STANCE_OF = {
+    "first": PairStance.FIRST_PREFERRED,
+    "second": PairStance.SECOND_PREFERRED,
+    "tie": PairStance.INDIFFERENT,
+}
+
+
+@st.composite
+def partition_triples(draw):
+    """A valid triple built from a voter assignment, sometimes nudged off it."""
+    owner = draw(st.lists(st.integers(0, 2), min_size=41, max_size=41))
+    tail = draw(st.integers(0, 2))
+    parts = []
+    for k in range(3):
+        mine = frozenset(v for v, o in enumerate(owner) if o == k)
+        if k == tail:
+            parts.append(FcSet.cofinite(frozenset(range(41)) - mine))
+        else:
+            parts.append(FcSet.finite(mine))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        v = draw(st.integers(0, 40))
+        a = parts[k]
+        flipped = a.exceptions ^ {v}
+        parts[k] = FcSet(a.mode, flipped)
+    return FcTriple(*parts)
+
+
+triples = st.one_of(st.builds(FcTriple, fc_sets, fc_sets, fc_sets), partition_triples())
+
+
+def oracle_check(t: FcTriple):
+    """(reason, least witness) from membership of each voter in the window, or None."""
+    dense_parts = [dense(part, WINDOW) for _, part in t.parts()]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            overlap = dense_parts[i] & dense_parts[j]
+            if overlap:
+                return f"parts {PART_NAMES[i]!r} and {PART_NAMES[j]!r} overlap", min(overlap)
+    missing = frozenset(range(WINDOW)).difference(*dense_parts)
+    if missing:
+        return "parts do not cover the electorate", min(missing)
+    return None
+
+
+@given(triples, st.integers(0, WINDOW - 1))
+def test_triple_checks_match_pointwise_oracle(t, v0):
+    expected = oracle_check(t)
+    if expected is not None:
+        with pytest.raises(InvalidTripleError) as exc_info:
+            check_fc_triple(t)
+        assert (exc_info.value.reason, exc_info.value.witness) == expected
+        for call in (lambda: cofinite_part(t), lambda: dictator_stance(v0, t)):
+            with pytest.raises(InvalidTripleError) as again:
+                call()
+            assert (again.value.reason, again.value.witness) == expected
+        return
+    check_fc_triple(t)
+    # The cofinite part is the one holding the voters past every exception.
+    name, part = cofinite_part(t)
+    assert WINDOW - 1 in dense(part, WINDOW)
+    assert part is getattr(t, name)
+    holder = next(k for k, (_, p) in enumerate(t.parts()) if v0 in dense(p, WINDOW))
+    assert dictator_stance(v0, t) is STANCE_OF[PART_NAMES[holder]]
+
+
+@pytest.mark.parametrize("bad", [-1, True, "3"])
+def test_every_constructor_rejects_non_naturals(bad):
+    message = f"exception {bad!r} is not a natural number"
+    constructors = (
+        FcSet.finite,
+        FcSet.cofinite,
+        lambda e: FcSet(FcMode.FINITE, e),
+        lambda e: FcSet(FcMode.COFINITE, e),
+        lambda e: FcSet(FcMode.FINITE, frozenset(e)),
+    )
+    for make in constructors:
+        with pytest.raises(ValueError) as exc_info:
+            make([5, bad])
+        assert str(exc_info.value) == message
+    # The text form admits digit runs only.
+    for text in (f"fin{{{bad!r}}}", f"cof{{5,{bad!r}}}"):
+        with pytest.raises(ValueError, match="bad coalition text"):
+            parse_fc(text)
+    with pytest.raises(ValueError, match="bad coalition text"):
+        FcTriple.from_json_dict({"first": f"fin{{{bad!r}}}", "second": "cof{}", "tie": "fin{}"})
+
+
+def test_seeded_draws_hold_naturals_only():
+    rng = Random(5)
+    for _ in range(200):
+        a = random_fc_set(rng, bound=30)
+        assert all(type(v) is int and 0 <= v <= 30 for v in a.exceptions)
+        assert FcSet(a.mode, a.exceptions) == a

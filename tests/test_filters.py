@@ -228,3 +228,10 @@ def test_family_json_errors():
         CoalitionFamily.from_json_dict({"n": 2, "members": [0]})
     with pytest.raises(ValueError, match="invalid JSON"):
         CoalitionFamily.from_json_dict("{oops")
+    with pytest.raises(ValueError, match=r"members\[1\]: voter must be an integer"):
+        CoalitionFamily.from_json_dict({"n": 2, "members": [[0], [False]]})
+    with pytest.raises(ValueError, match=r"members\[0\]: voter must be an integer"):
+        CoalitionFamily.from_json_dict({"n": 2, "members": [[1.0]]})
+    with pytest.raises(ValueError, match="at most 64"):
+        CoalitionFamily.from_json_dict({"n": 65, "members": []})
+    assert CoalitionFamily.from_json_dict({"n": 64, "members": [[63]]}).masks == {1 << 63}

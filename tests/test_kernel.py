@@ -14,12 +14,27 @@ import pytest
 
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
-from arrovian.kernel import FIRST, SECOND, compose, domain_kernel
+from arrovian.kernel import FIRST, SECOND, compose, domain_kernel, majority_codes
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
 from arrovian.ks_bridge import extract_decisive_family, swf_from_ultrafilter
-from arrovian.profiles import Domain, TriPartition, enumerate_profiles, enumerate_tripartitions, pair_partition
-from arrovian.relations import BinaryRelation, PairStance, WeakOrder, enumerate_weak_orders, unordered_pairs
+from arrovian.profiles import (
+    Domain,
+    TriPartition,
+    enumerate_profiles,
+    enumerate_tripartitions,
+    pair_partition,
+    pairwise_majority,
+)
+from arrovian.relations import (
+    BinaryRelation,
+    PairStance,
+    WeakOrder,
+    enumerate_weak_orders,
+    to_canonical,
+    unordered_pairs,
+    validate_weak_order,
+)
 from arrovian.swf import (
     ExplicitSwf,
     PairwiseRuleSwf,
@@ -270,3 +285,14 @@ def test_brute_force_finds_the_survivors_of_the_search():
     survivors = search_arrovian(3, n, Domain.LINEAR).survivors
     assert found == {rec.stances for rec in survivors}
     assert len(found) == 2
+
+
+@pytest.mark.parametrize(
+    "m, n, domain", [(1, 3, Domain.WEAK), (2, 3, Domain.WEAK), (3, 3, Domain.WEAK), (4, 2, Domain.LINEAR)]
+)
+def test_majority_codes_compose_to_pairwise_majority(m, n, domain):
+    for f in enumerate_profiles(m, n, domain):
+        rel, res, order = compose(m, majority_codes(f))
+        assert rel == pairwise_majority(f)
+        assert res == validate_weak_order(rel)
+        assert order == (to_canonical(rel) if res.ok else None)

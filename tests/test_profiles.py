@@ -14,6 +14,7 @@ from arrovian.profiles import (
     ProfileFormatError,
     TriPartition,
     agrees_on_pair,
+    check_profile_space,
     condorcet_profile,
     domain_size,
     enumerate_profiles,
@@ -192,6 +193,20 @@ def test_enumerate_profiles_budget():
     with pytest.raises(ValueError):
         enumerate_profiles(3, 0, Domain.LINEAR)
     assert PROFILE_BUDGET_DEFAULT == 10_000_000
+
+
+def test_budget_bounds_the_voters_too():
+    # 2**23 profiles fit the default budget, so 23 voters pass on every domain.
+    check_profile_space(2, 23, Domain.LINEAR)
+    check_profile_space(1, 23, Domain.WEAK)
+    with pytest.raises(BudgetExceededError, match="24 voters"):
+        check_profile_space(1, 24, Domain.WEAK)
+    # The size of a huge domain is never computed.
+    for m in (1, 3):
+        with pytest.raises(BudgetExceededError, match="over the budget"):
+            check_profile_space(m, 10**30, Domain.WEAK)
+    with pytest.raises(BudgetExceededError, match="domain holds 62748517 profiles"):
+        check_profile_space(3, 7, Domain.WEAK)
 
 
 def test_domain_from_name():
