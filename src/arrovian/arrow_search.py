@@ -10,20 +10,24 @@ is a `PairwiseRuleSwf`; it survives when
   imposes nothing), and
 * every domain profile assembles into a valid weak order.
 
-Each profile touches exactly three cells (m is fixed at 3), and the
-triple of stances it sees must match one of the 13 stance triples that
-weak orders on three alternatives realise.  Those ternary constraints
-drive a depth-first search with generalized arc consistency; the
-propagation only ever deletes stances with no support, so no surviving
-rule can be missed, and the leaf-plus-pruned accounting proves that the
-whole space was covered.
+A relation of per-pair stances is a weak order exactly when it is one
+on every triangle a < b < c, so each profile's constraint is the
+conjunction of its C(m, 3) triangle restrictions, and those are the
+three-alternative profiles: the constraints are the rows of the m=3
+kernel, put on the cells of (a, b), (a, c) and (b, c) of each triangle.
+A row's three cells must take one of the 13 stance triples of the weak
+orders on three alternatives.  Those ternary constraints drive a
+depth-first search with generalized arc consistency; the propagation
+only ever deletes stances with no support, so no surviving rule can be
+missed, and the leaf-plus-pruned accounting proves that the whole space
+was covered.  The only limits are the profile budget at the requested
+(m, n, domain), checked before anything is built, and the node budget.
 
 Propagation is table-driven: a cell's domain is a 3-bit stance mask, so
 a constraint's three domains index one of 512 entries of a table that
 holds the supported stances of each cell, computed once from the 13
-triples.  Each profile's three cells come from the integer-coded
-`kernel.domain_kernel` view, and every survivor is still audited by
-`swf.full_report`, an independent profile-level cross-check.
+triples.  Every survivor is still audited by `swf.full_report` over the
+m-ary profiles, an independent profile-level cross-check.
 
 Determinism: cells are ordered by (pair, tri-partition code), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
@@ -34,15 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from itertools import combinations
+from typing import Callable, Mapping
 
 from ._util import canonical_json
 from .kernel import STANCE_CODE, STANCES, domain_kernel
-from .profiles import Domain, Profile, TriPartition, enumerate_profiles, enumerate_tripartitions
-from .relations import PairStance, enumerate_weak_orders, pair_stance, unordered_pairs
+from .profiles import Domain, TriPartition, check_profile_space, enumerate_tripartitions
+from .relations import MAX_ALTERNATIVES, PairStance, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
-_PAIRS3 = ((0, 1), (0, 2), (1, 2))
+DEFAULT_MAX_NODES = 1_000_000
 _MASK_TO_STANCE = {1: 0, 2: 1, 4: 2}
 
 
@@ -69,23 +74,17 @@ class SearchProblem:
     constraints: tuple[tuple[int, int, int], ...]
     cell_constraints: tuple[tuple[int, ...], ...]
     forced: dict[int, int]
-    allowed: tuple[tuple[int, int, int], ...]
     supports: tuple[tuple[int, int, int], ...]
-
-    @property
-    def profiles(self) -> tuple[Profile, ...]:
-        """The domain profiles, one per constraint and in the same order."""
-        return tuple(enumerate_profiles(self.m, self.n, self.domain))
 
 
 @lru_cache(maxsize=None)
 def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
-    triples = []
-    for w in enumerate_weak_orders(3):
-        triples.append(
-            tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in _PAIRS3)
-        )
-    return tuple(sorted(triples))
+    """The stance triples on (0, 1), (0, 2), (1, 2) of the weak orders on three.
+
+    One voter's tri-partition code on a pair is its stance code, so these
+    are the rows of the one-voter weak kernel at m=3.
+    """
+    return tuple(sorted(zip(*domain_kernel(3, 1, Domain.WEAK).tri)))
 
 
 @lru_cache(maxsize=None)
@@ -111,16 +110,22 @@ def _support_table() -> tuple[tuple[int, int, int], ...]:
 
 
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
-    if m != 3:
-        raise ValueError(f"the base-case search is specific to m=3, got m={m}")
-    if n < 1:
-        raise ValueError(f"need at least one voter, got n={n}")
+    """Cells by (pair, code); constraints by (triangle, m=3 profile index)."""
+    if not 3 <= m <= MAX_ALTERNATIVES:
+        raise ValueError(f"the search needs 3 to {MAX_ALTERNATIVES} alternatives, got m={m}")
+    check_profile_space(m, n, domain)
     tris = enumerate_tripartitions(n, domain)
-    cells = tuple(SearchCell(pair, t.code()) for pair in _PAIRS3 for t in tris)
+    pairs = unordered_pairs(m)
+    cells = tuple(SearchCell(pair, t.code()) for pair in pairs for t in tris)
     cell_index = {cell: i for i, cell in enumerate(cells)}
-    k = domain_kernel(m, n, domain)  # k.canonical is _PAIRS3
-    per_pair = [[cell_index[SearchCell(pair, code)] for code in col] for pair, col in zip(k.canonical, k.tri)]
-    constraints = tuple(zip(*per_pair))
+    pos = {t.code(): i for i, t in enumerate(tris)}
+    base = {pair: q * len(tris) for q, pair in enumerate(pairs)}
+    rows = tuple(zip(*domain_kernel(3, n, domain).tri))
+    constraints = tuple(
+        (base[a, b] + pos[ab], base[a, c] + pos[ac], base[b, c] + pos[bc])
+        for a, b, c in combinations(range(m), 3)
+        for ab, ac, bc in rows
+    )
     per_cell: list[list[int]] = [[] for _ in cells]
     for ci, cons in enumerate(constraints):
         for cell in cons:
@@ -128,7 +133,7 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     unanimous_first = TriPartition(n, frozenset(range(n)), frozenset(), frozenset()).code()
     unanimous_second = TriPartition(n, frozenset(), frozenset(range(n)), frozenset()).code()
     forced = {}
-    for pair in _PAIRS3:
+    for pair in pairs:
         forced[cell_index[SearchCell(pair, unanimous_first)]] = 0
         forced[cell_index[SearchCell(pair, unanimous_second)]] = 1
     return SearchProblem(
@@ -136,12 +141,11 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         n=n,
         domain=domain,
         cells=cells,
-        partitions=tuple(tris) * len(_PAIRS3),
+        partitions=tuple(tris) * len(pairs),
         cell_index=cell_index,
         constraints=constraints,
         cell_constraints=tuple(tuple(v) for v in per_cell),
         forced=forced,
-        allowed=_allowed_triples(),
         supports=_support_table(),
     )
 
@@ -281,26 +285,16 @@ def search_arrovian(
     m: int,
     n: int,
     domain: Domain,
-    allow_long: bool = False,
-    max_nodes: int | None = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
     progress: Callable[[dict], None] | None = None,
 ) -> SearchCertificate:
-    """Exhaust the rule space and certify the survivors.
+    """Exhaust the rule space of (m, n, domain) and certify the survivors.
 
-    Supported sizes: n <= 3 on the linear domain (n = 3 is the long
-    mode and must be requested with allow_long), n <= 2 on the weak
-    domain.  Running out of `max_nodes` raises SearchIncompleteError;
-    a partial result is never returned.
+    Any 3 <= m <= MAX_ALTERNATIVES and any n whose domain fits the
+    profile budget is accepted (ValueError otherwise, before anything is
+    built).  Running out of `max_nodes` raises SearchIncompleteError; a
+    partial result is never returned.
     """
-    if domain is Domain.LINEAR:
-        if n > 3:
-            raise ValueError(f"linear-domain search supports n <= 3, got n={n}")
-        if n == 3 and not allow_long:
-            raise ValueError("n=3 on the linear domain is the long mode; pass allow_long=True")
-    else:
-        if n > 2:
-            raise ValueError(f"weak-domain search supports n <= 2, got n={n}")
-
     problem = build_problem(m, n, domain)
     cell_count = len(problem.cells)
     pow3 = [3**i for i in range(cell_count + 1)]
@@ -330,7 +324,7 @@ def search_arrovian(
         current = domains[depth]
         for s in (0, 1, 2):
             counters["nodes"] += 1
-            if max_nodes is not None and counters["nodes"] > max_nodes:
+            if counters["nodes"] > max_nodes:
                 raise SearchIncompleteError(
                     f"node budget {max_nodes} exhausted with the space not yet covered"
                 )

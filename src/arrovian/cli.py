@@ -36,7 +36,7 @@ from pathlib import Path
 from random import Random
 
 from ._util import canonical_json, sha256_hex
-from .arrow_search import SearchIncompleteError, search_arrovian
+from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
     dictator_rule,
@@ -400,13 +400,7 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     try:
-        cert = search_arrovian(
-            args.alternatives,
-            args.voters,
-            domain,
-            allow_long=args.allow_long,
-            max_nodes=args.max_nodes,
-        )
+        cert = search_arrovian(args.alternatives, args.voters, domain, max_nodes=args.max_nodes)
     except (ValueError, SearchIncompleteError) as exc:
         raise CliError(str(exc)) from None
     if args.certificate:
@@ -586,8 +580,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alternatives", type=int, default=3)
     p.add_argument("--voters", type=int, required=True)
     p.add_argument("--domain", required=True, help="'weak' or 'linear'")
-    p.add_argument("--allow-long", action="store_true", help="permit runs beyond the quick range")
-    p.add_argument("--max-nodes", type=int, help="abort after this many search nodes")
+    # Accepted and ignored: the budgets alone bound a search.
+    p.add_argument("--allow-long", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="node budget (default %(default)s)")
     p.add_argument("--certificate", help="write the certificate JSON to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_arrow_search, command_name="arrow-search")

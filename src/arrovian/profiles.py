@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._util import load_json
 from .relations import (
@@ -269,6 +269,32 @@ def profile_to_json_dict(f: Profile, alts: AlternativeSet | None = None) -> dict
     }
 
 
+def parse_header(obj: dict, error: Callable[..., ValueError]) -> tuple[int, int, AlternativeSet]:
+    """Check a document's `m`, `n` and optional `labels`; return (m, n, alts).
+
+    Shared by the profile and SWF parsers, which have checked that `m`
+    and `n` are present; a defect raises `error(message, location=field)`.
+    """
+    m, n = obj["m"], obj["n"]
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise error("must be an integer", location="m")
+    if not 1 <= m <= MAX_ALTERNATIVES:
+        raise error(f"must be between 1 and {MAX_ALTERNATIVES}, got {m}", location="m")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise error("must be an integer", location="n")
+    if n < 1:
+        raise error(f"need at least one voter, got {n}", location="n")
+    if "labels" not in obj:
+        return m, n, AlternativeSet(m)
+    labels = obj["labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise error("must be a list of strings", location="labels")
+    try:
+        return m, n, AlternativeSet(m, tuple(labels))
+    except ValueError as exc:
+        raise error(str(exc), location="labels") from None
+
+
 def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     """Parse and strictly validate the JSON profile format.
 
@@ -295,28 +321,7 @@ def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     for key in ("m", "n", "prefs"):
         if key not in obj:
             raise ProfileFormatError("required key missing", location=key)
-    m, n = obj["m"], obj["n"]
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ProfileFormatError("must be an integer", location="m")
-    if not 1 <= m <= MAX_ALTERNATIVES:
-        raise ProfileFormatError(f"must be between 1 and {MAX_ALTERNATIVES}, got {m}", location="m")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ProfileFormatError("must be an integer", location="n")
-    if n < 1:
-        raise ProfileFormatError(f"need at least one voter, got {n}", location="n")
-    if "labels" in obj:
-        labels = obj["labels"]
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ProfileFormatError("must be a list of strings", location="labels")
-        try:
-            alts = AlternativeSet(m, tuple(labels))
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc), location="labels") from None
-    else:
-        try:
-            alts = AlternativeSet(m)
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc), location="m") from None
+    m, n, alts = parse_header(obj, ProfileFormatError)
     prefs = obj["prefs"]
     if not isinstance(prefs, list):
         raise ProfileFormatError("must be a list of order strings", location="prefs")

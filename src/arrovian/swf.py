@@ -38,7 +38,6 @@ from typing import Iterator, Union
 
 from ._util import load_json
 from .relations import (
-    MAX_ALTERNATIVES,
     AlternativeSet,
     BinaryRelation,
     PairStance,
@@ -57,6 +56,7 @@ from .profiles import (
     enumerate_profiles,
     enumerate_tripartitions,
     pair_partition,
+    parse_header,
 )
 from .kernel import FIRST, FLIP, MISSING, STANCE_CODE, STANCES, DomainKernel, compose, domain_kernel
 
@@ -653,24 +653,11 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     for key in ("m", "n", "domain"):
         if key not in obj:
             raise SwfFormatError(f"required key {key!r} missing")
-    m, n = obj["m"], obj["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or isinstance(m, bool) or isinstance(n, bool):
-        raise SwfFormatError("m and n must be integers")
-    if not 1 <= m <= MAX_ALTERNATIVES:
-        raise SwfFormatError(f"must be between 1 and {MAX_ALTERNATIVES}, got {m}", location="m")
-    if n < 1:
-        raise SwfFormatError(f"need at least one voter, got {n}", location="n")
+    m, n, alts = parse_header(obj, SwfFormatError)
     try:
         domain = Domain.from_name(obj["domain"])
     except ValueError as exc:
         raise SwfFormatError(str(exc)) from None
-    labels = obj.get("labels")
-    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-        raise SwfFormatError("must be a list of strings", location="labels")
-    try:
-        alts = AlternativeSet(m, tuple(labels)) if labels is not None else AlternativeSet(m)
-    except ValueError as exc:
-        raise SwfFormatError(str(exc), location="labels") from None
 
     if kind == "explicit":
         entries = obj.get("entries")

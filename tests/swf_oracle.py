@@ -10,6 +10,8 @@ witnesses and equal error texts.  Only tests import this module.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from arrovian.arrow_search import SearchCell, SearchProblem
 from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
 from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
@@ -196,11 +198,14 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
 
 
 def search_constraints(problem: SearchProblem) -> tuple[tuple[int, ...], ...]:
-    """Per domain profile, in enumeration order, the indices of its cells."""
+    """Per domain profile in enumeration order, and per triangle a<b<c in
+    lexicographic order, the indices of the profile's cells on (a, b),
+    (a, c) and (b, c)."""
     return tuple(
         tuple(
             problem.cell_index[SearchCell(pair, pair_partition(f, *pair).code())]
-            for pair in unordered_pairs(problem.m)
+            for pair in ((a, b), (a, c), (b, c))
         )
         for f in enumerate_profiles(problem.m, problem.n, problem.domain)
+        for a, b, c in combinations(range(problem.m), 3)
     )

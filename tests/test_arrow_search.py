@@ -1,14 +1,16 @@
 """The complete rule-space search and its propagation engine."""
 
+import inspect
 import json
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 import swf_oracle as oracle
 from arrovian._util import sha256_hex
 from arrovian.arrow_search import (
+    DEFAULT_MAX_NODES,
     SearchCell,
     SearchIncompleteError,
     _allowed_triples,
@@ -18,8 +20,9 @@ from arrovian.arrow_search import (
     search_arrovian,
 )
 from arrovian.cli import main
-from arrovian.profiles import Domain, TriPartition, pair_partition, profile_from_texts
-from arrovian.relations import PairStance
+from arrovian.kernel import STANCE_CODE
+from arrovian.profiles import BudgetExceededError, Domain, TriPartition, pair_partition, profile_from_texts
+from arrovian.relations import PairStance, enumerate_weak_orders, pair_stance
 from arrovian.swf import dictator_rules, parse_swf_json
 
 
@@ -31,45 +34,65 @@ def cell_for(f, pair):
 
 
 def test_problem_shapes():
+    """One constraint per triangle and three-alternative profile."""
     p = build_problem(3, 2, Domain.LINEAR)
     assert len(p.cells) == 12  # 3 pairs x 4 tie-free splits
     assert len(p.forced) == 6
-    assert len(p.profiles) == 36
-    assert len(p.constraints) == 36
+    assert len(p.constraints) == 36  # 6**2 profiles
 
     p = build_problem(3, 2, Domain.WEAK)
     assert len(p.cells) == 27  # 3 pairs x 9 splits
     assert len(p.forced) == 6
-    assert len(p.profiles) == 169
+    assert len(p.constraints) == 169  # 13**2 profiles
 
     p = build_problem(3, 3, Domain.LINEAR)
     assert len(p.cells) == 24  # 3 pairs x 8 tie-free splits
     assert len(p.forced) == 6
 
+    p = build_problem(4, 2, Domain.LINEAR)
+    assert len(p.cells) == 24  # 6 pairs x 4 tie-free splits
+    assert len(p.forced) == 12
+    assert len(p.constraints) == 4 * 36  # 4 triangles
+
+    p = build_problem(5, 1, Domain.WEAK)
+    assert len(p.cells) == 30  # 10 pairs x 3 splits
+    assert len(p.constraints) == 10 * 13  # 10 triangles
+
 
 def test_problem_rejects_other_m():
-    with pytest.raises(ValueError, match="m=3"):
-        build_problem(4, 2, Domain.LINEAR)
-    with pytest.raises(ValueError):
+    for m in (0, 1, 2, 6):
+        with pytest.raises(ValueError, match=f"3 to 5 alternatives, got m={m}"):
+            build_problem(m, 2, Domain.LINEAR)
+    with pytest.raises(ValueError, match="at least one voter"):
         build_problem(3, 0, Domain.LINEAR)
 
 
 def test_thirteen_allowed_stance_triples():
-    p = build_problem(3, 1, Domain.WEAK)
-    assert len(p.allowed) == 13
-    assert len(set(p.allowed)) == 13
-    assert (0, 0, 0) in p.allowed  # A>B>C
-    assert (2, 2, 2) in p.allowed  # A~B~C
-    assert (0, 1, 0) not in p.allowed  # A>B, C>A, B>C is a cycle
-    assert (0, 0, 1) in p.allowed  # A>B, A>C, C>B: the order A>C>B
+    allowed = _allowed_triples()
+    assert len(set(allowed)) == len(allowed) == 13
+    assert (0, 0, 0) in allowed  # A>B>C
+    assert (2, 2, 2) in allowed  # A~B~C
+    assert (0, 1, 0) not in allowed  # A>B, C>A, B>C is a cycle
+    assert (0, 0, 1) in allowed  # A>B, A>C, C>B: the order A>C>B
+    # read off the weak orders' pair stances directly
+    assert allowed == tuple(
+        sorted(
+            tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in ((0, 1), (0, 2), (1, 2)))
+            for w in enumerate_weak_orders(3)
+        )
+    )
 
 
 def test_every_profile_constraint_touches_three_cells():
-    p = build_problem(3, 2, Domain.LINEAR)
-    for cons in p.constraints:
-        assert len(cons) == 3
-        pairs = [p.cells[c].pair for c in cons]
-        assert pairs == [(0, 1), (0, 2), (1, 2)]
+    """Triangle-major: each triangle a<b<c owns a run of constraints on
+    its cells of (a, b), (a, c) and (b, c), one per three-alternative profile."""
+    for m in (3, 4, 5):
+        p = build_problem(m, 2, Domain.LINEAR)
+        runs = [p.constraints[i : i + 36] for i in range(0, len(p.constraints), 36)]
+        assert len(runs) == len(list(combinations(range(m), 3)))
+        for (a, b, c), run in zip(combinations(range(m), 3), runs):
+            for cons in run:
+                assert [p.cells[cell].pair for cell in cons] == [(a, b), (a, c), (b, c)]
 
 
 @pytest.mark.parametrize(
@@ -79,9 +102,17 @@ def test_every_profile_constraint_touches_three_cells():
 def test_constraints_match_the_profile_objects(n, domain):
     p = build_problem(3, n, domain)
     assert p.constraints == oracle.search_constraints(p)
-    assert len(p.profiles) == len(p.constraints)
     assert [t.code() for t in p.partitions] == [cell.code for cell in p.cells]
     assert all(t.n == n for t in p.partitions)
+
+
+@pytest.mark.parametrize("n,domain", [(2, Domain.LINEAR), (1, Domain.WEAK), (2, Domain.WEAK)])
+def test_triangle_constraints_match_the_m4_profiles(n, domain):
+    """Every m=4 profile projected onto each triangle gives exactly the
+    constraints the search builds from the m=3 kernel."""
+    p = build_problem(4, n, domain)
+    assert set(p.constraints) == set(oracle.search_constraints(p))
+    assert len(set(p.constraints)) == len(p.constraints)
 
 
 def test_support_table_matches_the_thirteen_triples():
@@ -167,14 +198,14 @@ def test_single_weak_voter_survivors_are_tie_breaks():
     assert all(rec.dictator == 0 for rec in cert.survivors)
 
 
-def test_linear_two_voters_exactly_the_two_dictatorships():
-    cert = search_arrovian(3, 2, Domain.LINEAR)
-    assert cert.space == 3**12
-    assert len(cert.survivors) == 2
-    assert sorted(rec.dictator for rec in cert.survivors) == [0, 1]
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+def test_linear_search_finds_exactly_the_dictatorships(m, n):
+    cert = search_arrovian(m, n, Domain.LINEAR)
+    assert cert.space == 3 ** (m * (m - 1) // 2 * 2**n)
+    assert sorted(rec.dictator for rec in cert.survivors) == list(range(n))
     by_dictator = {rec.dictator: rec.swf for rec in cert.survivors}
-    for v in (0, 1):
-        assert by_dictator[v].rules == dictator_rules(v, 3, 2, Domain.LINEAR).rules
+    for v in range(n):
+        assert by_dictator[v].rules == dictator_rules(v, m, n, Domain.LINEAR).rules
     assert cert.explored_leaves + cert.pruned_total == cert.space
 
 
@@ -187,26 +218,24 @@ def test_weak_two_voters_all_survivors_dictatorial():
     assert cert.explored_leaves + cert.pruned_total == cert.space
 
 
-def test_linear_three_voters_long_mode():
-    cert = search_arrovian(3, 3, Domain.LINEAR, allow_long=True)
-    assert sorted(rec.dictator for rec in cert.survivors) == [0, 1, 2]
-    assert cert.explored_leaves + cert.pruned_total == cert.space == 3**24
-
-
 def test_range_guards():
-    with pytest.raises(ValueError, match="allow_long"):
-        search_arrovian(3, 3, Domain.LINEAR)
-    with pytest.raises(ValueError, match="n <= 3"):
-        search_arrovian(3, 4, Domain.LINEAR, allow_long=True)
-    with pytest.raises(ValueError, match="n <= 2"):
-        search_arrovian(3, 3, Domain.WEAK)
-    with pytest.raises(ValueError, match="m=3"):
-        search_arrovian(4, 2, Domain.LINEAR)
+    """Besides the m range (test_problem_rejects_other_m), the size limit is
+    the profile budget at the requested m, checked before anything is built."""
+    with pytest.raises(BudgetExceededError, match=r"40 voters: 2\*\*40 coalitions, over the budget of 10000000"):
+        search_arrovian(3, 40, Domain.LINEAR)
+    # 120**4 linear profiles at m=5, though the m=3 kernel would hold 6**4
+    with pytest.raises(BudgetExceededError, match="domain holds 207360000 profiles"):
+        search_arrovian(5, 4, Domain.LINEAR)
 
 
 def test_node_budget():
+    assert DEFAULT_MAX_NODES == 1_000_000
+    assert inspect.signature(search_arrovian).parameters["max_nodes"].default == DEFAULT_MAX_NODES
     with pytest.raises(SearchIncompleteError, match="budget"):
         search_arrovian(3, 2, Domain.LINEAR, max_nodes=5)
+    # weak n=3 is not refused by size; it runs until a budget stops it
+    with pytest.raises(SearchIncompleteError, match="node budget 2000 exhausted"):
+        search_arrovian(3, 3, Domain.WEAK, max_nodes=2000)
 
 
 def test_progress_callback_sees_counters():

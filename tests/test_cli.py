@@ -352,17 +352,45 @@ def test_search_json_matches_certificate_file(capsys, tmp_path):
     assert out.rstrip("\n") == cert_path.read_text().rstrip("\n")
 
 
+SEARCH_REFUSALS = [
+    ("--alternatives 2 --voters 2", "the search needs 3 to 5 alternatives, got m=2"),
+    ("--alternatives 6 --voters 2", "the search needs 3 to 5 alternatives, got m=6"),
+    ("--voters 0", "need at least one voter, got n=0"),
+    ("--voters 40", "40 voters: 2**40 coalitions, over the budget of 10000000"),
+    ("--alternatives 5 --voters 4", "domain holds 207360000 profiles, over the budget of 10000000"),
+    ("--voters 2 --max-nodes 5", "node budget 5 exhausted with the space not yet covered"),
+]
+
+
 def test_search_guardrails(capsys):
-    code, _, _, err = run(capsys, "arrow-search", "--voters", "3", "--domain", "linear")
-    assert code == 2
-    assert "allow_long" in err
-    code, _, _, err = run(
-        capsys, "arrow-search", "--voters", "2", "--domain", "linear", "--max-nodes", "5"
-    )
-    assert code == 2
-    assert "budget" in err
+    """The m range, the profile budget and the node budget exit 2 at once."""
+    for args, message in SEARCH_REFUSALS:
+        code, out, _, err = run(capsys, "arrow-search", *args.split(), "--domain", "linear")
+        assert (code, out, err) == (2, "", f"error: {message}")
+    code, _, _, err = run(capsys, "arrow-search", "--voters", "3", "--domain", "weak", "--max-nodes", "2000")
+    assert (code, err) == (2, "error: node budget 2000 exhausted with the space not yet covered")
     code, _, _, err = run(capsys, "arrow-search", "--voters", "2", "--domain", "total")
     assert code == 2
+    assert "unknown domain 'total'" in err
+
+
+def test_search_default_node_budget_and_ignored_allow_long(capsys):
+    code, out, manifest, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear")
+    assert code == 0
+    assert manifest["parameters"]["max_nodes"] == 1_000_000
+    assert "allow_long" not in manifest["parameters"]
+    assert run(capsys, "arrow-search", "--voters", "2", "--domain", "linear", "--allow-long")[1] == out
+    assert main(["arrow-search", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--max-nodes MAX_NODES" in help_text
+    assert "--allow-long" not in help_text
+
+
+def test_search_four_alternatives(capsys):
+    code, out, _, _ = run(capsys, "arrow-search", "--alternatives", "4", "--voters", "3", "--domain", "linear")
+    assert code == 0
+    assert "search m=4 n=3 domain=linear\n" in out
+    assert "survivors: 3, all dictatorial\n" in out
 
 
 # --- infinite-demo ------------------------------------------------------------------

@@ -254,37 +254,38 @@ def test_ultrafilter_internal_invariant(monkeypatch, masks, axiom):
 
 
 def test_brute_force_finds_the_survivors_of_the_search():
-    """Every assignment of the free cells at m=3, n=2 on linear ballots.
+    """Every assignment of the free cells, checked profile by profile.
 
     A cell is a (pair, tri-partition) of the independence quotient; the
     cells where every voter agrees are fixed by unanimity, leaving six
-    free cells and 3**6 rules.  The ones passing a1-a4 must be exactly
-    the search's survivors, stance for stance.
+    free cells and 3**6 rules: at m=3, n=2 on linear ballots the mixed
+    splits of three pairs, at m=4, n=1 on weak ballots the tie of six
+    pairs.  The ones passing a1-a4 over the m-ary profiles must be
+    exactly the search's survivors, stance for stance.
     """
-    n = 2
-    tris = enumerate_tripartitions(n, Domain.LINEAR)
-    cells = [(pair, t) for pair in unordered_pairs(3) for t in tris]
-    forced = {}
-    for i, (_, t) in enumerate(cells):
-        if len(t.first) == n:
-            forced[i] = 0
-        elif len(t.second) == n:
-            forced[i] = 1
-    free = [i for i in range(len(cells)) if i not in forced]
-    assert len(free) == 6
-    stance_of = (PairStance.FIRST_PREFERRED, PairStance.SECOND_PREFERRED, PairStance.INDIFFERENT)
-    found = set()
-    for choice in product(range(3), repeat=len(free)):
-        stances = dict(forced)
-        stances.update(zip(free, choice))
-        rules = {pair: {} for pair in unordered_pairs(3)}
-        for i, (pair, t) in enumerate(cells):
-            rules[pair][t] = stance_of[stances[i]]
-        if full_report(PairwiseRuleSwf(3, n, Domain.LINEAR, rules)).arrovian():
-            found.add(tuple(stances[i] for i in range(len(cells))))
-    survivors = search_arrovian(3, n, Domain.LINEAR).survivors
-    assert found == {rec.stances for rec in survivors}
-    assert len(found) == 2
+    for m, n, domain, survivors in ((3, 2, Domain.LINEAR, 2), (4, 1, Domain.WEAK, 75)):
+        tris = enumerate_tripartitions(n, domain)
+        cells = [(pair, t) for pair in unordered_pairs(m) for t in tris]
+        forced = {}
+        for i, (_, t) in enumerate(cells):
+            if len(t.first) == n:
+                forced[i] = 0
+            elif len(t.second) == n:
+                forced[i] = 1
+        free = [i for i in range(len(cells)) if i not in forced]
+        assert len(free) == 6
+        stance_of = (PairStance.FIRST_PREFERRED, PairStance.SECOND_PREFERRED, PairStance.INDIFFERENT)
+        found = set()
+        for choice in product(range(3), repeat=len(free)):
+            stances = dict(forced)
+            stances.update(zip(free, choice))
+            rules = {pair: {} for pair in unordered_pairs(m)}
+            for i, (pair, t) in enumerate(cells):
+                rules[pair][t] = stance_of[stances[i]]
+            if full_report(PairwiseRuleSwf(m, n, domain, rules)).arrovian():
+                found.add(tuple(stances[i] for i in range(len(cells))))
+        assert found == {rec.stances for rec in search_arrovian(m, n, domain).survivors}
+        assert len(found) == survivors
 
 
 @pytest.mark.parametrize(

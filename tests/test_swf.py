@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arrovian.profiles import Domain, TriPartition, pair_partition, profile_from_texts
+from arrovian.profiles import Domain, ProfileFormatError, TriPartition, pair_partition, parse_profile_json, profile_from_texts
 from arrovian.relations import AlternativeSet, PairStance, WeakOrder, parse_weak_order, unordered_pairs
 from arrovian.swf import (
     CompositionFailure,
@@ -295,6 +295,31 @@ def test_swf_json_errors():
     dup["entries"].append(dup["entries"][0])
     with pytest.raises(SwfFormatError, match="duplicate profile"):
         parse_swf_json(dup)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"m": "3"}, "m: must be an integer"),
+        ({"m": True}, "m: must be an integer"),
+        ({"m": 6}, "m: must be between 1 and 5, got 6"),
+        ({"n": 2.0}, "n: must be an integer"),
+        ({"n": 0}, "n: need at least one voter, got 0"),
+        ({"labels": None}, "labels: must be a list of strings"),
+        ({"labels": ["A", "A", "C"]}, "labels: "),
+    ],
+)
+def test_swf_and_profile_headers_fail_alike(header, message):
+    """One header parser: the same defect gives the same located text."""
+    swf_doc = {"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": [], **header}
+    profile_doc = {"m": 3, "n": 1, "prefs": ["A>B>C"], **header}
+    with pytest.raises(SwfFormatError) as swf_err:
+        parse_swf_json(swf_doc)
+    with pytest.raises(ProfileFormatError) as profile_err:
+        parse_profile_json(profile_doc)
+    assert str(swf_err.value) == str(profile_err.value)
+    assert str(swf_err.value).startswith(message)
+    assert swf_err.value.location == profile_err.value.location == message.split(":")[0]
 
 
 @pytest.mark.parametrize("bad", ["A>B>Z", "A>A>C", "A>B", ""])
