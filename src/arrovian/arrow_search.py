@@ -20,8 +20,10 @@ orders on three alternatives.  Those ternary constraints drive a
 depth-first search with generalized arc consistency; the propagation
 only ever deletes stances with no support, so no surviving rule can be
 missed, and the leaf-plus-pruned accounting proves that the whole space
-was covered.  The only limits are the profile budget at the requested
-(m, n, domain), checked before anything is built, and the node budget.
+was covered.  A search is bounded by the profile budget at the requested
+(m, n, domain) and by MAX_SEARCH_PROFILES, both checked before anything
+is built, and by the node budget.  The backtracking keeps its own stack, so
+a deep problem does not meet Python's recursion limit.
 
 Propagation is table-driven: a cell's domain is a 3-bit stance mask, so
 a constraint's three domains index one of 512 entries of a table that
@@ -43,11 +45,15 @@ from typing import Callable, Mapping
 
 from ._util import canonical_json
 from .kernel import STANCE_CODE, STANCES, domain_kernel
-from .profiles import Domain, TriPartition, check_profile_space, enumerate_tripartitions
+from .profiles import BudgetExceededError, Domain, TriPartition, check_profile_space, domain_size, enumerate_tripartitions
 from .relations import MAX_ALTERNATIVES, PairStance, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
 DEFAULT_MAX_NODES = 1_000_000
+# The survivor audit's kernel costs about 400 bytes per m-ary profile (3.3 GB
+# at m=4, n=5 linear), so a search takes at most this many, about 40 MB.
+# The C(m, 3) * |D3|**n triangle constraints never outnumber them.
+MAX_SEARCH_PROFILES = 100_000
 _MASK_TO_STANCE = {1: 0, 2: 1, 4: 2}
 
 
@@ -114,6 +120,11 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     if not 3 <= m <= MAX_ALTERNATIVES:
         raise ValueError(f"the search needs 3 to {MAX_ALTERNATIVES} alternatives, got m={m}")
     check_profile_space(m, n, domain)
+    size = domain_size(m, n, domain)
+    if size > MAX_SEARCH_PROFILES:
+        raise BudgetExceededError(
+            f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}"
+        )
     tris = enumerate_tripartitions(n, domain)
     pairs = unordered_pairs(m)
     cells = tuple(SearchCell(pair, t.code()) for pair in pairs for t in tris)
@@ -272,7 +283,7 @@ class SearchCertificate:
         return canonical_json(self.to_json_dict())
 
 
-def _rules_from_stances(problem: SearchProblem, stances: list[int]) -> PairwiseRuleSwf:
+def _rules_from_stances(problem: SearchProblem, stances: bytes) -> PairwiseRuleSwf:
     rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {
         pair: {} for pair in unordered_pairs(problem.m)
     }
@@ -290,10 +301,10 @@ def search_arrovian(
 ) -> SearchCertificate:
     """Exhaust the rule space of (m, n, domain) and certify the survivors.
 
-    Any 3 <= m <= MAX_ALTERNATIVES and any n whose domain fits the
-    profile budget is accepted (ValueError otherwise, before anything is
-    built).  Running out of `max_nodes` raises SearchIncompleteError; a
-    partial result is never returned.
+    Any 3 <= m <= MAX_ALTERNATIVES and any n whose domain fits both the
+    profile budget and MAX_SEARCH_PROFILES is accepted (ValueError
+    otherwise, before anything is built).  Running out of `max_nodes`
+    raises SearchIncompleteError; a partial result is never returned.
     """
     problem = build_problem(m, n, domain)
     cell_count = len(problem.cells)
@@ -305,24 +316,34 @@ def search_arrovian(
         domains[idx] = 1 << stance
 
     counters = {"leaves": 0, "pruned_events": 0, "pruned_total": 0, "nodes": 0}
-    survivors: list[SurvivorRecord] = []
+    # one byte per cell; rule tables are built only once the space is covered
+    leaves: list[bytes] = []
 
-    root_trail: list[tuple[int, int]] = []
-    root_ok = _gac(problem, domains, list(range(len(problem.constraints))), root_trail)
-    if not root_ok:
+    if not _gac(problem, domains, list(range(len(problem.constraints))), []):
         counters["pruned_events"] = 1
         counters["pruned_total"] = space
-
-    def dfs(depth: int) -> None:
-        if depth == cell_count:
-            counters["leaves"] += 1
-            stances = [_MASK_TO_STANCE[mask] for mask in domains]
-            swf = _rules_from_stances(problem, stances)
-            survivors.append(SurvivorRecord(swf, None, tuple(stances)))
-            return
-        rest = cell_count - depth - 1
-        current = domains[depth]
-        for s in (0, 1, 2):
+    else:
+        # Backtracking on an explicit stack: level d holds the next stance to
+        # try at cell d and the trail of the stance under trial, undone
+        # before the next one is tried.
+        next_stance = [0] * (cell_count + 1)
+        trails: list[list[tuple[int, int]]] = [[] for _ in range(cell_count)]
+        depth = 0
+        while depth >= 0:
+            if depth == cell_count:
+                counters["leaves"] += 1
+                leaves.append(bytes([_MASK_TO_STANCE[mask] for mask in domains]))
+                depth -= 1
+                continue
+            trail = trails[depth]
+            for cell, old in reversed(trail):
+                domains[cell] = old
+            trail.clear()
+            s = next_stance[depth]
+            if s == 3:
+                depth -= 1
+                continue
+            next_stance[depth] = s + 1
             counters["nodes"] += 1
             if counters["nodes"] > max_nodes:
                 raise SearchIncompleteError(
@@ -330,37 +351,33 @@ def search_arrovian(
                 )
             if progress is not None and counters["nodes"] % 100_000 == 0:
                 progress(dict(counters))
-            if not current >> s & 1:
+            if not domains[depth] >> s & 1:
                 counters["pruned_events"] += 1
-                counters["pruned_total"] += pow3[rest]
+                counters["pruned_total"] += pow3[cell_count - depth - 1]
                 continue
-            trail: list[tuple[int, int]] = [(depth, domains[depth])]
+            trail.append((depth, domains[depth]))
             domains[depth] = 1 << s
             if _gac(problem, domains, list(problem.cell_constraints[depth]), trail):
-                dfs(depth + 1)
+                depth += 1
+                next_stance[depth] = 0
             else:
                 counters["pruned_events"] += 1
-                counters["pruned_total"] += pow3[rest]
-            for cell, old in reversed(trail):
-                domains[cell] = old
-
-    if root_ok:
-        dfs(0)
+                counters["pruned_total"] += pow3[cell_count - depth - 1]
 
     if counters["leaves"] + counters["pruned_total"] != space:
         raise RuntimeError(
             "accounting mismatch: leaves + pruned does not cover the space"
         )
 
-    for rec in survivors:
-        report = full_report(rec.swf)
+    survivors = []
+    for stances in sorted(leaves):
+        swf = _rules_from_stances(problem, stances)
+        report = full_report(swf)
         if not report.arrovian():
             raise RuntimeError(
                 f"survivor failed the axiom cross-check: {report.failed()}"
             )
-        rec.dictator = report.dictator
-
-    survivors.sort(key=lambda rec: rec.stances)
+        survivors.append(SurvivorRecord(swf, report.dictator, tuple(stances)))
     return SearchCertificate(
         m=m,
         n=n,

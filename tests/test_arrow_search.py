@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import sys
 from collections import Counter
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ import swf_oracle as oracle
 from arrovian._util import sha256_hex
 from arrovian.arrow_search import (
     DEFAULT_MAX_NODES,
+    MAX_SEARCH_PROFILES,
     SearchCell,
     SearchIncompleteError,
     _allowed_triples,
@@ -219,13 +221,48 @@ def test_weak_two_voters_all_survivors_dictatorial():
 
 
 def test_range_guards():
-    """Besides the m range (test_problem_rejects_other_m), the size limit is
-    the profile budget at the requested m, checked before anything is built."""
+    """Besides the m range (test_problem_rejects_other_m), a size must fit
+    the profile budget at the requested m and the search's own profile
+    limit, both checked before anything is built."""
     with pytest.raises(BudgetExceededError, match=r"40 voters: 2\*\*40 coalitions, over the budget of 10000000"):
         search_arrovian(3, 40, Domain.LINEAR)
     # 120**4 linear profiles at m=5, though the m=3 kernel would hold 6**4
     with pytest.raises(BudgetExceededError, match="domain holds 207360000 profiles"):
         search_arrovian(5, 4, Domain.LINEAR)
+    # within the profile budget, but over the search limit: one voter more
+    # than the largest size admitted at each m and domain
+    assert MAX_SEARCH_PROFILES == 100_000
+    for m, n, domain, size in [
+        (3, 7, Domain.LINEAR, 6**7),
+        (3, 5, Domain.WEAK, 13**5),
+        (4, 4, Domain.LINEAR, 24**4),
+        (4, 3, Domain.WEAK, 75**3),
+        (5, 3, Domain.LINEAR, 120**3),
+        (5, 2, Domain.WEAK, 541**2),
+    ]:
+        with pytest.raises(BudgetExceededError, match=f"domain holds {size} profiles, over the search limit of 100000"):
+            build_problem(m, n, domain)
+    assert len(build_problem(3, 6, Domain.LINEAR).constraints) == 6**6
+    assert len(build_problem(3, 4, Domain.WEAK).constraints) == 13**4
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    """The backtracking keeps its own stack: 192 cells run with about 100
+    free frames, where one frame per cell would raise RecursionError."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        cert = search_arrovian(3, 6, Domain.LINEAR)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.cell_count == 192
+    assert sorted(rec.dictator for rec in cert.survivors) == list(range(6))
+    assert cert.explored_leaves + cert.pruned_total == cert.space
 
 
 def test_node_budget():

@@ -358,17 +358,24 @@ SEARCH_REFUSALS = [
     ("--voters 0", "need at least one voter, got n=0"),
     ("--voters 40", "40 voters: 2**40 coalitions, over the budget of 10000000"),
     ("--alternatives 5 --voters 4", "domain holds 207360000 profiles, over the budget of 10000000"),
+    ("--voters 7", "domain holds 279936 profiles, over the search limit of 100000"),
     ("--voters 2 --max-nodes 5", "node budget 5 exhausted with the space not yet covered"),
 ]
 
 
 def test_search_guardrails(capsys):
-    """The m range, the profile budget and the node budget exit 2 at once."""
+    """The m range, the size limits and the node budget exit 2 at once."""
     for args, message in SEARCH_REFUSALS:
         code, out, _, err = run(capsys, "arrow-search", *args.split(), "--domain", "linear")
         assert (code, out, err) == (2, "", f"error: {message}")
     code, _, _, err = run(capsys, "arrow-search", "--voters", "3", "--domain", "weak", "--max-nodes", "2000")
     assert (code, err) == (2, "error: node budget 2000 exhausted with the space not yet covered")
+    # the largest weak size admitted at m=3 (243 cells) stops on the node
+    # budget; one voter more is refused before anything is built
+    code, _, _, err = run(capsys, "arrow-search", "--voters", "4", "--domain", "weak", "--max-nodes", "2000")
+    assert (code, err) == (2, "error: node budget 2000 exhausted with the space not yet covered")
+    code, _, _, err = run(capsys, "arrow-search", "--voters", "5", "--domain", "weak")
+    assert (code, err) == (2, "error: domain holds 371293 profiles, over the search limit of 100000")
     code, _, _, err = run(capsys, "arrow-search", "--voters", "2", "--domain", "total")
     assert code == 2
     assert "unknown domain 'total'" in err
@@ -384,13 +391,6 @@ def test_search_default_node_budget_and_ignored_allow_long(capsys):
     help_text = capsys.readouterr().out
     assert "--max-nodes MAX_NODES" in help_text
     assert "--allow-long" not in help_text
-
-
-def test_search_four_alternatives(capsys):
-    code, out, _, _ = run(capsys, "arrow-search", "--alternatives", "4", "--voters", "3", "--domain", "linear")
-    assert code == 0
-    assert "search m=4 n=3 domain=linear\n" in out
-    assert "survivors: 3, all dictatorial\n" in out
 
 
 # --- infinite-demo ------------------------------------------------------------------
