@@ -5,11 +5,20 @@ import sys
 
 import pytest
 
-from arrovian._util import canonical_json
+from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
-from arrovian.profiles import Domain
-from arrovian.swf import borda_explicit, dictator_rules, swf_to_json_dict
+from arrovian.profiles import Domain, TriPartition
+from arrovian.relations import WeakOrder
+from arrovian.swf import (
+    borda_explicit,
+    constant_explicit,
+    constant_rules,
+    dictator_explicit,
+    dictator_rules,
+    majority_rules,
+    swf_to_json_dict,
+)
 
 
 def run(capsys, *argv):
@@ -315,6 +324,108 @@ def test_bridge_ks2(capsys, dictator_file):
     assert doc["schema"] == "arrovian/bridge-ks2/v1"
     assert doc["consistent"] is True
     assert doc["dictator"] == 1
+
+
+def _pinned_document(name: str):
+    """The SWF a pinned document holds: '<kind> <m> <n> <domain>' or a partial table."""
+    if name == "partial explicit":
+        swf = dictator_explicit(1, 3, 2, Domain.LINEAR)
+        del swf.verdicts[next(iter(swf.verdicts))]
+        return swf
+    if name == "partial rules":
+        swf = dictator_rules(1, 3, 2, Domain.WEAK)
+        del swf.rules[(0, 1)][TriPartition.from_code(2, 0)]
+        return swf
+    kind, m, n, domain = name.split()
+    m, n, domain = int(m), int(n), Domain(domain)
+    tied = WeakOrder(((1,), tuple(x for x in range(m) if x != 1)))
+    return {
+        "dictator-explicit": lambda: dictator_explicit(1, m, n, domain),
+        "dictator-rules": lambda: dictator_rules(0, m, n, domain),
+        "majority-rules": lambda: majority_rules(m, n, domain),
+        "borda-explicit": lambda: borda_explicit(m, n, domain),
+        "constant-explicit": lambda: constant_explicit(tied, n, domain),
+        "constant-rules": lambda: constant_rules(tied, n, domain),
+    }[kind]()
+
+
+# sha256 per document of one line "<command> <exit code> <sha256 of stdout>"
+# for each of axioms, bridge extract and bridge ks2, text then --json.
+PINNED_AUDITS = {
+    "dictator-explicit 3 2 linear": (
+        "21692b52f5a945beff5fad9e14555c8aaa99eae360cd00ea9cd1bc648e792ff0"
+    ),
+    "dictator-explicit 3 3 weak": (
+        "dac7caa8fcddfd8d4180ebf706cab30ab4fd79da4a07ed410092117906f4c39d"
+    ),
+    "dictator-explicit 4 2 weak": (
+        "ec1d450f8d66448b1a49d431473b603867ad96d0c898bf7fd96ccd0137327451"
+    ),
+    "dictator-rules 3 2 linear": (
+        "e70e8fe87e7ff7327c84a34d00c0c9b36abc79024198fc22fa8500b794e51401"
+    ),
+    "dictator-rules 3 3 weak": (
+        "3d607e6c2fece64e29ef7e74a426b95f7775b3d9c89409e1b7c4792a23a26275"
+    ),
+    "dictator-rules 4 2 weak": (
+        "cd1946f6dade79c7cfea96d7a10bbd7cb9f20959a04914f85dccb06e907edc11"
+    ),
+    "majority-rules 3 2 linear": (
+        "0e0ac11897a9fe6446714d3405ccdcb62f49363df420f464ae0cab78fa638be9"
+    ),
+    "majority-rules 3 3 weak": (
+        "0cf1d16d6a3d77576eb5feabf4c6488a1d3b4d21f7b270b2b316645b27947ef3"
+    ),
+    "majority-rules 4 2 weak": (
+        "1517a4626cd2e9d0fd2db938c11b76be1f33c6dc7cfe0987fab42a67c6919856"
+    ),
+    "borda-explicit 3 2 linear": (
+        "add211b10f6def593eabdb788f477d919b93c90ca02b4a7701c26e5592123908"
+    ),
+    "borda-explicit 3 3 weak": (
+        "33b36f9018a585bf2ed3575c9dc55abd5ba681311d76325352ccfc0dfb0373b9"
+    ),
+    "borda-explicit 4 2 weak": (
+        "05c29dabb5f05a8367195a132f5911f66ea43cebbed3215b8fa48d3de74ac904"
+    ),
+    "constant-explicit 3 2 linear": (
+        "e306116e2c11b3c81f5fc6519d7071f8dbe2be0bf83c8fb3f82ceafcb055a0f0"
+    ),
+    "constant-explicit 3 3 weak": (
+        "ab64ca0edd17b903f7c64b7844c4c8e6a61a21665552d7e3deae44f956818e66"
+    ),
+    "constant-explicit 4 2 weak": (
+        "c4dbc3800de72802fefc07c5568e83c906ab29983c52072ce6e9d22d313e9bcb"
+    ),
+    "constant-rules 3 2 linear": (
+        "fe7023e7ffa7ee87ec12208044eef429856462a242ca37b724489f5ac588bdc8"
+    ),
+    "constant-rules 3 3 weak": (
+        "e535d7c66981f975aec6d0c7d38f084fb159dc9011c0138cf3e08137facc13d1"
+    ),
+    "constant-rules 4 2 weak": (
+        "303e6b860df9584e29b5bfedf7f1b91c03d63272ede9450f345646a5a7bb25f1"
+    ),
+    "partial explicit": (
+        "6d1637d2ef0d2a1f405a657737064e8396e24596a491c74fa61295f56cc81463"
+    ),
+    "partial rules": (
+        "645b1d902d2ec43b6d57cc3fc67799986b645c0144a1911541c8e2bd2d4c3b27"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_AUDITS)
+def test_audit_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swf.json").write_text(canonical_json(swf_to_json_dict(_pinned_document(name))))
+    lines = []
+    for command in (["axioms"], ["bridge", "extract"], ["bridge", "ks2"]):
+        for fmt in ([], ["--json"]):
+            argv = [*command, "--swf", "swf.json", *fmt]
+            code = main(argv)
+            lines.append(f"{' '.join(argv)} {code} {sha256_hex(capsys.readouterr().out)}\n")
+    assert sha256_hex("".join(lines)) == PINNED_AUDITS[name]
 
 
 # --- arrow-search -------------------------------------------------------------------
