@@ -370,7 +370,8 @@ def search_arrovian(
         )
 
     survivors = []
-    for stances in sorted(leaves):
+    # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
+    for stances in leaves:
         swf = _rules_from_stances(problem, stances)
         report = full_report(swf)
         if not report.arrovian():

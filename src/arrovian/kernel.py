@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .profiles import Domain, Profile, check_profile_space
 from .relations import (
@@ -51,7 +51,6 @@ STANCES = (
 )
 STANCE_CODE = {s: i for i, s in enumerate(STANCES)}
 FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
-FLIP = (SECOND, FIRST, TIE, MISSING)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +58,14 @@ class DomainKernel:
     """Stance facts of every profile of one (m, n, domain), as integers.
 
     `pairs` lists the ordered pairs lexicographically and `canonical`
-    the pairs x < y; `forward[q]` is the position of `canonical[q]` in
-    `pairs`, and `slot[p]` the position of `pairs[p]`, either way round,
-    in `canonical`.  `tri[q][i]` is the tri-partition code of profile i on
-    `canonical[q]`, `support[p][i]` the supporter mask of profile i on
-    `pairs[p]`, and `unanimous[p]` the profiles whose voters all support
-    `pairs[p]`, in order.  `strict_support` is built on first use.
+    the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
+    round, in `canonical`.  `tri[q][i]` is the tri-partition code of
+    profile i on `canonical[q]`, `support[p][i]` the supporter mask of
+    profile i on `pairs[p]`, and `unanimous[p]` the profiles whose voters
+    all support `pairs[p]`, in order.  `strict_support` is built on first
+    use.  Stance codes and stance columns cover `canonical` only: the
+    stance on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
+    reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
     """
 
     m: int
@@ -73,7 +74,6 @@ class DomainKernel:
     orders: tuple[WeakOrder, ...]
     pairs: tuple[tuple[int, int], ...]
     canonical: tuple[tuple[int, int], ...]
-    forward: tuple[int, ...]
     slot: tuple[int, ...]
     tri: tuple[tuple[int, ...], ...]
     support: tuple[tuple[int, ...], ...]
@@ -133,10 +133,10 @@ class DomainKernel:
         return i
 
     def codes(self, w: WeakOrder) -> tuple[int, ...]:
-        """The stance code of order w on each of `pairs` (cached per order)."""
+        """The stance code of order w on each of `canonical` (cached per order)."""
         out = self._codes.get(w)
         if out is None:
-            out = self._codes[w] = tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in self.pairs)
+            out = self._codes[w] = tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in self.canonical)
         return out
 
 
@@ -164,10 +164,11 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     orders = tuple(domain.orders(m))
     pairs = tuple(ordered_pairs(m))
     canonical = tuple(unordered_pairs(m))
-    stance = [[STANCE_CODE[pair_stance(w, x, y)] for x, y in pairs] for w in orders]
-    forward = tuple(pairs.index(pair) for pair in canonical)
-    tri = _columns([[row[p] for p in forward] for row in stance], n, lambda v, s: s * 3**v)
-    support = _columns(stance, n, lambda v, s: (s == FIRST) << v)
+    slot = tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs)
+    stance = [[STANCE_CODE[pair_stance(w, x, y)] for x, y in canonical] for w in orders]
+    tri = _columns(stance, n, lambda v, s: s * 3**v)
+    prefers = [[row[q] == (FIRST if x < y else SECOND) for (x, y), q in zip(pairs, slot)] for row in stance]
+    support = _columns(prefers, n, lambda v, b: b << v)
     everyone = (1 << n) - 1
     unanimous = tuple(tuple(i for i, mask in enumerate(col) if mask == everyone) for col in support)
     return DomainKernel(
@@ -177,8 +178,7 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
         orders=orders,
         pairs=pairs,
         canonical=canonical,
-        forward=forward,
-        slot=tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs),
+        slot=slot,
         tri=tri,
         support=support,
         unanimous=unanimous,
@@ -204,6 +204,12 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
     rel = BinaryRelation(tuple(tuple(row) for row in grid))
     res = validate_weak_order(rel)
     return rel, res, to_canonical(rel) if res.ok else None
+
+
+def compose_rows(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> Iterator[WeakOrder | None]:
+    """Per profile, its row of `cols` composed; None where a code is MISSING or they do not compose."""
+    for codes in k.rows(cols):
+        yield None if MISSING in codes else compose(k.m, codes)[2]
 
 
 def majority_codes(f: Profile) -> tuple[int, ...]:

@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement
-from .profiles import Domain, Profile, enumerate_profiles
-from .relations import WeakOrder
-from .kernel import FIRST, MISSING, SECOND, TIE, DomainKernel, compose, domain_kernel
+from .profiles import Domain, enumerate_profiles
+from .kernel import FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel
 from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
 
@@ -76,8 +75,9 @@ def _decisive_family(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> 
     # Supporter sets that some verdict overrules; a coalition is decisive
     # exactly when it lies inside none of them.
     overruled = set()
-    for support, col in zip(k.support, cols):
-        overruled.update(mask for mask, s in zip(support, col) if s != FIRST)
+    for (x, y), q, support in zip(k.pairs, k.slot, k.support):
+        echo = FIRST if x < y else SECOND
+        overruled.update(mask for mask, s in zip(support, cols[q]) if s != echo)
     members = [c for c in range(1 << swf.n) if not any(c & ~mask == 0 for mask in overruled)]
     family = CoalitionFamily(swf.n, frozenset(members))
     return DecisiveFamily(family, provenance=swf.describe())
@@ -104,18 +104,17 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
         return SECOND if inside[reverse] else TIE
 
     cols = [
-        tuple(map(code, k.support[p], k.support[k.pairs.index((y, x))]))
-        for (x, y), p in zip(k.canonical, k.forward)
+        tuple(map(code, k.support[k.pairs.index((x, y))], k.support[k.pairs.index((y, x))]))
+        for x, y in k.canonical
     ]
-    verdicts: dict[Profile, WeakOrder] = {}
-    for f, codes in zip(enumerate_profiles(m, n, domain), k.rows(cols)):
+    verdicts = dict(zip(enumerate_profiles(m, n, domain), compose_rows(k, cols)))
+    orders = list(verdicts.values())
+    if None in orders:
+        codes = tuple(col[orders.index(None)] for col in cols)
         if MISSING in codes:
             failed = f"O1 at {k.canonical[codes.index(MISSING)]}"
         else:
-            _, res, order = compose(m, codes)
-            if res.ok:
-                verdicts[f] = order
-                continue
+            res = compose(m, codes)[1]
             failed = f"{res.axiom} at {res.witness}"
         raise RuntimeError(f"internal invariant violated: ultrafilter verdict failed {failed}")
     return ExplicitSwf(m, n, domain, verdicts)

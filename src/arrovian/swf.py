@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from ._util import load_json
 from .relations import (
@@ -58,7 +58,9 @@ from .profiles import (
     pair_partition,
     parse_header,
 )
-from .kernel import FIRST, FLIP, MISSING, STANCE_CODE, STANCES, DomainKernel, compose, domain_kernel
+from .kernel import (
+    FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
+)
 
 
 class SwfFormatError(ValueError):
@@ -109,7 +111,7 @@ class ExplicitSwf:
         return rows
 
     def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
-        """Per ordered pair of `k.pairs`, the verdict's stance code on each profile."""
+        """Per pair of `k.canonical`, the verdict's stance code on each profile."""
         return _row_columns(k, self.verdict_rows(k))
 
     def describe(self) -> str:
@@ -117,7 +119,7 @@ class ExplicitSwf:
 
 
 def _row_columns(k: DomainKernel, rows: list[WeakOrder | None]) -> list[tuple[int, ...]]:
-    missing = (MISSING,) * len(k.pairs)
+    missing = (MISSING,) * len(k.canonical)
     return list(zip(*(missing if w is None else k.codes(w) for w in rows)))
 
 
@@ -170,16 +172,15 @@ class PairwiseRuleSwf:
         return order if res.ok else CompositionFailure(f, rel, res)
 
     def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
-        """Per ordered pair of `k.pairs`, the rule's stance code on each profile."""
-        forward = []
+        """Per pair of `k.canonical`, the rule's stance code on each profile."""
+        cols = []
         for pair, tri in zip(k.canonical, k.tri):
             table = [MISSING] * 3**self.n  # by tri-partition code
             for t, s in self.rules.get(pair, {}).items():
                 if t.n == self.n:
                     table[t.code()] = STANCE_CODE[s]
-            forward.append(tuple(map(table.__getitem__, tri)))
-        flipped = [tuple(map(FLIP.__getitem__, col)) for col in forward]
-        return [forward[q] if x < y else flipped[q] for (x, y), q in zip(k.pairs, k.slot)]
+            cols.append(tuple(map(table.__getitem__, tri)))
+        return cols
 
     def describe(self) -> str:
         return f"pairwise-rule swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -234,10 +235,11 @@ def check_unanimity(swf: Swf) -> UnanimityCheck:
 
 
 def _unanimity(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> UnanimityCheck:
-    for pair, col, unanimous in zip(k.pairs, cols, k.unanimous):
+    for (x, y), q, unanimous in zip(k.pairs, k.slot, k.unanimous):
+        col, echo = cols[q], FIRST if x < y else SECOND
         for i in unanimous:
-            if col[i] != FIRST:
-                return UnanimityCheck(False, _profile_at(swf, k, i, pair, col[i]), pair)
+            if col[i] != echo:
+                return UnanimityCheck(False, _profile_at(swf, k, i, (x, y), col[i]), (x, y))
     return UnanimityCheck(True)
 
 
@@ -254,20 +256,32 @@ def check_independence(swf: Swf) -> IndependenceCheck:
     return _independence(swf, *_kernel_columns(swf))
 
 
+def _tri_groups(k: DomainKernel, cols: list[tuple[int, ...]]) -> Iterator[tuple[dict[int, int], int | None]]:
+    """Per canonical pair, lazily, its stance per tri-partition code and the first break.
+
+    Codes are keyed in order of first meeting.  The break is the first profile that is MISSING
+    or disagrees with an earlier profile of its code, or None; the pair's scan stops there.
+    """
+    for tri, col in zip(k.tri, cols):
+        seen: dict[int, int] = {}
+        stop = None
+        for i, (t, s) in enumerate(zip(tri, col)):
+            if s == MISSING or seen.setdefault(t, s) != s:
+                stop = i
+                break
+        yield seen, stop
+
+
 def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[tuple[int, ...]]) -> IndependenceCheck:
-    for pair, tri, p in zip(k.canonical, k.tri, k.forward):
-        seen: dict[int, tuple[int, int]] = {}
-        for i, (t, s) in enumerate(zip(tri, cols[p])):
-            if s == MISSING:
-                _profile_at(swf, k, i, pair, s)
-            first, verdict = seen.setdefault(t, (i, s))
-            if verdict != s:
-                return IndependenceCheck(False, k.profile(first), k.profile(i), pair)
+    for pair, tri, col, (_, i) in zip(k.canonical, k.tri, cols, _tri_groups(k, cols)):
+        if i is not None:
+            _profile_at(swf, k, i, pair, col[i])
+            return IndependenceCheck(False, k.profile(tri.index(tri[i])), k.profile(i), pair)
     return IndependenceCheck(True)
 
 
-# Byte translation: a stance code to 1 unless it is FIRST.
-_NOT_FIRST = bytes(int(s != FIRST) for s in range(256))
+# Byte translations, indexed by FIRST and SECOND: a stance code to 1 unless it is that one.
+_NOT_STANCE = tuple(bytes(int(c != s) for c in range(256)) for s in (FIRST, SECOND))
 
 
 def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple[int, int] | None]:
@@ -280,8 +294,9 @@ def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple
     its lowest set byte is the first.
     """
     first: list[tuple[int, int] | None] = [None] * k.n
-    for p, (strict, col) in enumerate(zip(k.strict_support, cols)):
-        overruled = int.from_bytes(bytes(col).translate(_NOT_FIRST), "little")
+    raw = [bytes(col) for col in cols]
+    for p, ((x, y), q, strict) in enumerate(zip(k.pairs, k.slot, k.strict_support)):
+        overruled = int.from_bytes(raw[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
         for v, mask in enumerate(strict):
             hit = mask & overruled
             if hit:
@@ -301,7 +316,7 @@ def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> int | N
         if at is None:
             return v
         i, p = at
-        _profile_at(swf, k, i, k.pairs[p], cols[p][i])
+        _profile_at(swf, k, i, k.pairs[p], cols[k.slot[p]][i])
     return None
 
 
@@ -309,12 +324,13 @@ def require_defined(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> N
     """Raise the LookupError of the first undefined verdict, if any.
 
     "First" is in (profile, ordered pair) order, the order in which a
-    walk over every profile and pair would meet it.
+    walk over every profile and pair would meet it; a canonical pair
+    precedes its reverse there, so (profile, canonical pair) order is the same.
     """
-    gaps = [(col.index(MISSING), p) for p, col in enumerate(cols) if MISSING in col]
+    gaps = [(col.index(MISSING), q) for q, col in enumerate(cols) if MISSING in col]
     if gaps:
-        i, p = min(gaps)
-        _profile_at(swf, k, i, k.pairs[p], MISSING)
+        i, q = min(gaps)
+        _profile_at(swf, k, i, k.canonical[q], MISSING)
 
 
 @dataclass
@@ -402,7 +418,7 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
         # Each distinct row of stance codes is composed once, in order of
         # first occurrence, so the first failing row's first occurrence is
         # the first failing profile.
-        rows = list(k.rows([cols[p] for p in k.forward]))
+        rows = list(k.rows(cols))
         for codes in dict.fromkeys(rows):
             if MISSING in codes or not compose(swf.m, codes)[1].ok:
                 f = k.profile(rows.index(codes))
@@ -456,16 +472,6 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
     return AxiomReport(a1, a2, a3, a4, a5, dictator, witnesses), k, cols
 
 
-def _composed(m: int, k: DomainKernel, cols: list[tuple[int, ...]]) -> Iterator[WeakOrder | None]:
-    """Per profile, the rule's stances composed into its verdict order.
-
-    None marks a profile where a rule cell is undefined or the stances
-    do not compose; `assemble` on that profile says which.
-    """
-    for codes in k.rows([cols[p] for p in k.forward]):
-        yield None if MISSING in codes else compose(m, codes)[2]
-
-
 # ---------------------------------------------------------- constructors
 
 
@@ -504,64 +510,47 @@ def borda_explicit(m: int, n: int, domain: Domain) -> ExplicitSwf:
     return ExplicitSwf(m, n, domain, verdicts)
 
 
+def _rule_tables(
+    m: int, n: int, domain: Domain, margin: Callable[[tuple[int, int], TriPartition], int]
+) -> PairwiseRuleSwf:
+    """The rule whose stance on pair (x, y), x < y, at split t is the sign of margin((x, y), t)."""
+    tris = enumerate_tripartitions(n, domain)
+
+    def stance(d: int) -> PairStance:
+        return STANCES[FIRST if d > 0 else SECOND if d < 0 else TIE]
+
+    rules = {pair: {t: stance(margin(pair, t)) for t in tris} for pair in unordered_pairs(m)}
+    return PairwiseRuleSwf(m, n, domain, rules)
+
+
 def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
     """Pairwise-rule form of the dictator: copy voter v's stance per pair."""
     if not 0 <= v < n:
         raise ValueError(f"dictator {v} out of range for n={n}")
-    tris = enumerate_tripartitions(n, domain)
-    rules = {}
-    for pair in unordered_pairs(m):
-        table = {}
-        for t in tris:
-            if v in t.first:
-                table[t] = PairStance.FIRST_PREFERRED
-            elif v in t.second:
-                table[t] = PairStance.SECOND_PREFERRED
-            else:
-                table[t] = PairStance.INDIFFERENT
-        rules[pair] = table
-    return PairwiseRuleSwf(m, n, domain, rules)
+    return _rule_tables(m, n, domain, lambda pair, t: (v in t.first) - (v in t.second))
 
 
 def constant_rules(w: WeakOrder, n: int, domain: Domain) -> PairwiseRuleSwf:
     """Pairwise rules that ignore the voters and answer from a fixed order."""
-    tris = enumerate_tripartitions(n, domain)
-    rules = {}
-    for pair in unordered_pairs(w.m):
-        s = pair_stance(w, *pair)
-        rules[pair] = {t: s for t in tris}
-    return PairwiseRuleSwf(w.m, n, domain, rules)
+    return _rule_tables(w.m, n, domain, lambda pair, t: w.rank(pair[1]) - w.rank(pair[0]))
 
 
 def majority_rules(m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
     """Strict pairwise majority as a rule table; ties give indifference."""
-    tris = enumerate_tripartitions(n, domain)
-    rules = {}
-    for pair in unordered_pairs(m):
-        table = {}
-        for t in tris:
-            if len(t.first) > len(t.second):
-                table[t] = PairStance.FIRST_PREFERRED
-            elif len(t.second) > len(t.first):
-                table[t] = PairStance.SECOND_PREFERRED
-            else:
-                table[t] = PairStance.INDIFFERENT
-        rules[pair] = table
-    return PairwiseRuleSwf(m, n, domain, rules)
+    return _rule_tables(m, n, domain, lambda pair, t: len(t.first) - len(t.second))
 
 
 def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
     """Assemble every domain profile; raises if any composition fails."""
     k, cols = _kernel_columns(swf)
-    verdicts = {}
-    for f, order in zip(swf.domain_profiles(), _composed(swf.m, k, cols)):
-        if order is None:
-            failure = swf.assemble(f)  # raises the LookupError of an undefined cell
-            raise ValueError(
-                f"rules do not assemble on profile {_profile_texts(f)}: "
-                f"{failure.validation.axiom} violated at {failure.validation.witness}"
-            )
-        verdicts[f] = order
+    verdicts = dict(zip(swf.domain_profiles(), compose_rows(k, cols)))
+    if None in verdicts.values():
+        f = next(f for f, order in verdicts.items() if order is None)
+        failure = swf.assemble(f)  # raises the LookupError of an undefined cell
+        raise ValueError(
+            f"rules do not assemble on profile {_profile_texts(f)}: "
+            f"{failure.validation.axiom} violated at {failure.validation.witness}"
+        )
     return ExplicitSwf(swf.m, swf.n, swf.domain, verdicts)
 
 
@@ -572,27 +561,19 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     the verdict stance, i.e. when independence fails.
     """
     k, cols = _kernel_columns(swf)
-    tables: list[dict[int, int]] = []
-    stop: tuple[int, int] | None = None
-    for q, (tri, p) in enumerate(zip(k.tri, k.forward)):
-        seen: dict[int, int] = {}
-        for i, (t, s) in enumerate(zip(tri, cols[p])):
-            if s == MISSING or seen.setdefault(t, s) != s:
-                stop = min(stop or (i, q), (i, q))
-                break
-        tables.append(seen)
-    if stop is not None:
-        i, q = stop
-        pair = k.canonical[q]
-        f = _profile_at(swf, k, i, pair, cols[k.forward[q]][i])
-        t = pair_partition(f, *pair).code()
+    tables = list(_tri_groups(k, cols))
+    stops = [(i, q) for q, (_, i) in enumerate(tables) if i is not None]
+    if stops:
+        i, q = min(stops)
+        pair, t, s = k.canonical[q], k.tri[q][i], cols[q][i]
+        _profile_at(swf, k, i, pair, s)
         raise ValueError(
             f"independence fails on pair {pair}: tri-partition code {t} "
-            f"maps to both {STANCES[tables[q][t]].value} and {swf.stance(f, *pair).value}"
+            f"maps to both {STANCES[tables[q][0][t]].value} and {STANCES[s].value}"
         )
     rules = {
         pair: {TriPartition.from_code(k.n, t): STANCES[s] for t, s in seen.items()}
-        for pair, seen in zip(k.canonical, tables)
+        for pair, (seen, _) in zip(k.canonical, tables)
     }
     return PairwiseRuleSwf(swf.m, swf.n, swf.domain, rules)
 
@@ -666,10 +647,17 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
         verdicts: dict[Profile, WeakOrder] = {}
         parse = cache(lambda text: parse_weak_order(text, alts))  # one parse per distinct text
 
-        def order(text) -> WeakOrder:
+        @cache
+        def ballot(text: str) -> WeakOrder:  # one domain check per distinct text
+            w = parse(text)
+            if domain is Domain.LINEAR and len(w.classes) < m:
+                raise ValueError("profile outside the linear domain")
+            return w
+
+        def order(text, read=parse) -> WeakOrder:
             if not isinstance(text, str):
                 raise ValueError(f"order must be a string, got {type(text).__name__}")
-            return parse(text)
+            return read(text)
 
         for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2):
@@ -678,7 +666,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             if not (isinstance(prof_texts, list) and len(prof_texts) == n):
                 raise SwfFormatError(f"entries[{i}]: profile must list {n} orders")
             try:
-                f = Profile(tuple(map(order, prof_texts)))
+                f = Profile(tuple([order(text, ballot) for text in prof_texts]))
                 w = order(verdict_text)
             except ValueError as exc:
                 raise SwfFormatError(f"entries[{i}]: {exc}") from None
@@ -713,6 +701,8 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
                 s = PairStance.from_name(stance_name)
             except (ValueError, TypeError) as exc:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
+            if t.tie and domain is Domain.LINEAR:
+                raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
             if t in table:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: duplicate tri-partition")
             table[t] = s

@@ -211,6 +211,14 @@ def test_linear_search_finds_exactly_the_dictatorships(m, n):
     assert cert.explored_leaves + cert.pruned_total == cert.space
 
 
+@pytest.mark.parametrize("m,n,domain,survivors", [(4, 1, Domain.WEAK, 75), (5, 2, Domain.LINEAR, 2)])
+def test_survivors_arrive_in_stance_order(m, n, domain, survivors):
+    """The search reports survivors by ascending stance string without sorting them."""
+    stances = [rec.stances for rec in search_arrovian(m, n, domain).survivors]
+    assert len(stances) == survivors
+    assert all(a < b for a, b in zip(stances, stances[1:]))
+
+
 def test_weak_two_voters_all_survivors_dictatorial():
     cert = search_arrovian(3, 2, Domain.WEAK)
     assert all(rec.dictator is not None for rec in cert.survivors)

@@ -252,6 +252,24 @@ def test_axioms_rejects_order_texts_that_are_not_strings(capsys, tmp_path, entry
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["axioms"], ["bridge", "extract"], ["bridge", "ks2"]])
+def test_content_outside_the_declared_domain_exits_2(capsys, tmp_path, command):
+    explicit = swf_to_json_dict(dictator_explicit(0, 3, 1, Domain.LINEAR))
+    explicit["entries"].append([["A~B>C"], "C>B>A"])
+    pairwise = swf_to_json_dict(dictator_rules(0, 3, 2, Domain.LINEAR))
+    pairwise["rules"]["A,B"].append([[[0], [], [1]], "SECOND"])
+    for doc, message in (
+        (explicit, "entries[6]: profile outside the linear domain"),
+        (pairwise, "rules['A,B'][4]: tri-partition outside the linear domain"),
+    ):
+        path = tmp_path / "swf.json"
+        path.write_text(json.dumps(doc))
+        code, out, _, err = run(capsys, *command, "--swf", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"swf.json: {message}" in err
+
+
 # --- filters ----------------------------------------------------------------------
 
 

@@ -343,6 +343,26 @@ def test_explicit_json_names_the_entry_of_a_duplicate_profile():
         parse_swf_json(doc)
 
 
+def test_explicit_json_refuses_a_profile_outside_the_domain():
+    """A linear table may have weak verdicts, but not weak ballots."""
+    doc = swf_to_json_dict(dictator_explicit(0, 3, 1, Domain.LINEAR))
+    doc["entries"][2][1] = "A~B~C"
+    assert parse_swf_json(doc)[0].verdicts[profile_from_texts(["B>A>C"])] == WeakOrder(((0, 1, 2),))
+    doc["entries"].append([["A~B>C"], "C>B>A"])
+    with pytest.raises(SwfFormatError, match=r"^entries\[6\]: profile outside the linear domain$"):
+        parse_swf_json(doc)
+    weak = {**doc, "domain": "weak"}
+    assert len(parse_swf_json(weak)[0].verdicts) == 7
+
+
+def test_pairwise_json_refuses_a_tri_partition_outside_the_domain():
+    doc = swf_to_json_dict(dictator_rules(0, 3, 2, Domain.LINEAR))
+    doc["rules"]["A,B"].append([[[0], [], [1]], "SECOND"])
+    with pytest.raises(SwfFormatError, match=r"^rules\['A,B'\]\[4\]: tri-partition outside the linear domain$"):
+        parse_swf_json(doc)
+    assert len(parse_swf_json({**doc, "domain": "weak"})[0].rules[(0, 1)]) == 5
+
+
 def test_verdict_of_weak_order_constructor():
     w = WeakOrder(((1,), (0, 2)))
     swf = constant_explicit(w, 1, Domain.LINEAR)
