@@ -403,11 +403,12 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> int:
         cert = search_arrovian(args.alternatives, args.voters, domain, max_nodes=args.max_nodes)
     except (ValueError, SearchIncompleteError) as exc:
         raise CliError(str(exc)) from None
+    text = cert.to_json_text() if args.certificate or args.json else None
     if args.certificate:
-        ctx.write_text(args.certificate, cert.to_json_text())
+        ctx.write_text(args.certificate, text)
     non_dictatorial = [i for i, rec in enumerate(cert.survivors) if rec.dictator is None]
     if args.json:
-        ctx.say(cert.to_json_text())
+        ctx.say(text)
     else:
         ctx.say(f"search m={cert.m} n={cert.n} domain={cert.domain.value}\n")
         ctx.say(f"cells={cert.cell_count} (forced {cert.forced_cells}), space={cert.space}\n")

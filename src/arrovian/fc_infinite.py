@@ -459,27 +459,18 @@ class EventuallyConstantProfile:
         return self.tail
 
     def pair_triple(self, x: int, y: int) -> FcTriple:
-        """The tri-partition of the electorate on (x, y), as FcSets."""
-        tail_stance = pair_stance(self.tail, x, y)
-        by_stance: dict[PairStance, set[int]] = {
-            PairStance.FIRST_PREFERRED: set(),
-            PairStance.SECOND_PREFERRED: set(),
-            PairStance.INDIFFERENT: set(),
-        }
+        """The tri-partition of the electorate on (x, y), as FcSets.
+
+        The override voters are grouped by stance code in one pass; the
+        tail's part is the cofinite set whose exceptions are the other two.
+        """
+        parts: tuple[list[int], list[int], list[int]] = ([], [], [])
         for voter, w in self.overrides:
-            by_stance[pair_stance(w, x, y)].add(voter)
-        parts = {}
-        for stance, key in (
-            (PairStance.FIRST_PREFERRED, "first"),
-            (PairStance.SECOND_PREFERRED, "second"),
-            (PairStance.INDIFFERENT, "tie"),
-        ):
-            if stance is tail_stance:
-                off_message = {v for v, w in self.overrides if pair_stance(w, x, y) is not stance}
-                parts[key] = FcSet.cofinite(off_message)
-            else:
-                parts[key] = FcSet.finite(by_stance[stance])
-        return FcTriple(parts["first"], parts["second"], parts["tie"])
+            parts[STANCE_CODE[pair_stance(w, x, y)]].append(voter)
+        tail = STANCE_CODE[pair_stance(self.tail, x, y)]
+        sets = [None if s == tail else FcSet.finite(part) for s, part in enumerate(parts)]
+        sets[tail] = FcSet.cofinite(sets[tail - 1].exceptions | sets[tail - 2].exceptions)
+        return FcTriple(*sets)
 
 
 def random_measurable_profile(

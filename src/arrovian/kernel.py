@@ -15,9 +15,7 @@ Codes:
   undefined;
 * a profile is its position in `enumerate_profiles` order (odometer
   order, voter n-1 fastest);
-* a voter split on a pair is its `TriPartition.code()`;
-* a supporter mask has bit v set when voter v strictly prefers the
-  pair's first alternative.
+* a voter split on a pair is its `TriPartition.code()`.
 
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner, and read one profile across pairs
@@ -60,11 +58,9 @@ class DomainKernel:
     `pairs` lists the ordered pairs lexicographically and `canonical`
     the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
     round, in `canonical`.  `tri[q][i]` is the tri-partition code of
-    profile i on `canonical[q]`, `support[p][i]` the supporter mask of
-    profile i on `pairs[p]`, and `unanimous[p]` the profiles whose voters
-    all support `pairs[p]`, in order.  `strict_support` is built on first
-    use.  Stance codes and stance columns cover `canonical` only: the
-    stance on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
+    profile i on `canonical[q]`; `strict_support` is built on first use.
+    Stance codes and stance columns cover `canonical` only: the stance
+    on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
     """
 
@@ -76,8 +72,6 @@ class DomainKernel:
     canonical: tuple[tuple[int, int], ...]
     slot: tuple[int, ...]
     tri: tuple[tuple[int, ...], ...]
-    support: tuple[tuple[int, ...], ...]
-    unanimous: tuple[tuple[int, ...], ...]
     _order_index: dict[WeakOrder, int] = field(repr=False)
     _codes: dict[WeakOrder, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
@@ -93,13 +87,13 @@ class DomainKernel:
         prefers the first alternative of `pairs[p]` in profile i, else 0,
         so a scan over all profiles is one integer operation.  In odometer
         order voter v holds order d for runs of k**(n-1-v) profiles, d
-        cycling 0..k-1, the cycle repeated k**v times; voter n-1's bit in
-        profile d < k gives order d's flag.
+        cycling 0..k-1, the cycle repeated k**v times.
         """
         k, n = len(self.orders), self.n
         out = []
-        for col in self.support:
-            flags = [bytes([col[d] >> (n - 1) & 1]) for d in range(k)]
+        for (x, y), q in zip(self.pairs, self.slot):
+            echo = FIRST if x < y else SECOND
+            flags = [bytes([self.codes(w)[q] == echo]) for w in self.orders]
             runs = (b"".join(f * k ** (n - 1 - v) for f in flags) * k**v for v in range(n))
             out.append(tuple(int.from_bytes(run, "little") for run in runs))
         return tuple(out)
@@ -140,23 +134,6 @@ class DomainKernel:
         return out
 
 
-def _columns(per_order: list[list[int]], n: int, weight) -> tuple[tuple[int, ...], ...]:
-    """Per pair, fold each voter's per-order value into one int per profile.
-
-    `per_order[o][p]` is order o's value on pair p and `weight(v, value)`
-    voter v's contribution.  Voter 0 is folded first and outermost, so
-    the result follows odometer order with voter n-1 fastest.
-    """
-    out = []
-    for p in range(len(per_order[0]) if per_order else 0):
-        col = [0]
-        for v in range(n):
-            parts = [weight(v, row[p]) for row in per_order]
-            col = [c + part for c in col for part in parts]
-        out.append(tuple(col))
-    return tuple(out)
-
-
 @lru_cache(maxsize=8)
 def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     """The cached kernel of (m, n, domain); raises as enumerate_profiles would."""
@@ -165,12 +142,16 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     pairs = tuple(ordered_pairs(m))
     canonical = tuple(unordered_pairs(m))
     slot = tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs)
-    stance = [[STANCE_CODE[pair_stance(w, x, y)] for x, y in canonical] for w in orders]
-    tri = _columns(stance, n, lambda v, s: s * 3**v)
-    prefers = [[row[q] == (FIRST if x < y else SECOND) for (x, y), q in zip(pairs, slot)] for row in stance]
-    support = _columns(prefers, n, lambda v, b: b << v)
-    everyone = (1 << n) - 1
-    unanimous = tuple(tuple(i for i, mask in enumerate(col) if mask == everyone) for col in support)
+    codes = {w: tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in canonical) for w in orders}
+    # Voter v adds its code times 3**v; voter 0 is folded first and
+    # outermost, so each column follows odometer order, voter n-1 fastest.
+    tri = []
+    for per_order in zip(*codes.values()):
+        col = [0]
+        for v in range(n):
+            parts = [s * 3**v for s in per_order]
+            col = [c + part for c in col for part in parts]
+        tri.append(tuple(col))
     return DomainKernel(
         m=m,
         n=n,
@@ -179,11 +160,50 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
         pairs=pairs,
         canonical=canonical,
         slot=slot,
-        tri=tri,
-        support=support,
-        unanimous=unanimous,
+        tri=tuple(tri),
         _order_index={w: i for i, w in enumerate(orders)},
+        _codes=codes,
     )
+
+
+# Byte translations, indexed by FIRST and SECOND: a stance code to 1 unless it is that one.
+_NOT_STANCE = tuple(bytes(int(c != s) for c in range(256)) for s in (FIRST, SECOND))
+
+
+def overruled(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Per pair of `k.pairs`, the profiles whose verdict does not prefer its first alternative.
+
+    A byte-wise int, byte i for profile i as in `strict_support`; an
+    undefined verdict (`MISSING`) counts as not preferring it.
+    """
+    raw = [bytes(col) for col in cols]
+    return tuple(
+        int.from_bytes(raw[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
+        for (x, y), q in zip(k.pairs, k.slot)
+    )
+
+
+def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
+    """Per pair of `k.pairs`, lazily, the profiles where coalition c is overruled.
+
+    c is a voter bitmask and `over` is `overruled(k, cols)`.  Byte i of
+    the p-th int is 1 when every voter of c strictly prefers the first
+    alternative of `pairs[p]` in profile i and the verdict does not: the
+    pair's overruled int ANDed with the `strict_support` rows of c's
+    voters.  The empty coalition is overruled wherever the verdict is.
+    """
+    voters = [v for v in range(k.n) if c >> v & 1]
+    for hit, rows in zip(over, k.strict_support):
+        for v in voters:
+            if not hit:
+                break
+            hit &= rows[v]
+        yield hit
+
+
+def first_profile(hit: int) -> int:
+    """The profile of the lowest nonzero byte of a nonzero byte-wise int."""
+    return ((hit & -hit).bit_length() - 1) >> 3
 
 
 # At most 3 ** (m(m-1)/2) keys per m: 729 at m=4, 59049 at m=5.

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement
-from .profiles import Domain, enumerate_profiles
-from .kernel import FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel
+from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement, set_to_mask
+from .profiles import Domain, TriPartition, enumerate_profiles
+from .kernel import (
+    FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel, overruled, overruled_by,
+)
 from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
 
@@ -72,13 +74,8 @@ def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int
 
 def _decisive_family(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> DecisiveFamily:
     require_defined(swf, k, cols)
-    # Supporter sets that some verdict overrules; a coalition is decisive
-    # exactly when it lies inside none of them.
-    overruled = set()
-    for (x, y), q, support in zip(k.pairs, k.slot, k.support):
-        echo = FIRST if x < y else SECOND
-        overruled.update(mask for mask, s in zip(support, cols[q]) if s != echo)
-    members = [c for c in range(1 << swf.n) if not any(c & ~mask == 0 for mask in overruled)]
+    over = overruled(k, cols)
+    members = [c for c in range(1 << swf.n) if not any(overruled_by(k, over, c))]
     family = CoalitionFamily(swf.n, frozenset(members))
     return DecisiveFamily(family, provenance=swf.describe())
 
@@ -95,18 +92,17 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
     if not is_ultrafilter_complement(u):
         raise ValueError("the family is not an ultrafilter (complement test failed)")
     k = domain_kernel(m, n, domain)
-    inside = [c in u.masks for c in range(1 << n)]
 
-    def code(forward: int, reverse: int) -> int:
+    def code(t: TriPartition) -> int:
+        forward, reverse = set_to_mask(t.first, n) in u.masks, set_to_mask(t.second, n) in u.masks
         # MISSING marks a pair where u holds both supporter coalitions.
-        if inside[forward]:
-            return MISSING if inside[reverse] else FIRST
-        return SECOND if inside[reverse] else TIE
+        if forward:
+            return MISSING if reverse else FIRST
+        return SECOND if reverse else TIE
 
-    cols = [
-        tuple(map(code, k.support[k.pairs.index((x, y))], k.support[k.pairs.index((y, x))]))
-        for x, y in k.canonical
-    ]
+    # By tri-partition code, over the codes that occur.
+    table = {t: code(TriPartition.from_code(n, t)) for t in set().union(*k.tri)}
+    cols = [tuple(map(table.__getitem__, tri)) for tri in k.tri]
     verdicts = dict(zip(enumerate_profiles(m, n, domain), compose_rows(k, cols)))
     orders = list(verdicts.values())
     if None in orders:

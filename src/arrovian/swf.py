@@ -60,6 +60,7 @@ from .profiles import (
 )
 from .kernel import (
     FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
+    first_profile, overruled, overruled_by,
 )
 
 
@@ -231,15 +232,15 @@ def check_unanimity(swf: Swf) -> UnanimityCheck:
     Pairs are scanned in lexicographic order, profiles in enumeration
     order, so a failing witness is deterministic.
     """
-    return _unanimity(swf, *_kernel_columns(swf))
+    k, cols = _kernel_columns(swf)
+    return _unanimity(swf, k, cols, overruled(k, cols))
 
 
-def _unanimity(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> UnanimityCheck:
-    for (x, y), q, unanimous in zip(k.pairs, k.slot, k.unanimous):
-        col, echo = cols[q], FIRST if x < y else SECOND
-        for i in unanimous:
-            if col[i] != echo:
-                return UnanimityCheck(False, _profile_at(swf, k, i, (x, y), col[i]), (x, y))
+def _unanimity(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]], over: tuple[int, ...]) -> UnanimityCheck:
+    for pair, q, hit in zip(k.pairs, k.slot, overruled_by(k, over, (1 << k.n) - 1)):
+        if hit:
+            i = first_profile(hit)
+            return UnanimityCheck(False, _profile_at(swf, k, i, pair, cols[q][i]), pair)
     return UnanimityCheck(True)
 
 
@@ -280,42 +281,20 @@ def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[tuple[int, ...]]
     return IndependenceCheck(True)
 
 
-# Byte translations, indexed by FIRST and SECOND: a stance code to 1 unless it is that one.
-_NOT_STANCE = tuple(bytes(int(c != s) for c in range(256)) for s in (FIRST, SECOND))
-
-
-def _first_overruled(k: DomainKernel, cols: list[tuple[int, ...]]) -> list[tuple[int, int] | None]:
-    """Per voter, the first place where the verdict overrules them, or None.
-
-    A place is a (profile, ordered pair) index, compared in that order:
-    the voter strictly prefers the pair's first alternative there and
-    the verdict does not.  Both sides are byte-wise ints with byte i for
-    profile i, so one AND finds every such profile of a (pair, voter) and
-    its lowest set byte is the first.
-    """
-    first: list[tuple[int, int] | None] = [None] * k.n
-    raw = [bytes(col) for col in cols]
-    for p, ((x, y), q, strict) in enumerate(zip(k.pairs, k.slot, k.strict_support)):
-        overruled = int.from_bytes(raw[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
-        for v, mask in enumerate(strict):
-            hit = mask & overruled
-            if hit:
-                at = (((hit & -hit).bit_length() - 1) >> 3, p)
-                if first[v] is None or at < first[v]:
-                    first[v] = at
-    return first
-
-
 def find_dictator(swf: Swf) -> int | None:
     """The least voter whose strict preferences the verdict always follows."""
-    return _dictator(swf, *_kernel_columns(swf))
+    k, cols = _kernel_columns(swf)
+    return _dictator(swf, k, cols, overruled(k, cols))
 
 
-def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> int | None:
-    for v, at in enumerate(_first_overruled(k, cols)):
-        if at is None:
+def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]], over: tuple[int, ...]) -> int | None:
+    # A voter who is not one is checked at their first overruled place in
+    # (profile, ordered pair) order, which raises if the verdict there is undefined.
+    for v in range(k.n):
+        places = [(first_profile(hit), p) for p, hit in enumerate(overruled_by(k, over, 1 << v)) if hit]
+        if not places:
             return v
-        i, p = at
+        i, p = min(places)
         _profile_at(swf, k, i, k.pairs[p], cols[k.slot[p]][i])
     return None
 
@@ -437,8 +416,9 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
             witnesses["a2"] = {"profile": k.profile(rows.index(None)), "error": "no verdict recorded"}
     a2 = "a2" not in witnesses
 
+    over = overruled(k, cols)
     try:
-        una = _unanimity(swf, k, cols)
+        una = _unanimity(swf, k, cols, over)
         a3 = una.ok
         if not a3:
             witnesses["a3"] = {"profile": una.profile, "pair": una.pair}
@@ -460,7 +440,7 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
         witnesses["a4"] = {"error": f"not evaluable: {exc}"}
 
     try:
-        dictator = _dictator(swf, k, cols)
+        dictator = _dictator(swf, k, cols, over)
         a5 = dictator is None
         if not a5:
             witnesses["a5"] = {"dictator": dictator}

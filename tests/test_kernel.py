@@ -4,17 +4,20 @@
 answers the same questions as lookups over `arrovian.kernel`.  Reports
 (witnesses included), decisive families, derived rules, expanded verdict
 tables and ultrafilter tables must agree on every search survivor, every
-built-in constructor and partial rules.
+built-in constructor, partial rules and random tables.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import and_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
-from arrovian.kernel import FIRST, SECOND, compose, domain_kernel, majority_codes
+from arrovian.kernel import FIRST, SECOND, STANCES, compose, domain_kernel, majority_codes
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
 from arrovian.ks_bridge import extract_decisive_family, swf_from_ultrafilter
@@ -120,14 +123,14 @@ def test_tables_match_the_profile_objects(m, n, domain):
         assert k.profile_index(f) == i
         for pair, tri in zip(k.canonical, k.tri):
             assert tri[i] == pair_partition(f, *pair).code()
-        for (x, y), support, strict in zip(k.pairs, k.support, k.strict_support):
-            mask = sum(1 << v for v in range(n) if f.stance(v, x, y) is PairStance.FIRST_PREFERRED)
-            assert support[i] == mask
-            assert [b >> 8 * i & 0xFF for b in strict] == [mask >> v & 1 for v in range(n)]
-    for p, (x, y) in enumerate(k.pairs):
+        for (x, y), strict in zip(k.pairs, k.strict_support):
+            flags = [int(f.stance(v, x, y) is PairStance.FIRST_PREFERRED) for v in range(n)]
+            assert [b >> 8 * i & 0xFF for b in strict] == flags
+    for (x, y), strict in zip(k.pairs, k.strict_support):
         everyone = [i for i, f in enumerate(profiles)
                     if all(f.stance(v, x, y) is PairStance.FIRST_PREFERRED for v in range(n))]
-        assert list(k.unanimous[p]) == everyone
+        both = reduce(and_, strict, int.from_bytes(b"\1" * k.size, "little"))
+        assert [i for i in range(k.size) if both >> 8 * i & 1] == everyone
 
 
 def test_profiles_outside_the_domain_have_no_index():
@@ -204,6 +207,46 @@ def test_partial_rule_table(pair, code):
     else:
         del rules[pair][TriPartition.from_code(2, code)]
     assert_same_audit(PairwiseRuleSwf(3, 2, Domain.WEAK, rules))
+
+
+@pytest.mark.parametrize(
+    "m,n,domain", [(3, 2, Domain.LINEAR), (3, 2, Domain.WEAK), (2, 3, Domain.WEAK)],
+    ids=lambda v: getattr(v, "value", v),
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_tables_audit_as_the_oracle_does(m, n, domain, data):
+    """Random verdict and rule tables, so arbitrary overruled patterns are compared.
+
+    A table may lean on one voter: each verdict (rule cell) is that voter's
+    order (stance) but now and then, or with no such voter always, any
+    order (stance) at all.  A few verdicts (cells) are then left out.
+    """
+    lean = data.draw(st.none() | st.integers(0, n - 1), label="lean")
+
+    def pick(own, anything):
+        if lean is None or data.draw(st.integers(0, 7)) == 0:
+            return data.draw(st.sampled_from(anything))
+        return own()
+
+    def absent(size):
+        return data.draw(st.lists(st.integers(0, size - 1), max_size=2), label="absent")
+
+    if data.draw(st.booleans(), label="explicit"):
+        profiles, orders = list(enumerate_profiles(m, n, domain)), enumerate_weak_orders(m)
+        verdicts = {f: pick(lambda: f.prefs[lean], orders) for f in profiles}
+        for i in absent(len(profiles)):
+            verdicts.pop(profiles[i], None)
+        swf = ExplicitSwf(m, n, domain, verdicts)
+    else:
+        cells = [(pair, t) for pair in unordered_pairs(m) for t in enumerate_tripartitions(n, domain)]
+        rules = {pair: {} for pair in unordered_pairs(m)}
+        for pair, t in cells:
+            rules[pair][t] = pick(lambda: STANCES[t.code() // 3**lean % 3], STANCES)
+        for c in absent(len(cells)):
+            rules[cells[c][0]].pop(cells[c][1], None)
+        swf = PairwiseRuleSwf(m, n, domain, rules)
+    assert_same_audit(swf)
 
 
 def test_some_builtin_rules_do_not_assemble():
