@@ -15,7 +15,10 @@ Codes:
   undefined;
 * a profile is its position in `enumerate_profiles` order (odometer
   order, voter n-1 fastest);
-* a voter split on a pair is its `TriPartition.code()`.
+* a voter split on a pair is its `TriPartition.code()`;
+* a verdict is its index in `enumerate_weak_orders(m)`, on either
+  domain, since a verdict may tie where no ballot does; a verdict row
+  holds one per profile, `ABSENT` (-1) where there is none.
 
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner, and read one profile across pairs
@@ -24,8 +27,9 @@ with `zip`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +39,7 @@ from .relations import (
     PairStance,
     ValidationResult,
     WeakOrder,
+    enumerate_weak_orders,
     ordered_pairs,
     pair_stance,
     to_canonical,
@@ -49,6 +54,7 @@ STANCES = (
 )
 STANCE_CODE = {s: i for i, s in enumerate(STANCES)}
 FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
+ABSENT = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +63,9 @@ class DomainKernel:
 
     `pairs` lists the ordered pairs lexicographically and `canonical`
     the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
-    round, in `canonical`.  `tri[q][i]` is the tri-partition code of
-    profile i on `canonical[q]`; `strict_support` is built on first use.
+    round, in `canonical`.  `order_codes[q][d]` is the stance code of
+    `orders[d]` on `canonical[q]` and `tri[q][i]` the tri-partition code
+    of profile i there; `strict_support` is built on first use.
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
@@ -71,9 +78,9 @@ class DomainKernel:
     pairs: tuple[tuple[int, int], ...]
     canonical: tuple[tuple[int, int], ...]
     slot: tuple[int, ...]
+    order_codes: tuple[tuple[int, ...], ...]
     tri: tuple[tuple[int, ...], ...]
     _order_index: dict[WeakOrder, int] = field(repr=False)
-    _codes: dict[WeakOrder, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
@@ -93,10 +100,15 @@ class DomainKernel:
         out = []
         for (x, y), q in zip(self.pairs, self.slot):
             echo = FIRST if x < y else SECOND
-            flags = [bytes([self.codes(w)[q] == echo]) for w in self.orders]
+            flags = [bytes([c == echo]) for c in self.order_codes[q]]
             runs = (b"".join(f * k ** (n - 1 - v) for f in flags) * k**v for v in range(n))
             out.append(tuple(int.from_bytes(run, "little") for run in runs))
         return tuple(out)
+
+    @cached_property
+    def splits(self) -> frozenset[int]:
+        """The tri-partition codes that occur in `tri`."""
+        return frozenset().union(*self.tri)
 
     def rows(self, columns: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
         """Per profile, its entries across the given per-pair columns.
@@ -126,13 +138,6 @@ class DomainKernel:
             i = i * k + d
         return i
 
-    def codes(self, w: WeakOrder) -> tuple[int, ...]:
-        """The stance code of order w on each of `canonical` (cached per order)."""
-        out = self._codes.get(w)
-        if out is None:
-            out = self._codes[w] = tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in self.canonical)
-        return out
-
 
 @lru_cache(maxsize=8)
 def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
@@ -142,11 +147,12 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     pairs = tuple(ordered_pairs(m))
     canonical = tuple(unordered_pairs(m))
     slot = tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs)
-    codes = {w: tuple(STANCE_CODE[pair_stance(w, x, y)] for x, y in canonical) for w in orders}
+    index = verdict_index(m)
+    order_codes = tuple(tuple(codes[index[w]] for w in orders) for codes in verdict_codes(m))
     # Voter v adds its code times 3**v; voter 0 is folded first and
     # outermost, so each column follows odometer order, voter n-1 fastest.
     tri = []
-    for per_order in zip(*codes.values()):
+    for per_order in order_codes:
         col = [0]
         for v in range(n):
             parts = [s * 3**v for s in per_order]
@@ -160,9 +166,9 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
         pairs=pairs,
         canonical=canonical,
         slot=slot,
+        order_codes=order_codes,
         tri=tuple(tri),
         _order_index={w: i for i, w in enumerate(orders)},
-        _codes=codes,
     )
 
 
@@ -226,10 +232,28 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
     return rel, res, to_canonical(rel) if res.ok else None
 
 
-def compose_rows(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> Iterator[WeakOrder | None]:
-    """Per profile, its row of `cols` composed; None where a code is MISSING or they do not compose."""
-    for codes in k.rows(cols):
-        yield None if MISSING in codes else compose(k.m, codes)[2]
+def compose_rows(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> array:
+    """The verdict row of `cols`: per profile, its codes composed, or ABSENT where one is MISSING or they do not."""
+    verdict = cache(lambda codes: ABSENT if MISSING in codes else _composed(k.m, codes))  # per distinct row
+    return array("h", map(verdict, k.rows(cols)))
+
+
+@lru_cache(maxsize=None)  # keyed as `compose` is
+def _composed(m: int, codes: tuple[int, ...]) -> int:
+    return verdict_index(m).get(compose(m, codes)[2], ABSENT)  # a failure's None is not a key
+
+
+@lru_cache(maxsize=None)
+def verdict_index(m: int) -> dict[WeakOrder, int]:
+    """Each weak order of m by its verdict index."""
+    return {w: j for j, w in enumerate(enumerate_weak_orders(m))}
+
+
+@lru_cache(maxsize=None)
+def verdict_codes(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per canonical pair of m, the stance code of each verdict index, then MISSING, which ABSENT reads."""
+    orders = enumerate_weak_orders(m)
+    return tuple(tuple(STANCE_CODE[pair_stance(w, x, y)] for w in orders) + (MISSING,) for x, y in unordered_pairs(m))
 
 
 def majority_codes(f: Profile) -> tuple[int, ...]:

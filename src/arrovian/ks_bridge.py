@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement, set_to_mask
-from .profiles import Domain, TriPartition, enumerate_profiles
+from .profiles import Domain, TriPartition
 from .kernel import (
-    FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel, overruled, overruled_by,
+    ABSENT, FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel, overruled, overruled_by,
 )
 from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
@@ -100,20 +100,18 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
             return MISSING if reverse else FIRST
         return SECOND if reverse else TIE
 
-    # By tri-partition code, over the codes that occur.
-    table = {t: code(TriPartition.from_code(n, t)) for t in set().union(*k.tri)}
+    table = {t: code(TriPartition.from_code(n, t)) for t in k.splits}
     cols = [tuple(map(table.__getitem__, tri)) for tri in k.tri]
-    verdicts = dict(zip(enumerate_profiles(m, n, domain), compose_rows(k, cols)))
-    orders = list(verdicts.values())
-    if None in orders:
-        codes = tuple(col[orders.index(None)] for col in cols)
+    row = compose_rows(k, cols)
+    if ABSENT in row:
+        codes = tuple(col[row.index(ABSENT)] for col in cols)
         if MISSING in codes:
             failed = f"O1 at {k.canonical[codes.index(MISSING)]}"
         else:
             res = compose(m, codes)[1]
             failed = f"{res.axiom} at {res.witness}"
         raise RuntimeError(f"internal invariant violated: ultrafilter verdict failed {failed}")
-    return ExplicitSwf(m, n, domain, verdicts)
+    return ExplicitSwf.from_row(m, n, domain, row)
 
 
 @dataclass

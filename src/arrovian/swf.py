@@ -2,7 +2,10 @@
 
 Two representations are used side by side:
 
-* `ExplicitSwf`: a verdict table, one weak order per domain profile.
+* `ExplicitSwf`: a verdict table, one weak order per domain profile,
+  stored as one row of verdict indices in the domain kernel's profile
+  order; `verdict(f)` and the read-only `verdicts` mapping are views
+  that build `Profile` and `WeakOrder` objects on demand.
 * `PairwiseRuleSwf`: per pair of alternatives, a map from the voters'
   tri-partition on that pair to a verdict stance.  This is exactly the
   shape forced by the independence axiom, so independence holds for it
@@ -32,9 +35,12 @@ JSON formats (owned here)::
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable, Iterator, Union
+from functools import cache, cached_property
+from itertools import product
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Union
 
 from ._util import load_json
 from .relations import (
@@ -44,6 +50,7 @@ from .relations import (
     ValidationResult,
     WeakOrder,
     default_labels,
+    enumerate_weak_orders,
     format_weak_order,
     pair_stance,
     parse_weak_order,
@@ -59,8 +66,8 @@ from .profiles import (
     parse_header,
 )
 from .kernel import (
-    FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
-    first_profile, overruled, overruled_by,
+    ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
+    first_profile, overruled, overruled_by, verdict_codes, verdict_index,
 )
 
 
@@ -81,47 +88,61 @@ class CompositionFailure:
     validation: ValidationResult
 
 
-@dataclass(eq=False)
 class ExplicitSwf:
-    """A total verdict table over an enumerated profile domain."""
+    """A verdict table over an enumerated profile domain.
 
-    m: int
-    n: int
-    domain: Domain
-    verdicts: dict[Profile, WeakOrder]
+    Stored as one row: `row[i]` is the verdict on profile i of the
+    domain kernel, as its index in `enumerate_weak_orders(m)`, or ABSENT
+    where the table has none.  Producers in this package write the row
+    through `from_row`; the constructor takes a mapping from `Profile`
+    to `WeakOrder` and drops the profiles outside the domain, which no
+    check reads.  `verdicts` is the row as such a mapping, read-only,
+    built on first use; `verdict(f)` looks one profile up.
+    """
+
+    def __init__(self, m: int, n: int, domain: Domain, verdicts: Mapping[Profile, WeakOrder]):
+        k, index = domain_kernel(m, n, domain), verdict_index(m)
+        cells = {i: index[w] for f, w in verdicts.items() if (i := k.profile_index(f)) is not None}
+        self.m, self.n, self.domain, self.row = m, n, domain, _filled(k, cells)
+
+    @classmethod
+    def from_row(cls, m: int, n: int, domain: Domain, row: array) -> ExplicitSwf:
+        swf = cls.__new__(cls)
+        swf.m, swf.n, swf.domain, swf.row = m, n, domain, row
+        return swf
+
+    @cached_property
+    def verdicts(self) -> Mapping[Profile, WeakOrder]:
+        orders = enumerate_weak_orders(self.m)
+        profiles = enumerate_profiles(self.m, self.n, self.domain)
+        return MappingProxyType({f: orders[j] for f, j in zip(profiles, self.row) if j != ABSENT})
 
     def domain_profiles(self) -> list[Profile]:
         return list(enumerate_profiles(self.m, self.n, self.domain))
 
     def verdict(self, f: Profile) -> WeakOrder:
-        try:
-            return self.verdicts[f]
-        except KeyError:
-            raise LookupError(f"profile outside the verdict table: {_profile_texts(f)}") from None
+        i = domain_kernel(self.m, self.n, self.domain).profile_index(f)
+        if i is None or self.row[i] == ABSENT:
+            raise LookupError(f"profile outside the verdict table: {_profile_texts(f)}")
+        return enumerate_weak_orders(self.m)[self.row[i]]
 
     def stance(self, f: Profile, x: int, y: int) -> PairStance:
         return pair_stance(self.verdict(f), x, y)
 
-    def verdict_rows(self, k: DomainKernel) -> list[WeakOrder | None]:
-        """The verdict of each domain profile by enumeration index; None where absent."""
-        rows: list[WeakOrder | None] = [None] * k.size
-        for f, w in self.verdicts.items():
-            i = k.profile_index(f)
-            if i is not None:
-                rows[i] = w
-        return rows
-
     def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
         """Per pair of `k.canonical`, the verdict's stance code on each profile."""
-        return _row_columns(k, self.verdict_rows(k))
+        return [tuple(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
 
 
-def _row_columns(k: DomainKernel, rows: list[WeakOrder | None]) -> list[tuple[int, ...]]:
-    missing = (MISSING,) * len(k.canonical)
-    return list(zip(*(missing if w is None else k.codes(w) for w in rows)))
+def _filled(k: DomainKernel, cells: dict[int, int]) -> array:
+    """The verdict row of k holding `cells` (profile index to verdict index), ABSENT elsewhere."""
+    row = array("h", [ABSENT]) * k.size
+    for i, j in cells.items():
+        row[i] = j
+    return row
 
 
 @dataclass(eq=False)
@@ -176,7 +197,7 @@ class PairwiseRuleSwf:
         """Per pair of `k.canonical`, the rule's stance code on each profile."""
         cols = []
         for pair, tri in zip(k.canonical, k.tri):
-            table = [MISSING] * 3**self.n  # by tri-partition code
+            table = dict.fromkeys(k.splits, MISSING)  # by tri-partition code
             for t, s in self.rules.get(pair, {}).items():
                 if t.n == self.n:
                     table[t.code()] = STANCE_CODE[s]
@@ -358,8 +379,6 @@ def _witness_json(data: dict, alts: AlternativeSet | None) -> dict:
     for key, value in data.items():
         if isinstance(value, Profile):
             out[key] = _profile_texts(value, alts)
-        elif isinstance(value, WeakOrder):
-            out[key] = format_weak_order(value, alts if alts and alts.m == value.m else None)
         elif key == "pair" and isinstance(value, tuple):
             out[key] = [lab(value[0]), lab(value[1])]
         elif isinstance(value, tuple):
@@ -392,8 +411,11 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
     if not a1:
         witnesses["a1"] = {"m": swf.m}
 
-    if isinstance(swf, PairwiseRuleSwf):
-        cols = swf.stance_columns(k)
+    cols = swf.stance_columns(k)
+    if isinstance(swf, ExplicitSwf):
+        if ABSENT in swf.row:
+            witnesses["a2"] = {"profile": k.profile(swf.row.index(ABSENT)), "error": "no verdict recorded"}
+    else:
         # Each distinct row of stance codes is composed once, in order of
         # first occurrence, so the first failing row's first occurrence is
         # the first failing profile.
@@ -409,11 +431,6 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
                     res = failure.validation
                     witnesses["a2"] = {"profile": f, "axiom": res.axiom, "witness": res.witness}
                 break
-    else:
-        rows = swf.verdict_rows(k)
-        cols = _row_columns(k, rows)
-        if None in rows:
-            witnesses["a2"] = {"profile": k.profile(rows.index(None)), "error": "no verdict recorded"}
     a2 = "a2" not in witnesses
 
     over = overruled(k, cols)
@@ -455,39 +472,49 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
 # ---------------------------------------------------------- constructors
 
 
+def _ballot_table(m: int, n: int, domain: Domain, v: int, verdict: Callable[[WeakOrder], WeakOrder]) -> ExplicitSwf:
+    """The table whose verdict is verdict(w) wherever voter v holds w.
+
+    In enumeration order voter v holds each order for a run of
+    k**(n-1-v) profiles, the cycle of runs repeated k**v times.
+    """
+    k, index = domain_kernel(m, n, domain), verdict_index(m)
+    run = len(k.orders) ** (n - 1 - v)
+    row = array("h", [index[verdict(w)] for w in k.orders for _ in range(run)]) * len(k.orders) ** v
+    return ExplicitSwf.from_row(m, n, domain, row)
+
+
 def dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
     """The verdict is voter v's order, ties included."""
     if not 0 <= v < n:
         raise ValueError(f"dictator {v} out of range for n={n}")
-    verdicts = {f: f.prefs[v] for f in enumerate_profiles(m, n, domain)}
-    return ExplicitSwf(m, n, domain, verdicts)
+    return _ballot_table(m, n, domain, v, lambda w: w)
 
 
 def anti_dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
     """The verdict is voter v's order turned upside down."""
     if not 0 <= v < n:
         raise ValueError(f"anti-dictator {v} out of range for n={n}")
-    verdicts = {f: f.prefs[v].flipped() for f in enumerate_profiles(m, n, domain)}
-    return ExplicitSwf(m, n, domain, verdicts)
+    return _ballot_table(m, n, domain, v, WeakOrder.flipped)
 
 
 def constant_explicit(w: WeakOrder, n: int, domain: Domain) -> ExplicitSwf:
     """The same verdict regardless of the profile."""
-    verdicts = {f: w for f in enumerate_profiles(w.m, n, domain)}
-    return ExplicitSwf(w.m, n, domain, verdicts)
+    return _ballot_table(w.m, n, domain, 0, lambda _: w)
 
 
 def borda_explicit(m: int, n: int, domain: Domain) -> ExplicitSwf:
     """Rank-sum scoring; equal totals become verdict indifference."""
-    verdicts = {}
-    for f in enumerate_profiles(m, n, domain):
-        totals = [0] * m
-        for w in f.prefs:
-            for x in range(m):
-                totals[x] += sum(1 for y in range(m) if y != x and w.rank(x) < w.rank(y))
+    k, index = domain_kernel(m, n, domain), verdict_index(m)
+    scores = [tuple(sum(w.rank(x) < w.rank(y) for y in range(m) if y != x) for x in range(m)) for w in k.orders]
+
+    @cache  # one order per distinct score vector
+    def verdict(totals: tuple[int, ...]) -> int:
         levels = sorted(set(totals), reverse=True)
-        verdicts[f] = WeakOrder(tuple(tuple(x for x in range(m) if totals[x] == lv) for lv in levels))
-    return ExplicitSwf(m, n, domain, verdicts)
+        return index[WeakOrder(tuple(tuple(x for x in range(m) if totals[x] == lv) for lv in levels))]
+
+    totals = (tuple(map(sum, zip(*ballots))) for ballots in product(scores, repeat=n))
+    return ExplicitSwf.from_row(m, n, domain, array("h", map(verdict, totals)))
 
 
 def _rule_tables(
@@ -523,15 +550,15 @@ def majority_rules(m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
 def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
     """Assemble every domain profile; raises if any composition fails."""
     k, cols = _kernel_columns(swf)
-    verdicts = dict(zip(swf.domain_profiles(), compose_rows(k, cols)))
-    if None in verdicts.values():
-        f = next(f for f, order in verdicts.items() if order is None)
+    row = compose_rows(k, cols)
+    if ABSENT in row:
+        f = k.profile(row.index(ABSENT))
         failure = swf.assemble(f)  # raises the LookupError of an undefined cell
         raise ValueError(
             f"rules do not assemble on profile {_profile_texts(f)}: "
             f"{failure.validation.axiom} violated at {failure.validation.witness}"
         )
-    return ExplicitSwf(swf.m, swf.n, swf.domain, verdicts)
+    return ExplicitSwf.from_row(swf.m, swf.n, swf.domain, row)
 
 
 def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
@@ -571,16 +598,16 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
         "labels": list(alts.all_labels()),
     }
     if isinstance(swf, ExplicitSwf):
-        entries = sorted(
-            swf.verdicts.items(), key=lambda kv: tuple(w.classes for w in kv[0].prefs)
-        )
-        text = cache(lambda w: format_weak_order(w, alts))  # one rendering per distinct order
+        # Enumeration order is sorted by each ballot's classes, so entries come out sorted by profile.
+        orders = enumerate_weak_orders(swf.m)
+        text = cache(lambda j: format_weak_order(orders[j], alts))  # one rendering per distinct verdict
         # Profiles fall back to default labels when alts does not fit them.
-        prof = text if alts.m == swf.m else cache(format_weak_order)
+        ballots = [format_weak_order(w, alts if alts.m == swf.m else None) for w in swf.domain.orders(swf.m)]
+        profiles = product(ballots, repeat=swf.n)
         return {
             "kind": "explicit",
             **base,
-            "entries": [[[prof(v) for v in f.prefs], text(w)] for f, w in entries],
+            "entries": [[list(f), text(j)] for f, j in zip(profiles, swf.row) if j != ABSENT],
         }
     lists = cache(TriPartition.to_json_lists)  # one rendering per distinct tri-partition
     rules_json = {}
@@ -624,36 +651,41 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
         entries = obj.get("entries")
         if not isinstance(entries, list):
             raise SwfFormatError("entries must be a list")
-        verdicts: dict[Profile, WeakOrder] = {}
+        ballots = {w: d for d, w in enumerate(domain.orders(m))}
+
         parse = cache(lambda text: parse_weak_order(text, alts))  # one parse per distinct text
 
         @cache
-        def ballot(text: str) -> WeakOrder:  # one domain check per distinct text
+        def ballot(text: str) -> int:  # one domain check per distinct text
             w = parse(text)
             if domain is Domain.LINEAR and len(w.classes) < m:
                 raise ValueError("profile outside the linear domain")
-            return w
+            return ballots[w]
 
-        def order(text, read=parse) -> WeakOrder:
+        def order(text, read=cache(lambda text: verdict_index(m)[parse(text)])) -> int:
             if not isinstance(text, str):
                 raise ValueError(f"order must be a string, got {type(text).__name__}")
             return read(text)
 
+        table: dict[int, int] = {}  # profile index to verdict index
         for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SwfFormatError(f"entries[{i}]: expected [profile, verdict]")
             prof_texts, verdict_text = entry
             if not (isinstance(prof_texts, list) and len(prof_texts) == n):
                 raise SwfFormatError(f"entries[{i}]: profile must list {n} orders")
+            at = 0  # the profile's enumeration index
             try:
-                f = Profile(tuple([order(text, ballot) for text in prof_texts]))
+                for text in prof_texts:
+                    at = at * len(ballots) + order(text, ballot)
                 w = order(verdict_text)
             except ValueError as exc:
                 raise SwfFormatError(f"entries[{i}]: {exc}") from None
-            if f in verdicts:
+            if at in table:
                 raise SwfFormatError(f"entries[{i}]: duplicate profile")
-            verdicts[f] = w
-        return ExplicitSwf(m, n, domain, verdicts), alts
+            table[at] = w
+        # The domain's size is checked only now, so that a defect in the entries is reported first.
+        return ExplicitSwf.from_row(m, n, domain, _filled(domain_kernel(m, n, domain), table)), alts
 
     rules_json = obj.get("rules")
     if not isinstance(rules_json, dict):

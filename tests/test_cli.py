@@ -11,6 +11,7 @@ from arrovian.filters import CoalitionFamily
 from arrovian.profiles import Domain, TriPartition
 from arrovian.relations import WeakOrder
 from arrovian.swf import (
+    ExplicitSwf,
     borda_explicit,
     constant_explicit,
     constant_rules,
@@ -241,7 +242,7 @@ def test_json_the_decoder_cannot_hold_exits_2(capsys, tmp_path, case, argv):
 
 @pytest.mark.parametrize(
     "entry,kind",
-    [([[5], "A>B>C"], "int"), ([["A>B>C"], 7], "int"), ([[["A"]], "A>B>C"], "list")],
+    [([[5], "A>B>C"], "int"), ([["A>B>C"], 7], "int"), ([[["A"]], "A>B>C"], "list"), ([["A>B>C"], {}], "dict")],
 )
 def test_axioms_rejects_order_texts_that_are_not_strings(capsys, tmp_path, entry, kind):
     doc = {"kind": "explicit", "m": 3, "n": 1, "domain": "linear", "entries": [entry]}
@@ -347,9 +348,9 @@ def test_bridge_ks2(capsys, dictator_file):
 def _pinned_document(name: str):
     """The SWF a pinned document holds: '<kind> <m> <n> <domain>' or a partial table."""
     if name == "partial explicit":
-        swf = dictator_explicit(1, 3, 2, Domain.LINEAR)
-        del swf.verdicts[next(iter(swf.verdicts))]
-        return swf
+        # The dictator's table without its first profile's verdict.
+        full = dictator_explicit(1, 3, 2, Domain.LINEAR)
+        return ExplicitSwf(3, 2, Domain.LINEAR, dict(list(full.verdicts.items())[1:]))
     if name == "partial rules":
         swf = dictator_rules(1, 3, 2, Domain.WEAK)
         del swf.rules[(0, 1)][TriPartition.from_code(2, 0)]

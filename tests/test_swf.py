@@ -1,11 +1,33 @@
 """Aggregation rules, the five-axiom audit and SWF serialization."""
 
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrovian.profiles import Domain, ProfileFormatError, TriPartition, pair_partition, parse_profile_json, profile_from_texts
-from arrovian.relations import AlternativeSet, PairStance, WeakOrder, parse_weak_order, unordered_pairs
+from arrovian._util import canonical_json
+from arrovian.kernel import domain_kernel
+from arrovian.profiles import (
+    BudgetExceededError,
+    Domain,
+    ProfileFormatError,
+    TriPartition,
+    enumerate_profiles,
+    pair_partition,
+    parse_profile_json,
+    profile_from_texts,
+)
+from arrovian.relations import (
+    AlternativeSet,
+    PairStance,
+    WeakOrder,
+    enumerate_weak_orders,
+    format_weak_order,
+    parse_weak_order,
+    unordered_pairs,
+)
 from arrovian.swf import (
     CompositionFailure,
     ExplicitSwf,
@@ -212,6 +234,35 @@ def test_incomplete_explicit_table_fails_a2():
     assert "a2" in report.failed()
 
 
+def test_verdicts_is_a_read_only_view_of_the_domain_profiles():
+    complete = dictator_explicit(0, 3, 2, Domain.LINEAR)
+    f = next(iter(complete.verdicts))
+    with pytest.raises(TypeError):
+        del complete.verdicts[f]
+    with pytest.raises(TypeError):
+        complete.verdicts[f] = ABC
+    # Profiles outside the domain (a weak ballot, a third voter) are dropped.
+    outside = {profile_from_texts(["A~B>C", "A>B>C"]): ABC, profile_from_texts(["A>B>C"] * 3): ABC}
+    swf = ExplicitSwf(3, 2, Domain.LINEAR, {**complete.verdicts, **outside})
+    assert swf.verdicts == complete.verdicts
+    assert full_report(swf).to_json_dict() == full_report(complete).to_json_dict()
+
+
+def test_pairwise_stance_columns_grow_with_the_domain_not_with_3_to_the_n():
+    """An empty m=2 linear table at n=14 has 2**14 profiles but 3**14 tri-partition codes."""
+    swf = PairwiseRuleSwf(2, 14, Domain.LINEAR, {})
+    k = domain_kernel(2, 14, Domain.LINEAR)
+    k.splits  # built with the kernel, outside the measurement
+    tracemalloc.start()
+    try:
+        cols = swf.stance_columns(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols == [(3,) * 2**14]
+    assert peak < 5 * 2**20
+
+
 # --- representation changes ------------------------------------------------------------
 
 
@@ -250,6 +301,38 @@ def test_explicit_json_round_trip():
     assert isinstance(parsed, ExplicitSwf)
     assert parsed.verdicts == swf.verdicts
     assert alts.all_labels() == ("A", "B", "C")
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_domain_orders_are_sorted_by_classes(m, domain):
+    """So enumeration order is the order of the explicit writer's entries."""
+    orders = domain.orders(m)
+    assert [w.classes for w in orders] == sorted(w.classes for w in orders)
+
+
+@st.composite
+def partial_tables(draw):
+    """A random partial explicit table, with weak verdicts whatever the domain."""
+    m, n, domain = draw(st.sampled_from([(3, 2, Domain.LINEAR), (3, 2, Domain.WEAK), (2, 3, Domain.WEAK)]))
+    verdicts = st.sampled_from(enumerate_weak_orders(m))
+    table = {f: draw(verdicts) for f in enumerate_profiles(m, n, domain) if draw(st.booleans())}
+    return ExplicitSwf(m, n, domain, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_tables(), st.booleans())
+def test_explicit_json_round_trip_on_partial_tables(swf, labelled):
+    alts = AlternativeSet(swf.m, ("P", "Q", "R")[: swf.m]) if labelled else AlternativeSet(swf.m)
+    entries = sorted(swf.verdicts.items(), key=lambda kv: tuple(w.classes for w in kv[0].prefs))
+    doc = swf_to_json_dict(swf, alts)
+    assert doc["entries"] == [
+        [[format_weak_order(w, alts) for w in f.prefs], format_weak_order(v, alts)] for f, v in entries
+    ]
+    text = canonical_json(doc)
+    parsed, parsed_alts = parse_swf_json(text)
+    assert parsed.verdicts == swf.verdicts
+    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)) == text
 
 
 def test_pairwise_json_round_trip():
@@ -341,6 +424,14 @@ def test_explicit_json_names_the_entry_of_a_duplicate_profile():
     doc["entries"].insert(7, doc["entries"][30])
     with pytest.raises(SwfFormatError, match=r"^entries\[31\]: duplicate profile$"):
         parse_swf_json(doc)
+
+
+def test_explicit_json_reports_an_entry_defect_before_the_domain_size():
+    doc = {"kind": "explicit", "m": 3, "n": 30, "domain": "linear", "entries": [[["A>B>C"], "A>B>C"]]}
+    with pytest.raises(SwfFormatError, match=r"^entries\[0\]: profile must list 30 orders$"):
+        parse_swf_json(doc)
+    with pytest.raises(BudgetExceededError, match=r"^30 voters: 2\*\*30 coalitions"):
+        parse_swf_json({**doc, "entries": []})
 
 
 def test_explicit_json_refuses_a_profile_outside_the_domain():
