@@ -13,7 +13,6 @@ from .arrow_search import (
     SearchIncompleteError,
     SurvivorRecord,
     build_problem,
-    propagate,
     search_arrovian,
 )
 from .fc_infinite import (

@@ -31,6 +31,9 @@ holds the supported stances of each cell, computed once from the 13
 triples.  Every survivor is still audited by `swf.full_report` over the
 m-ary profiles, an independent profile-level cross-check.
 
+A cell is an integer: cell `q * len(splits) + j` is the stance of
+`pairs[q]` at tri-partition code `splits[j]`.
+
 Determinism: cells are ordered by (pair, tri-partition code), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
 sorted keys, so two runs produce byte-identical output.
@@ -41,12 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable
 
 from ._util import canonical_json
-from .kernel import STANCE_CODE, STANCES, domain_kernel
-from .profiles import BudgetExceededError, Domain, TriPartition, check_profile_space, domain_size, enumerate_tripartitions
-from .relations import MAX_ALTERNATIVES, PairStance, unordered_pairs
+from .kernel import STANCES, domain_kernel
+from .profiles import BudgetExceededError, Domain, TriPartition, check_profile_space, domain_size
+from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -54,33 +57,24 @@ DEFAULT_MAX_NODES = 1_000_000
 # at m=4, n=5 linear), so a search takes at most this many, about 40 MB.
 # The C(m, 3) * |D3|**n triangle constraints never outnumber them.
 MAX_SEARCH_PROFILES = 100_000
-_MASK_TO_STANCE = {1: 0, 2: 1, 4: 2}
 
 
 class SearchIncompleteError(RuntimeError):
     """The node budget ran out before the space was covered."""
 
 
-@dataclass(frozen=True)
-class SearchCell:
-    """One decision: the verdict stance for `pair` at tri-partition `code`."""
-
-    pair: tuple[int, int]
-    code: int
-
-
 @dataclass
 class SearchProblem:
+    """Cell `q * len(splits) + j` is the stance of `pairs[q]` at code `splits[j]`."""
+
     m: int
     n: int
     domain: Domain
-    cells: tuple[SearchCell, ...]
-    partitions: tuple[TriPartition, ...]
-    cell_index: dict[SearchCell, int]
+    pairs: list[tuple[int, int]]
+    splits: list[int]
     constraints: tuple[tuple[int, int, int], ...]
     cell_constraints: tuple[tuple[int, ...], ...]
     forced: dict[int, int]
-    supports: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -125,39 +119,32 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         raise BudgetExceededError(
             f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}"
         )
-    tris = enumerate_tripartitions(n, domain)
+    kernel = domain_kernel(3, n, domain)
     pairs = unordered_pairs(m)
-    cells = tuple(SearchCell(pair, t.code()) for pair in pairs for t in tris)
-    cell_index = {cell: i for i, cell in enumerate(cells)}
-    pos = {t.code(): i for i, t in enumerate(tris)}
-    base = {pair: q * len(tris) for q, pair in enumerate(pairs)}
-    rows = tuple(zip(*domain_kernel(3, n, domain).tri))
+    splits = sorted(kernel.splits)
+    pos = {code: j for j, code in enumerate(splits)}
+    base = {pair: q * len(splits) for q, pair in enumerate(pairs)}
     constraints = tuple(
         (base[a, b] + pos[ab], base[a, c] + pos[ac], base[b, c] + pos[bc])
         for a, b, c in combinations(range(m), 3)
-        for ab, ac, bc in rows
+        for ab, ac, bc in zip(*kernel.tri)
     )
-    per_cell: list[list[int]] = [[] for _ in cells]
+    per_cell: list[list[int]] = [[] for _ in range(len(pairs) * len(splits))]
     for ci, cons in enumerate(constraints):
         for cell in cons:
             per_cell[cell].append(ci)
-    unanimous_first = TriPartition(n, frozenset(range(n)), frozenset(), frozenset()).code()
-    unanimous_second = TriPartition(n, frozenset(), frozenset(range(n)), frozenset()).code()
-    forced = {}
-    for pair in pairs:
-        forced[cell_index[SearchCell(pair, unanimous_first)]] = 0
-        forced[cell_index[SearchCell(pair, unanimous_second)]] = 1
+    # every voter FIRST is code 0 and every voter SECOND is 1 + 3 + ... + 3**(n-1)
+    unanimous = {pos[0]: 0, pos[(3**n - 1) // 2]: 1}
+    forced = {start + j: s for start in base.values() for j, s in unanimous.items()}
     return SearchProblem(
         m=m,
         n=n,
         domain=domain,
-        cells=cells,
-        partitions=tuple(tris) * len(pairs),
-        cell_index=cell_index,
+        pairs=pairs,
+        splits=splits,
         constraints=constraints,
         cell_constraints=tuple(tuple(v) for v in per_cell),
         forced=forced,
-        supports=_support_table(),
     )
 
 
@@ -173,7 +160,7 @@ def _gac(
     consistent stays reachable (pruning is sound).  Deletions are pushed
     onto `trail` so the caller can restore the exact previous state.
     """
-    constraints, watchers, supports = problem.constraints, problem.cell_constraints, problem.supports
+    constraints, watchers, supports = problem.constraints, problem.cell_constraints, _support_table()
     queued = set(pending)
     queue = list(pending)
     head = 0
@@ -198,41 +185,6 @@ def _gac(
                     queue.append(cj)
                     queued.add(cj)
     return True
-
-
-@dataclass
-class PropagationResult:
-    consistent: bool
-    domains: dict[SearchCell, tuple[PairStance, ...]]
-    conflict: str | None = None
-
-
-def propagate(
-    problem: SearchProblem, assignment: Mapping[SearchCell, PairStance]
-) -> PropagationResult:
-    """Run unanimity forcing plus arc consistency over a partial assignment."""
-    domains = [7] * len(problem.cells)
-    for idx, stance in problem.forced.items():
-        domains[idx] = 1 << stance
-    for cell, stance in assignment.items():
-        idx = problem.cell_index.get(cell)
-        if idx is None:
-            raise ValueError(f"cell {cell} is not part of this problem")
-        bit = 1 << STANCE_CODE[stance]
-        if not domains[idx] & bit:
-            return PropagationResult(
-                False, {}, f"assignment {stance.value} conflicts with unanimity at {cell}"
-            )
-        domains[idx] = bit
-    trail: list[tuple[int, int]] = []
-    ok = _gac(problem, domains, list(range(len(problem.constraints))), trail)
-    if not ok:
-        return PropagationResult(False, {}, "a cell lost every stance during propagation")
-    out = {
-        cell: tuple(STANCES[s] for s in range(3) if domains[i] >> s & 1)
-        for i, cell in enumerate(problem.cells)
-    }
-    return PropagationResult(True, out)
 
 
 @dataclass
@@ -283,12 +235,13 @@ class SearchCertificate:
         return canonical_json(self.to_json_dict())
 
 
-def _rules_from_stances(problem: SearchProblem, stances: bytes) -> PairwiseRuleSwf:
-    rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {
-        pair: {} for pair in unordered_pairs(problem.m)
+def _rules_from_stances(problem: SearchProblem, tris: list[TriPartition], stances: bytes) -> PairwiseRuleSwf:
+    """The rule of one leaf; `tris` are the decoded `problem.splits`, shared by every leaf."""
+    width = len(tris)
+    rules = {
+        pair: dict(zip(tris, map(STANCES.__getitem__, stances[q * width : (q + 1) * width])))
+        for q, pair in enumerate(problem.pairs)
     }
-    for cell, t, s in zip(problem.cells, problem.partitions, stances):
-        rules[cell.pair][t] = STANCES[s]
     return PairwiseRuleSwf(problem.m, problem.n, problem.domain, rules)
 
 
@@ -307,7 +260,7 @@ def search_arrovian(
     raises SearchIncompleteError; a partial result is never returned.
     """
     problem = build_problem(m, n, domain)
-    cell_count = len(problem.cells)
+    cell_count = len(problem.pairs) * len(problem.splits)
     pow3 = [3**i for i in range(cell_count + 1)]
     space = pow3[cell_count]
 
@@ -332,7 +285,7 @@ def search_arrovian(
         while depth >= 0:
             if depth == cell_count:
                 counters["leaves"] += 1
-                leaves.append(bytes([_MASK_TO_STANCE[mask] for mask in domains]))
+                leaves.append(bytes([mask >> 1 for mask in domains]))  # a bound cell's mask is 1 << stance
                 depth -= 1
                 continue
             trail = trails[depth]
@@ -370,9 +323,10 @@ def search_arrovian(
         )
 
     survivors = []
+    tris = [TriPartition.from_code(n, code) for code in problem.splits]
     # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
     for stances in leaves:
-        swf = _rules_from_stances(problem, stances)
+        swf = _rules_from_stances(problem, tris, stances)
         report = full_report(swf)
         if not report.arrovian():
             raise RuntimeError(

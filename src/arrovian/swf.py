@@ -472,35 +472,21 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
 # ---------------------------------------------------------- constructors
 
 
-def _ballot_table(m: int, n: int, domain: Domain, v: int, verdict: Callable[[WeakOrder], WeakOrder]) -> ExplicitSwf:
-    """The table whose verdict is verdict(w) wherever voter v holds w.
-
-    In enumeration order voter v holds each order for a run of
-    k**(n-1-v) profiles, the cycle of runs repeated k**v times.
-    """
-    k, index = domain_kernel(m, n, domain), verdict_index(m)
-    run = len(k.orders) ** (n - 1 - v)
-    row = array("h", [index[verdict(w)] for w in k.orders for _ in range(run)]) * len(k.orders) ** v
-    return ExplicitSwf.from_row(m, n, domain, row)
-
-
 def dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
     """The verdict is voter v's order, ties included."""
-    if not 0 <= v < n:
-        raise ValueError(f"dictator {v} out of range for n={n}")
-    return _ballot_table(m, n, domain, v, lambda w: w)
+    return expand_to_explicit(dictator_rules(v, m, n, domain))
 
 
 def anti_dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
     """The verdict is voter v's order turned upside down."""
     if not 0 <= v < n:
         raise ValueError(f"anti-dictator {v} out of range for n={n}")
-    return _ballot_table(m, n, domain, v, WeakOrder.flipped)
+    return expand_to_explicit(_rule_tables(m, n, domain, lambda pair, t: (v in t.second) - (v in t.first)))
 
 
 def constant_explicit(w: WeakOrder, n: int, domain: Domain) -> ExplicitSwf:
     """The same verdict regardless of the profile."""
-    return _ballot_table(w.m, n, domain, 0, lambda _: w)
+    return expand_to_explicit(constant_rules(w, n, domain))
 
 
 def borda_explicit(m: int, n: int, domain: Domain) -> ExplicitSwf:
@@ -591,6 +577,8 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
 def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
     if alts is None:
         alts = AlternativeSet(swf.m)
+    if alts.m != swf.m:
+        raise ValueError(f"{alts.m} labels for an swf on m={swf.m} alternatives")
     base = {
         "m": swf.m,
         "n": swf.n,
@@ -601,8 +589,7 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
         # Enumeration order is sorted by each ballot's classes, so entries come out sorted by profile.
         orders = enumerate_weak_orders(swf.m)
         text = cache(lambda j: format_weak_order(orders[j], alts))  # one rendering per distinct verdict
-        # Profiles fall back to default labels when alts does not fit them.
-        ballots = [format_weak_order(w, alts if alts.m == swf.m else None) for w in swf.domain.orders(swf.m)]
+        ballots = [format_weak_order(w, alts) for w in swf.domain.orders(swf.m)]
         profiles = product(ballots, repeat=swf.n)
         return {
             "kind": "explicit",

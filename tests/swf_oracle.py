@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from arrovian.arrow_search import SearchCell, SearchProblem
+from arrovian.arrow_search import SearchProblem
 from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
 from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
 from arrovian.relations import (
@@ -203,7 +203,7 @@ def search_constraints(problem: SearchProblem) -> tuple[tuple[int, ...], ...]:
     (a, c) and (b, c)."""
     return tuple(
         tuple(
-            problem.cell_index[SearchCell(pair, pair_partition(f, *pair).code())]
+            problem.pairs.index(pair) * len(problem.splits) + problem.splits.index(pair_partition(f, *pair).code())
             for pair in ((a, b), (a, c), (b, c))
         )
         for f in enumerate_profiles(problem.m, problem.n, problem.domain)

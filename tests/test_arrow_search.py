@@ -13,23 +13,31 @@ from arrovian._util import sha256_hex
 from arrovian.arrow_search import (
     DEFAULT_MAX_NODES,
     MAX_SEARCH_PROFILES,
-    SearchCell,
     SearchIncompleteError,
     _allowed_triples,
+    _gac,
     _support_table,
     build_problem,
-    propagate,
     search_arrovian,
 )
 from arrovian.cli import main
 from arrovian.kernel import STANCE_CODE
-from arrovian.profiles import BudgetExceededError, Domain, TriPartition, pair_partition, profile_from_texts
+from arrovian.profiles import BudgetExceededError, Domain, enumerate_tripartitions, pair_partition, profile_from_texts
 from arrovian.relations import PairStance, enumerate_weak_orders, pair_stance
 from arrovian.swf import dictator_rules, parse_swf_json
 
 
-def cell_for(f, pair):
-    return SearchCell(pair, pair_partition(f, *pair).code())
+def cell_for(p, f, pair):
+    return p.pairs.index(pair) * len(p.splits) + p.splits.index(pair_partition(f, *pair).code())
+
+
+def root_domains(p, assignment=()):
+    """The stance masks after unanimity forcing, the given (cell, stance) pairs
+    and generalized arc consistency over every constraint; None on a wipeout."""
+    domains = [7] * (len(p.pairs) * len(p.splits))
+    for cell, stance in [*p.forced.items(), *assignment]:
+        domains[cell] = 1 << stance
+    return domains if _gac(p, domains, list(range(len(p.constraints))), []) else None
 
 
 # --- problem construction ---------------------------------------------------
@@ -38,26 +46,31 @@ def cell_for(f, pair):
 def test_problem_shapes():
     """One constraint per triangle and three-alternative profile."""
     p = build_problem(3, 2, Domain.LINEAR)
-    assert len(p.cells) == 12  # 3 pairs x 4 tie-free splits
-    assert len(p.forced) == 6
+    assert p.pairs == [(0, 1), (0, 2), (1, 2)]
+    assert p.splits == [0, 1, 3, 4]  # the tie-free splits
+    assert len(p.cell_constraints) == 12  # 3 pairs x 4 tie-free splits
+    assert p.forced == {0: 0, 3: 1, 4: 0, 7: 1, 8: 0, 11: 1}
     assert len(p.constraints) == 36  # 6**2 profiles
 
     p = build_problem(3, 2, Domain.WEAK)
-    assert len(p.cells) == 27  # 3 pairs x 9 splits
+    assert p.splits == list(range(9))
+    assert len(p.cell_constraints) == 27  # 3 pairs x 9 splits
     assert len(p.forced) == 6
     assert len(p.constraints) == 169  # 13**2 profiles
 
     p = build_problem(3, 3, Domain.LINEAR)
-    assert len(p.cells) == 24  # 3 pairs x 8 tie-free splits
+    assert len(p.splits) == 8  # tie-free splits
+    assert len(p.cell_constraints) == 24  # 3 pairs x 8 splits
     assert len(p.forced) == 6
 
     p = build_problem(4, 2, Domain.LINEAR)
-    assert len(p.cells) == 24  # 6 pairs x 4 tie-free splits
+    assert len(p.pairs) == 6
+    assert len(p.cell_constraints) == 24  # 6 pairs x 4 tie-free splits
     assert len(p.forced) == 12
     assert len(p.constraints) == 4 * 36  # 4 triangles
 
     p = build_problem(5, 1, Domain.WEAK)
-    assert len(p.cells) == 30  # 10 pairs x 3 splits
+    assert len(p.cell_constraints) == 30  # 10 pairs x 3 splits
     assert len(p.constraints) == 10 * 13  # 10 triangles
 
 
@@ -94,7 +107,7 @@ def test_every_profile_constraint_touches_three_cells():
         assert len(runs) == len(list(combinations(range(m), 3)))
         for (a, b, c), run in zip(combinations(range(m), 3), runs):
             for cons in run:
-                assert [p.cells[cell].pair for cell in cons] == [(a, b), (a, c), (b, c)]
+                assert [p.pairs[cell // len(p.splits)] for cell in cons] == [(a, b), (a, c), (b, c)]
 
 
 @pytest.mark.parametrize(
@@ -104,8 +117,7 @@ def test_every_profile_constraint_touches_three_cells():
 def test_constraints_match_the_profile_objects(n, domain):
     p = build_problem(3, n, domain)
     assert p.constraints == oracle.search_constraints(p)
-    assert [t.code() for t in p.partitions] == [cell.code for cell in p.cells]
-    assert all(t.n == n for t in p.partitions)
+    assert p.splits == [t.code() for t in enumerate_tripartitions(n, domain)]
 
 
 @pytest.mark.parametrize("n,domain", [(2, Domain.LINEAR), (1, Domain.WEAK), (2, Domain.WEAK)])
@@ -133,50 +145,23 @@ def test_support_table_matches_the_thirteen_triples():
 
 def test_propagate_empty_assignment_only_unanimity_binds():
     p = build_problem(3, 2, Domain.LINEAR)
-    res = propagate(p, {})
-    assert res.consistent
-    for i, cell in enumerate(p.cells):
-        stances = res.domains[cell]
-        if i in p.forced:
-            assert stances == (
-                (PairStance.FIRST_PREFERRED,)
-                if p.forced[i] == 0
-                else (PairStance.SECOND_PREFERRED,)
-            )
-        else:
-            assert len(stances) == 3
-
-
-def test_propagate_detects_unanimity_conflict():
-    p = build_problem(3, 2, Domain.LINEAR)
-    f = profile_from_texts(["A>B>C", "A>B>C"])
-    res = propagate(p, {cell_for(f, (0, 1)): PairStance.SECOND_PREFERRED})
-    assert not res.consistent
-    assert "unanimity" in res.conflict
+    domains = root_domains(p)
+    for cell, mask in enumerate(domains):
+        assert mask == (1 << p.forced[cell] if cell in p.forced else 7)
 
 
 def test_propagate_forces_transitive_closure():
     """FIRST on (A,B) with unanimous (B,C) forces FIRST on (A,C)."""
     p = build_problem(3, 2, Domain.LINEAR)
     f = profile_from_texts(["A>B>C", "B>C>A"])
-    res = propagate(p, {cell_for(f, (0, 1)): PairStance.FIRST_PREFERRED})
-    assert res.consistent
-    assert res.domains[cell_for(f, (0, 2))] == (PairStance.FIRST_PREFERRED,)
-
-
-def test_propagate_rejects_foreign_cell():
-    p = build_problem(3, 2, Domain.LINEAR)
-    tie = TriPartition(2, frozenset(), frozenset(), frozenset({0, 1})).code()
-    with pytest.raises(ValueError, match="not part of this problem"):
-        propagate(p, {SearchCell((0, 1), tie): PairStance.INDIFFERENT})
+    domains = root_domains(p, [(cell_for(p, f, (0, 1)), STANCE_CODE[PairStance.FIRST_PREFERRED])])
+    assert domains[cell_for(p, f, (0, 2))] == 1 << STANCE_CODE[PairStance.FIRST_PREFERRED]
 
 
 def test_fully_forced_single_voter_problem():
     p = build_problem(3, 1, Domain.LINEAR)
-    assert len(p.forced) == len(p.cells) == 6
-    res = propagate(p, {})
-    assert res.consistent
-    assert all(len(v) == 1 for v in res.domains.values())
+    assert len(p.forced) == len(p.cell_constraints) == 6
+    assert all(mask in (1, 2, 4) for mask in root_domains(p))
 
 
 # --- the search -----------------------------------------------------------------
@@ -284,10 +269,12 @@ def test_node_budget():
 
 
 def test_progress_callback_sees_counters():
+    """A report every 100,000 nodes: exactly one before the budget stops the search."""
     seen = []
-    search_arrovian(3, 2, Domain.LINEAR, progress=seen.append)
-    # the quick search stays under the reporting interval
-    assert seen == [] or all("nodes" in d for d in seen)
+    with pytest.raises(SearchIncompleteError):
+        search_arrovian(3, 3, Domain.WEAK, max_nodes=100_000, progress=seen.append)
+    assert len(seen) == 1
+    assert seen[0]["nodes"] == 100_000
 
 
 # --- certificates ------------------------------------------------------------------

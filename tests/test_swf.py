@@ -345,6 +345,21 @@ def test_pairwise_json_round_trip():
     assert parsed.rules == swf.rules
 
 
+@pytest.mark.parametrize(
+    "swf",
+    [
+        majority_rules(3, 2, Domain.LINEAR),
+        dictator_explicit(0, 3, 2, Domain.LINEAR),
+        ExplicitSwf(3, 2, Domain.LINEAR, {}),
+    ],
+    ids=["pairwise", "explicit", "empty-explicit"],
+)
+def test_swf_json_refuses_labels_for_other_m(swf):
+    """A label set that does not fit the SWF would give a document its own parser refuses."""
+    with pytest.raises(ValueError, match="4 labels for an swf on m=3 alternatives"):
+        swf_to_json_dict(swf, AlternativeSet(4))
+
+
 def test_swf_json_is_deterministic():
     a = json.dumps(swf_to_json_dict(dictator_explicit(0, 3, 2, Domain.WEAK)), sort_keys=True)
     b = json.dumps(swf_to_json_dict(dictator_explicit(0, 3, 2, Domain.WEAK)), sort_keys=True)
