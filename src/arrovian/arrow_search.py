@@ -47,8 +47,8 @@ from itertools import combinations
 from typing import Callable
 
 from ._util import canonical_json
-from .kernel import STANCES, domain_kernel
-from .profiles import BudgetExceededError, Domain, TriPartition, check_profile_space, domain_size
+from .kernel import domain_kernel
+from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
@@ -235,16 +235,6 @@ class SearchCertificate:
         return canonical_json(self.to_json_dict())
 
 
-def _rules_from_stances(problem: SearchProblem, tris: list[TriPartition], stances: bytes) -> PairwiseRuleSwf:
-    """The rule of one leaf; `tris` are the decoded `problem.splits`, shared by every leaf."""
-    width = len(tris)
-    rules = {
-        pair: dict(zip(tris, map(STANCES.__getitem__, stances[q * width : (q + 1) * width])))
-        for q, pair in enumerate(problem.pairs)
-    }
-    return PairwiseRuleSwf(problem.m, problem.n, problem.domain, rules)
-
-
 def search_arrovian(
     m: int,
     n: int,
@@ -323,10 +313,12 @@ def search_arrovian(
         )
 
     survivors = []
-    tris = [TriPartition.from_code(n, code) for code in problem.splits]
+    width = len(problem.splits)
     # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
     for stances in leaves:
-        swf = _rules_from_stances(problem, tris, stances)
+        # Pair q's cells start at q * width; zip stops after the width of them.
+        tables ={pair: dict(zip(problem.splits, stances[q * width :])) for q, pair in enumerate(problem.pairs)}
+        swf = PairwiseRuleSwf.from_tables(m, n, domain, tables)
         report = full_report(swf)
         if not report.arrovian():
             raise RuntimeError(

@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .profiles import Domain, Profile, check_profile_space
 from .relations import (
@@ -205,6 +205,12 @@ def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
                 break
             hit &= rows[v]
         yield hit
+
+
+def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
+    """Per pair of `k.canonical`, its table (split code to stance code) read at each profile, MISSING where none."""
+    fill = dict.fromkeys(k.splits, MISSING)
+    return [tuple(map({**fill, **table}.__getitem__, tri)) for tri, table in zip(k.tri, tables)]
 
 
 def first_profile(hit: int) -> int:

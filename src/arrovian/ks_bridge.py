@@ -29,6 +29,7 @@ from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafi
 from .profiles import Domain, TriPartition
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel, overruled, overruled_by,
+    split_columns,
 )
 from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
@@ -101,7 +102,7 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
         return SECOND if reverse else TIE
 
     table = {t: code(TriPartition.from_code(n, t)) for t in k.splits}
-    cols = [tuple(map(table.__getitem__, tri)) for tri in k.tri]
+    cols = split_columns(k, [table] * len(k.canonical))
     row = compose_rows(k, cols)
     if ABSENT in row:
         codes = tuple(col[row.index(ABSENT)] for col in cols)

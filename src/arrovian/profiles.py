@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
@@ -133,6 +134,7 @@ class TriPartition:
         return self._code
 
     @classmethod
+    @lru_cache(maxsize=4096)  # immutable, so shared: the JSON writer and `rules` views decode a code once
     def from_code(cls, n: int, code: int) -> "TriPartition":
         if not 0 <= code < 3**n:
             raise ValueError(f"code {code} out of range for n={n}")
@@ -166,13 +168,6 @@ def pair_partition(f: Profile, x: int, y: int) -> TriPartition:
         else:
             tie.append(v)
     return TriPartition(f.n, frozenset(first), frozenset(second), frozenset(tie))
-
-
-def agrees_on_pair(f: Profile, g: Profile, x: int, y: int) -> bool:
-    """True when every voter takes the same stance on (x, y) in f and g."""
-    if f.n != g.n or f.m != g.m:
-        raise ValueError("profiles must share voters and alternatives")
-    return all(f.stance(v, x, y) is g.stance(v, x, y) for v in range(f.n))
 
 
 def pairwise_majority(f: Profile) -> BinaryRelation:

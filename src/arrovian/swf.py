@@ -7,9 +7,10 @@ Two representations are used side by side:
   order; `verdict(f)` and the read-only `verdicts` mapping are views
   that build `Profile` and `WeakOrder` objects on demand.
 * `PairwiseRuleSwf`: per pair of alternatives, a map from the voters'
-  tri-partition on that pair to a verdict stance.  This is exactly the
-  shape forced by the independence axiom, so independence holds for it
-  by construction; whether the per-pair stances assemble into a valid
+  tri-partition code on that pair to a verdict stance code; `rules` is
+  the same as `TriPartition` and `PairStance` objects.  This is exactly
+  the shape forced by the independence axiom, so independence holds for
+  it by construction; whether the per-pair stances assemble into a valid
   weak order on every profile is a separate question, answered by
   `assemble` (a `CompositionFailure` is an answer, not a fault).
 
@@ -67,7 +68,7 @@ from .profiles import (
 )
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
-    first_profile, overruled, overruled_by, verdict_codes, verdict_index,
+    first_profile, overruled, overruled_by, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -145,19 +146,39 @@ def _filled(k: DomainKernel, cells: dict[int, int]) -> array:
     return row
 
 
-@dataclass(eq=False)
 class PairwiseRuleSwf:
     """Per-pair verdict rules keyed by the voters' tri-partition.
 
-    `rules` maps each canonical pair (x, y), x < y, to a map from
-    TriPartition (whose `first` part holds the voters preferring x) to
-    the verdict stance on (x, y).
+    `tables` maps each canonical pair (x, y), x < y, to a map from tri-partition code (voters
+    preferring x first) to the stance code of the verdict on (x, y); no entry means no rule.
+    Producers in this package write it through `from_tables`; the constructor takes
+    `TriPartition`-to-`PairStance` maps and drops the pairs and splits outside the domain,
+    which no check reads.  `rules` is `tables` as such maps, read-only, built on first use.
     """
 
-    m: int
-    n: int
-    domain: Domain
-    rules: dict[tuple[int, int], dict[TriPartition, PairStance]]
+    def __init__(
+        self, m: int, n: int, domain: Domain, rules: Mapping[tuple[int, int], Mapping[TriPartition, PairStance]]
+    ):
+        pairs, linear = unordered_pairs(m), domain is Domain.LINEAR
+        tables = {
+            pair: {t.code(): STANCE_CODE[s] for t, s in table.items() if t.n == n and not (linear and t.tie)}
+            for pair, table in rules.items()
+            if pair in pairs
+        }
+        self.m, self.n, self.domain, self.tables = m, n, domain, tables
+
+    @classmethod
+    def from_tables(cls, m: int, n: int, domain: Domain, tables: dict[tuple[int, int], dict]) -> PairwiseRuleSwf:
+        swf = cls.__new__(cls)
+        swf.m, swf.n, swf.domain, swf.tables = m, n, domain, tables
+        return swf
+
+    @cached_property
+    def rules(self) -> Mapping[tuple[int, int], Mapping[TriPartition, PairStance]]:
+        return MappingProxyType({
+            pair: MappingProxyType({TriPartition.from_code(self.n, t): STANCES[s] for t, s in sorted(table.items())})
+            for pair, table in self.tables.items()
+        })
 
     def domain_profiles(self) -> list[Profile]:
         return list(enumerate_profiles(self.m, self.n, self.domain))
@@ -166,14 +187,12 @@ class PairwiseRuleSwf:
         x, y = pair
         if x >= y:
             raise ValueError(f"pair {pair} is not canonical (need x < y)")
-        try:
-            table = self.rules[pair]
-        except KeyError:
-            raise LookupError(f"no rule table for pair {pair}") from None
-        try:
-            return table[t]
-        except KeyError:
-            raise LookupError(f"no rule for pair {pair} at tri-partition code {t.code()}") from None
+        if pair not in self.tables:
+            raise LookupError(f"no rule table for pair {pair}")
+        s = self.tables[pair].get(t.code()) if t.n == self.n else None
+        if s is None:
+            raise LookupError(f"no rule for pair {pair} at tri-partition code {t.code()}")
+        return STANCES[s]
 
     def stance(self, f: Profile, x: int, y: int) -> PairStance:
         if x < y:
@@ -195,14 +214,7 @@ class PairwiseRuleSwf:
 
     def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
         """Per pair of `k.canonical`, the rule's stance code on each profile."""
-        cols = []
-        for pair, tri in zip(k.canonical, k.tri):
-            table = dict.fromkeys(k.splits, MISSING)  # by tri-partition code
-            for t, s in self.rules.get(pair, {}).items():
-                if t.n == self.n:
-                    table[t.code()] = STANCE_CODE[s]
-            cols.append(tuple(map(table.__getitem__, tri)))
-        return cols
+        return split_columns(k, [self.tables.get(pair, {}) for pair in k.canonical])
 
     def describe(self) -> str:
         return f"pairwise-rule swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -509,11 +521,11 @@ def _rule_tables(
     """The rule whose stance on pair (x, y), x < y, at split t is the sign of margin((x, y), t)."""
     tris = enumerate_tripartitions(n, domain)
 
-    def stance(d: int) -> PairStance:
-        return STANCES[FIRST if d > 0 else SECOND if d < 0 else TIE]
+    def stance(d: int) -> int:
+        return FIRST if d > 0 else SECOND if d < 0 else TIE
 
-    rules = {pair: {t: stance(margin(pair, t)) for t in tris} for pair in unordered_pairs(m)}
-    return PairwiseRuleSwf(m, n, domain, rules)
+    tables = {pair: {t.code(): stance(margin(pair, t)) for t in tris} for pair in unordered_pairs(m)}
+    return PairwiseRuleSwf.from_tables(m, n, domain, tables)
 
 
 def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
@@ -554,21 +566,18 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     the verdict stance, i.e. when independence fails.
     """
     k, cols = _kernel_columns(swf)
-    tables = list(_tri_groups(k, cols))
-    stops = [(i, q) for q, (_, i) in enumerate(tables) if i is not None]
+    groups = list(_tri_groups(k, cols))
+    stops = [(i, q) for q, (_, i) in enumerate(groups) if i is not None]
     if stops:
         i, q = min(stops)
         pair, t, s = k.canonical[q], k.tri[q][i], cols[q][i]
         _profile_at(swf, k, i, pair, s)
         raise ValueError(
             f"independence fails on pair {pair}: tri-partition code {t} "
-            f"maps to both {STANCES[tables[q][0][t]].value} and {STANCES[s].value}"
+            f"maps to both {STANCES[groups[q][0][t]].value} and {STANCES[s].value}"
         )
-    rules = {
-        pair: {TriPartition.from_code(k.n, t): STANCES[s] for t, s in seen.items()}
-        for pair, (seen, _) in zip(k.canonical, tables)
-    }
-    return PairwiseRuleSwf(swf.m, swf.n, swf.domain, rules)
+    tables = {pair: seen for pair, (seen, _) in zip(k.canonical, groups)}
+    return PairwiseRuleSwf.from_tables(swf.m, swf.n, swf.domain, tables)
 
 
 # ------------------------------------------------------------------ JSON
@@ -596,15 +605,11 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
             **base,
             "entries": [[list(f), text(j)] for f, j in zip(profiles, swf.row) if j != ABSENT],
         }
-    lists = cache(TriPartition.to_json_lists)  # one rendering per distinct tri-partition
-    rules_json = {}
-    for pair in sorted(swf.rules):
-        key = f"{alts.label(pair[0])},{alts.label(pair[1])}"
-        table = swf.rules[pair]
-        rules_json[key] = [
-            [lists(t), table[t].value]
-            for t in sorted(table, key=TriPartition.code)
-        ]
+    lists = cache(lambda t: TriPartition.from_code(swf.n, t).to_json_lists())  # one rendering per distinct code
+    rules_json = {
+        f"{alts.label(x)},{alts.label(y)}": [[lists(t), STANCES[s].value] for t, s in sorted(table.items())]
+        for (x, y), table in sorted(swf.tables.items())
+    }
     return {"kind": "pairwise", **base, "rules": rules_json}
 
 
@@ -677,7 +682,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     rules_json = obj.get("rules")
     if not isinstance(rules_json, dict):
         raise SwfFormatError("rules must be an object keyed by pair")
-    rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {}
+    tables: dict[tuple[int, int], dict[int, int]] = {}
     for key, cells in rules_json.items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -690,7 +695,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             raise SwfFormatError(f"rules key {key!r}: pair must be canonical (x before y)")
         if not isinstance(cells, list):
             raise SwfFormatError(f"rules[{key!r}] must be a list of [tri-partition, stance]")
-        table: dict[TriPartition, PairStance] = {}
+        table: dict[int, int] = {}  # tri-partition code to stance code
         for i, cell in enumerate(cells):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise SwfFormatError(f"rules[{key!r}][{i}]: expected [tri-partition, stance]")
@@ -702,8 +707,8 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
             if t.tie and domain is Domain.LINEAR:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
-            if t in table:
+            if t.code() in table:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: duplicate tri-partition")
-            table[t] = s
-        rules[(x, y)] = table
-    return PairwiseRuleSwf(m, n, domain, rules), alts
+            table[t.code()] = STANCE_CODE[s]
+        tables[(x, y)] = table
+    return PairwiseRuleSwf.from_tables(m, n, domain, tables), alts

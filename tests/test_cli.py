@@ -12,6 +12,7 @@ from arrovian.profiles import Domain, TriPartition
 from arrovian.relations import WeakOrder
 from arrovian.swf import (
     ExplicitSwf,
+    PairwiseRuleSwf,
     borda_explicit,
     constant_explicit,
     constant_rules,
@@ -352,9 +353,10 @@ def _pinned_document(name: str):
         full = dictator_explicit(1, 3, 2, Domain.LINEAR)
         return ExplicitSwf(3, 2, Domain.LINEAR, dict(list(full.verdicts.items())[1:]))
     if name == "partial rules":
-        swf = dictator_rules(1, 3, 2, Domain.WEAK)
-        del swf.rules[(0, 1)][TriPartition.from_code(2, 0)]
-        return swf
+        # The dictator's rules without the cell of pair (A, B) at tri-partition code 0.
+        rules = {pair: dict(table) for pair, table in dictator_rules(1, 3, 2, Domain.WEAK).rules.items()}
+        del rules[(0, 1)][TriPartition.from_code(2, 0)]
+        return PairwiseRuleSwf(3, 2, Domain.WEAK, rules)
     kind, m, n, domain = name.split()
     m, n, domain = int(m), int(n), Domain(domain)
     tied = WeakOrder(((1,), tuple(x for x in range(m) if x != 1)))

@@ -3,8 +3,6 @@
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from arrovian.profiles import (
     PROFILE_BUDGET_DEFAULT,
@@ -13,7 +11,6 @@ from arrovian.profiles import (
     Profile,
     ProfileFormatError,
     TriPartition,
-    agrees_on_pair,
     check_profile_space,
     condorcet_profile,
     domain_size,
@@ -115,25 +112,6 @@ def test_pair_partition_agrees_with_stances():
                 PairStance.INDIFFERENT: t.tie,
             }[f.stance(v, x, y)]
             assert v in expected
-
-
-@given(st.data())
-def test_agrees_on_pair_iff_same_partition(data):
-    from arrovian.relations import enumerate_weak_orders
-
-    orders = enumerate_weak_orders(3)
-    n = data.draw(st.integers(1, 3))
-    f = Profile(tuple(data.draw(st.sampled_from(orders)) for _ in range(n)))
-    g = Profile(tuple(data.draw(st.sampled_from(orders)) for _ in range(n)))
-    x = data.draw(st.integers(0, 2))
-    y = data.draw(st.integers(0, 2).filter(lambda v: v != x))
-    same = pair_partition(f, x, y) == pair_partition(g, x, y)
-    assert agrees_on_pair(f, g, x, y) == same
-
-
-def test_agrees_on_pair_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        agrees_on_pair(texts("A>B"), texts("A>B", "B>A"), 0, 1)
 
 
 # --- majority -----------------------------------------------------------------

@@ -15,6 +15,7 @@ from arrovian.profiles import (
     ProfileFormatError,
     TriPartition,
     enumerate_profiles,
+    enumerate_tripartitions,
     pair_partition,
     parse_profile_json,
     profile_from_texts,
@@ -89,6 +90,8 @@ def test_rule_stance_errors():
     tie = TriPartition(2, frozenset(), frozenset(), frozenset({0, 1}))
     with pytest.raises(LookupError, match="no rule for pair"):
         swf.rule_stance((0, 1), tie)
+    with pytest.raises(LookupError, match=r"^no rule for pair \(0, 1\) at tri-partition code 0$"):
+        swf.rule_stance((0, 1), TriPartition.from_code(3, 0))
 
 
 def test_explicit_verdict_lookup_error():
@@ -335,6 +338,32 @@ def test_explicit_json_round_trip_on_partial_tables(swf, labelled):
     assert canonical_json(swf_to_json_dict(parsed, parsed_alts)) == text
 
 
+@st.composite
+def partial_rules(draw):
+    """A random partial pairwise table: some pairs without a table, some splits without a rule."""
+    m, n, domain = draw(st.sampled_from([(3, 2, Domain.LINEAR), (3, 2, Domain.WEAK), (2, 3, Domain.WEAK)]))
+    stances = st.sampled_from(list(PairStance))
+    tris = enumerate_tripartitions(n, domain)
+    rules = {
+        pair: {t: draw(stances) for t in tris if draw(st.booleans())}
+        for pair in unordered_pairs(m)
+        if draw(st.booleans())
+    }
+    return PairwiseRuleSwf(m, n, domain, rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_rules(), st.booleans())
+def test_pairwise_json_round_trip_on_partial_tables(swf, labelled):
+    alts = AlternativeSet(swf.m, ("P", "Q", "R")[: swf.m]) if labelled else AlternativeSet(swf.m)
+    text = canonical_json(swf_to_json_dict(swf, alts))
+    parsed, parsed_alts = parse_swf_json(text)
+    assert parsed.rules == swf.rules
+    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)) == text
+    with pytest.raises(TypeError):
+        parsed.rules[(0, 1)] = {}
+
+
 def test_pairwise_json_round_trip():
     swf = majority_rules(3, 2, Domain.WEAK)
     doc = swf_to_json_dict(swf)
@@ -467,6 +496,18 @@ def test_pairwise_json_refuses_a_tri_partition_outside_the_domain():
     with pytest.raises(SwfFormatError, match=r"^rules\['A,B'\]\[4\]: tri-partition outside the linear domain$"):
         parse_swf_json(doc)
     assert len(parse_swf_json({**doc, "domain": "weak"})[0].rules[(0, 1)]) == 5
+
+
+def test_pairwise_rules_outside_the_domain_are_dropped():
+    """A cell the audit never reads would give a document its own parser refuses."""
+    rules = {pair: dict(table) for pair, table in dictator_rules(0, 3, 2, Domain.LINEAR).rules.items()}
+    rules[(0, 1)][TriPartition(2, frozenset({0}), frozenset(), frozenset({1}))] = PairStance.SECOND_PREFERRED
+    rules[(0, 2)][TriPartition.from_code(3, 0)] = PairStance.FIRST_PREFERRED
+    rules[(1, 3)] = {}
+    swf = PairwiseRuleSwf(3, 2, Domain.LINEAR, rules)
+    assert swf.rules == dictator_rules(0, 3, 2, Domain.LINEAR).rules
+    parsed, _ = parse_swf_json(canonical_json(swf_to_json_dict(swf)))
+    assert parsed.rules == swf.rules
 
 
 def test_verdict_of_weak_order_constructor():
