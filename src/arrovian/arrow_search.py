@@ -41,13 +41,13 @@ sorted keys, so two runs produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable
 
-from ._util import canonical_json
-from .kernel import domain_kernel
+from ._util import _quote, _render, canonical_json
+from .kernel import STANCES, domain_kernel
 from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
@@ -232,7 +232,30 @@ class SearchCertificate:
         }
 
     def to_json_text(self) -> str:
-        return canonical_json(self.to_json_dict())
+        """`canonical_json(self.to_json_dict())`, from a template of the first survivor with a slot
+        for the dictator and for each pair's rule list, each distinct list rendered once.
+        `survivors` is the last key, so the survivors end the text."""
+        if not self.survivors:
+            return canonical_json(self.to_json_dict())
+        doc = replace(self, survivors=self.survivors[:1]).to_json_dict()
+        (template,) = doc["survivors"]
+        rules = template["rules"]["rules"]
+        labels = list(rules)  # in pair order
+        inner = "\n" + 12 * " "  # a pair's list sits five levels deep, its entries six
+        entry = [[_render([split, STANCES[s].value], inner) for s in range(3)] for split, _ in rules[labels[0]]]
+        pair_text = cache(lambda cut: ("," + inner).join([e[s] for e, s in zip(entry, cut)]))
+        template["dictator"], template["rules"]["rules"] = "\0", dict.fromkeys(labels, ["\0"])
+        doc.update(survivor_count=len(self.survivors), survivors=["\0"])
+        head, tail = canonical_json(doc).split(_quote("\0"))
+        first, *pieces = _render(template, "\n    ").split(_quote("\0"))  # survivors sit two levels deep
+        width = len(entry)
+        slots = [(labels.index(key) * width, piece) for key, piece in zip(sorted(labels), pieces)]
+        out = []
+        for rec in self.survivors:
+            out += (pieces[-1] + ",\n    " if out else head, first, _render(rec.dictator, ""))
+            for start, piece in slots:
+                out += (piece, pair_text(rec.stances[start : start + width]))
+        return "".join(out) + pieces[-1] + tail
 
 
 def search_arrovian(
@@ -245,10 +268,12 @@ def search_arrovian(
     """Exhaust the rule space of (m, n, domain) and certify the survivors.
 
     Any 3 <= m <= MAX_ALTERNATIVES and any n whose domain fits both the
-    profile budget and MAX_SEARCH_PROFILES is accepted (ValueError
-    otherwise, before anything is built).  Running out of `max_nodes`
-    raises SearchIncompleteError; a partial result is never returned.
+    profile budget and MAX_SEARCH_PROFILES is accepted, with max_nodes >= 1
+    (ValueError otherwise, before anything is built).  Running out of
+    `max_nodes` raises SearchIncompleteError; no partial result is returned.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     problem = build_problem(m, n, domain)
     cell_count = len(problem.pairs) * len(problem.splits)
     pow3 = [3**i for i in range(cell_count + 1)]

@@ -18,10 +18,10 @@ of the five axioms always fails, which is the point of the exercise.
 
 Every run prints one manifest line to stderr recording the command, its
 parameters, a sha256 digest of each input and output (stdout included),
-the wall time, and the seed where one is used.  Stdout for a given
-command line and seed is byte-stable, so the digests make any published
-number regenerable by a single command.  JSON documents carry a
-versioned "schema" key of the form "arrovian/<kind>/v1".
+the wall time, per-phase times and the seed where one is used.  Stdout
+for a given command line and seed is byte-stable, so the digests make
+any published number regenerable by a single command.  JSON documents
+carry a versioned "schema" key of the form "arrovian/<kind>/v1".
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class RunContext:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
+    phases: dict[str, float] = field(default_factory=dict)
     _parts: list[str] = field(default_factory=list)
 
     def say(self, text: str) -> None:
@@ -122,6 +123,7 @@ class RunContext:
             "outputs": self.outputs,
             "wall_time_s": round(wall_time_s, 6),
             "seed": self.seed,
+            "phases": {name: round(s, 6) for name, s in self.phases.items()},
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -399,11 +401,14 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> int:
         domain = Domain.from_name(args.domain)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    start = time.perf_counter()
     try:
         cert = search_arrovian(args.alternatives, args.voters, domain, max_nodes=args.max_nodes)
     except (ValueError, SearchIncompleteError) as exc:
         raise CliError(str(exc)) from None
+    searched = time.perf_counter()
     text = cert.to_json_text() if args.certificate or args.json else None
+    ctx.phases = {"search_s": searched - start, "render_s": 0.0 if text is None else time.perf_counter() - searched}
     if args.certificate:
         ctx.write_text(args.certificate, text)
     non_dictatorial = [i for i, rec in enumerate(cert.survivors) if rec.dictator is None]

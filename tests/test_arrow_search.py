@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 
 import swf_oracle as oracle
-from arrovian._util import sha256_hex
+from arrovian._util import canonical_json, sha256_hex
 from arrovian.arrow_search import (
     DEFAULT_MAX_NODES,
     MAX_SEARCH_PROFILES,
@@ -268,6 +268,16 @@ def test_node_budget():
         search_arrovian(3, 3, Domain.WEAK, max_nodes=2000)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_below_one_is_refused_up_front(budget):
+    message = f"max_nodes must be at least 1, got {budget}"
+    with pytest.raises(ValueError, match=message):
+        search_arrovian(3, 2, Domain.LINEAR, max_nodes=budget)
+    # before the size checks, which would refuse this domain
+    with pytest.raises(ValueError, match=message):
+        search_arrovian(3, 40, Domain.WEAK, max_nodes=budget)
+
+
 def test_progress_callback_sees_counters():
     """A report every 100,000 nodes: exactly one before the budget stops the search."""
     seen = []
@@ -299,6 +309,35 @@ def test_certificate_contents():
     json.loads(cert.to_json_text())  # well-formed
 
 
+# (m, n, domain): (nodes, leaves, pruned events) of the search
+RENDERED = {
+    (3, 2, "linear"): (66, 2, 43),
+    (3, 3, "linear"): (201, 3, 132),
+    (3, 4, "linear"): (546, 4, 361),
+    (3, 1, "weak"): (117, 13, 66),
+    (3, 2, "weak"): (9444, 366, 5931),
+    (4, 1, "weak"): (1242, 75, 754),
+    (4, 3, "linear"): (417, 3, 276),
+    (5, 1, "weak"): (13446, 541, 8424),
+    (5, 2, "linear"): (234, 2, 155),
+}
+
+
+@pytest.mark.parametrize("m, n, domain", RENDERED)
+def test_certificate_text_is_the_rendered_dict(m, n, domain):
+    """The fragment renderer writes exactly the canonical JSON of the data view."""
+    cert = search_arrovian(m, n, Domain.from_name(domain))
+    assert (cert.nodes, cert.explored_leaves, cert.pruned_events) == RENDERED[m, n, domain]
+    assert cert.to_json_text() == canonical_json(cert.to_json_dict())
+
+
+def test_certificate_text_without_survivors():
+    cert = search_arrovian(3, 1, Domain.LINEAR)
+    cert.survivors = []
+    assert cert.to_json_text() == canonical_json(cert.to_json_dict())
+    assert json.loads(cert.to_json_text())["survivors"] == []
+
+
 # sha256 of (certificate, stdout) per arrow-search command, run from the
 # certificate's directory; the same digests as perfbench/pins.json.
 PINNED = {
@@ -325,3 +364,19 @@ def test_search_output_bytes_are_pinned(args, tmp_path, monkeypatch, capsys):
     certificate, stdout = PINNED[args]
     assert sha256_hex(capsys.readouterr().out) == stdout
     assert sha256_hex((tmp_path / argv[-1]).read_bytes()) == certificate
+
+
+# certificate sha256 per arrow-search command, beyond m=3
+PINNED_CERTIFICATES = {
+    "--alternatives 4 --voters 1 --domain weak": "a8c7fa5aa8601d549bfbe5936c7737585abbb8087b7473c9e78ba073bfd894ab",
+    "--alternatives 5 --voters 1 --domain weak": "944c61156807a00a0b7193d6800986a9d2362d38bf79cbc9e2286e9649150cbc",
+    "--alternatives 4 --voters 3 --domain linear": "523779c943c3f40ad31e0f43f4f2b8d1dac1c650d513135e214328219fbd19ef",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_CERTIFICATES)
+def test_larger_certificates_are_pinned(args, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["arrow-search", *args.split(), "--certificate", str(path)]) == 0
+    capsys.readouterr()
+    assert sha256_hex(path.read_bytes()) == PINNED_CERTIFICATES[args]

@@ -476,12 +476,26 @@ def test_search_json_matches_certificate_file(capsys, tmp_path):
         capsys,
         "arrow-search",
         "--voters", "2",
-        "--domain", "linear",
+        "--domain", "weak",
         "--certificate", str(cert_path),
         "--json",
     )
     assert code == 0
-    assert out.rstrip("\n") == cert_path.read_text().rstrip("\n")
+    assert out.encode("utf-8") == cert_path.read_bytes()
+
+
+@pytest.mark.parametrize("render", [[], ["--json"]])
+def test_search_manifest_reports_phase_times(capsys, render):
+    code, out, manifest, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear", *render)
+    assert code == 0
+    phases = manifest["phases"]
+    assert sorted(phases) == ["render_s", "search_s"]
+    assert all(isinstance(s, float) and s >= 0 for s in phases.values())
+    assert phases["search_s"] <= manifest["wall_time_s"]
+    if not render:
+        assert phases["render_s"] == 0.0
+    # other commands report no phases yet
+    assert run(capsys, "orders", "-m", "3")[2]["phases"] == {}
 
 
 SEARCH_REFUSALS = [
@@ -492,6 +506,8 @@ SEARCH_REFUSALS = [
     ("--alternatives 5 --voters 4", "domain holds 207360000 profiles, over the budget of 10000000"),
     ("--voters 7", "domain holds 279936 profiles, over the search limit of 100000"),
     ("--voters 2 --max-nodes 5", "node budget 5 exhausted with the space not yet covered"),
+    ("--voters 2 --max-nodes 0", "max_nodes must be at least 1, got 0"),
+    ("--voters 2 --max-nodes -5", "max_nodes must be at least 1, got -5"),
 ]
 
 
