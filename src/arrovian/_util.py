@@ -1,10 +1,11 @@
-"""Small shared helpers for deterministic serialization."""
+"""Small shared helpers for deterministic serialization and JSON input."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator
 
 # A value that is not a container (None, bool, int, float, str), written as
 # json.dumps writes it; other types raise json.dumps's TypeError.
@@ -51,25 +52,43 @@ def _render(o, nl: str) -> str:
     return _scalar(o)
 
 
-def load_json(text: str):
-    """json.loads, where every failure to decode is a ValueError.
+class FormatError(ValueError):
+    """An input document failed to decode or validate; `location` says where, when known."""
 
-    json.JSONDecodeError passes through, with its position.  Nesting deeper
-    than the interpreter's recursion limit, and an integer literal longer
-    than the interpreter converts, have none; they are raised as a plain
-    ValueError that says which.
+    def __init__(self, message: str, location: str | None = None):
+        self.location = location
+        super().__init__(message if location is None else f"{location}: {message}")
+
+
+def load_object(data: str | dict, error: type[FormatError], kind: str) -> dict:
+    """The JSON object in `data`, which is text or an already-decoded value.
+
+    Every defect raises `error`: a syntax error with its line and column as
+    `location`; nesting deeper than the interpreter's recursion limit, or
+    an integer literal longer than it converts, saying which; and any value
+    other than an object as "<kind> document must be a JSON object".
     """
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON: {str(exc).split(';')[0]}") from None
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}") from None
+        except RecursionError:
+            raise error("invalid JSON: nested too deeply") from None
+        except ValueError as exc:
+            raise error(f"invalid JSON: {str(exc).split(';')[0]}") from None
+    if not isinstance(data, dict):
+        raise error(f"{kind} document must be a JSON object")
+    return data
+
+
+def slices(data: bytes | str) -> Iterator[bytes | str]:
+    """data in consecutive slices of 2**20 items, so that encoding text one slice at a time never copies all of it."""
+    return (data[i : i + (1 << 20)] for i in range(0, len(data), 1 << 20))
 
 
 def sha256_hex(data: bytes | str) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+    h = hashlib.sha256()
+    for piece in slices(data):
+        h.update(piece.encode("utf-8") if isinstance(piece, str) else piece)
+    return h.hexdigest()

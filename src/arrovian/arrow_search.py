@@ -255,7 +255,8 @@ class SearchCertificate:
             out += (pieces[-1] + ",\n    " if out else head, first, _render(rec.dictator, ""))
             for start, piece in slots:
                 out += (piece, pair_text(rec.stances[start : start + width]))
-        return "".join(out) + pieces[-1] + tail
+        out += (pieces[-1], tail)
+        return "".join(out)  # one join, so the whole text is built once
 
 
 def search_arrovian(

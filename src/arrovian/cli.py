@@ -35,7 +35,7 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
-from ._util import canonical_json, sha256_hex
+from ._util import canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
@@ -103,7 +103,8 @@ class RunContext:
 
     def write_text(self, path: str, text: str) -> None:
         try:
-            Path(path).write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as out:
+                out.writelines(slices(text))  # encoded a slice at a time, like the digest below
         except OSError as exc:
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
         self.outputs[path] = sha256_hex(text)
@@ -111,7 +112,7 @@ class RunContext:
     def flush(self) -> None:
         text = "".join(self._parts)
         self.outputs["stdout"] = sha256_hex(text)
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices(text))
         sys.stdout.flush()
 
     def manifest_line(self, wall_time_s: float) -> str:
@@ -594,9 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_arrow_search, command_name="arrow-search")
 
     p = sub.add_parser("infinite-demo", help="finite-or-cofinite electorate rules")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--frechet", action="store_true", help="the cofinite-majority rule (default)")
-    group.add_argument("--dictator", type=int, metavar="V", help="the rule echoing voter V")
+    p.add_argument("--dictator", type=int, metavar="V", help="the rule echoing voter V (default: the Frechet rule)")
     p.add_argument("--witness", type=int, default=0, help="candidate dictator to overrule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=500)

@@ -26,11 +26,10 @@ JSON family format::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from ._util import load_json
+from ._util import FormatError, load_object
 
 MAX_GROUND = 4
 # Largest ground set a family document may name.  Masks stay word-sized,
@@ -92,25 +91,19 @@ class CoalitionFamily:
 
     @classmethod
     def from_json_dict(cls, data: str | dict) -> "CoalitionFamily":
-        if isinstance(data, str):
-            try:
-                obj = load_json(data)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        else:
-            obj = data
-        if not isinstance(obj, dict) or set(obj) != {"n", "members"}:
-            raise ValueError("family document must be an object with keys 'n' and 'members'")
+        obj = load_object(data, FormatError, "family")
+        if set(obj) != {"n", "members"}:
+            raise FormatError("family document must be an object with keys 'n' and 'members'")
         n, members = obj["n"], obj["members"]
         if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("n must be an integer")
+            raise FormatError("n must be an integer")
         if n > MAX_FAMILY_VOTERS:
-            raise ValueError(f"n must be at most {MAX_FAMILY_VOTERS}")
+            raise FormatError(f"n must be at most {MAX_FAMILY_VOTERS}")
         if not isinstance(members, list) or not all(isinstance(s, list) for s in members):
-            raise ValueError("members must be a list of voter lists")
+            raise FormatError("members must be a list of voter lists")
         for i, s in enumerate(members):
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
-                raise ValueError(f"members[{i}]: voter must be an integer")
+                raise FormatError(f"members[{i}]: voter must be an integer")
         return cls.from_sets(n, members)
 
 
@@ -135,15 +128,9 @@ def is_filter(fam: CoalitionFamily) -> FilterCheck:
     if 0 in fam.masks:
         return FilterCheck(False, "F3", (frozenset(),))
     for a in members:
-        comp = full & ~a
-        sub = comp
-        while True:
-            sup = a | sub
+        for sup in _supersets(a, full):
             if sup not in fam.masks:
                 return FilterCheck(False, "F1", (mask_to_set(a), mask_to_set(sup)))
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
     for i, a in enumerate(members):
         for b in members[i:]:
             if a & b not in fam.masks:
@@ -171,17 +158,22 @@ def _closure_is_proper(n: int, masks: frozenset[int], extra: int) -> bool:
                     cur.add(c)
                     changed = True
         for a in snapshot:
-            comp = full & ~a
-            sub = comp
-            while True:
-                sup = a | sub
+            for sup in _supersets(a, full):
                 if sup not in cur:
                     cur.add(sup)
                     changed = True
-                if sub == 0:
-                    break
-                sub = (sub - 1) & comp
     return 0 not in cur
+
+
+def _supersets(a: int, full: int) -> Iterator[int]:
+    """Every mask between a and full, largest first: full, then down to a itself."""
+    comp = full & ~a
+    sub = comp
+    while True:
+        yield a | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & comp
 
 
 def is_ultrafilter_maximal(fam: CoalitionFamily) -> bool:

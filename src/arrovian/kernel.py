@@ -240,13 +240,10 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
 
 def compose_rows(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> array:
     """The verdict row of `cols`: per profile, its codes composed, or ABSENT where one is MISSING or they do not."""
-    verdict = cache(lambda codes: ABSENT if MISSING in codes else _composed(k.m, codes))  # per distinct row
+    index = verdict_index(k.m)
+    # one composition per distinct row; a failure's None is not a key of `index`
+    verdict = cache(lambda codes: ABSENT if MISSING in codes else index.get(compose(k.m, codes)[2], ABSENT))
     return array("h", map(verdict, k.rows(cols)))
-
-
-@lru_cache(maxsize=None)  # keyed as `compose` is
-def _composed(m: int, codes: tuple[int, ...]) -> int:
-    return verdict_index(m).get(compose(m, codes)[2], ABSENT)  # a failure's None is not a key
 
 
 @lru_cache(maxsize=None)

@@ -17,14 +17,12 @@ JSON profile format::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
-from ._util import load_json
+from ._util import FormatError, load_object
 from .relations import (
     MAX_ALTERNATIVES,
     AlternativeSet,
@@ -64,12 +62,8 @@ class BudgetExceededError(ValueError):
     """An enumeration would exceed the configured profile budget."""
 
 
-class ProfileFormatError(ValueError):
-    """A profile file failed schema validation; `location` says where."""
-
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        super().__init__(message if location is None else f"{location}: {message}")
+class ProfileFormatError(FormatError):
+    """A profile file failed to decode or validate; `location` says where, when known."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,6 @@ class TriPartition:
         return self._code
 
     @classmethod
-    @lru_cache(maxsize=4096)  # immutable, so shared: the JSON writer and `rules` views decode a code once
     def from_code(cls, n: int, code: int) -> "TriPartition":
         if not 0 <= code < 3**n:
             raise ValueError(f"code {code} out of range for n={n}")
@@ -296,19 +289,7 @@ def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     Accepts raw text or an already-decoded dict.  Errors carry the
     offending location (JSON line/column, or a field path).
     """
-    if isinstance(data, str):
-        try:
-            obj = load_json(data)
-        except json.JSONDecodeError as exc:
-            raise ProfileFormatError(
-                f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
-            ) from None
-        except ValueError as exc:
-            raise ProfileFormatError(str(exc)) from None
-    else:
-        obj = data
-    if not isinstance(obj, dict):
-        raise ProfileFormatError("profile document must be a JSON object")
+    obj = load_object(data, ProfileFormatError, "profile")
     allowed = {"m", "n", "labels", "prefs"}
     unknown = sorted(set(obj) - allowed)
     if unknown:

@@ -35,7 +35,6 @@ JSON formats (owned here)::
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -43,7 +42,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from ._util import load_json
+from ._util import FormatError, load_object
 from .relations import (
     AlternativeSet,
     BinaryRelation,
@@ -72,12 +71,8 @@ from .kernel import (
 )
 
 
-class SwfFormatError(ValueError):
-    """An SWF file failed schema validation; `location` says where, when known."""
-
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        super().__init__(message if location is None else f"{location}: {message}")
+class SwfFormatError(FormatError):
+    """An SWF file failed to decode or validate; `location` says where, when known."""
 
 
 @dataclass(frozen=True)
@@ -614,19 +609,7 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
 
 
 def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
-    if isinstance(data, str):
-        try:
-            obj = load_json(data)
-        except json.JSONDecodeError as exc:
-            raise SwfFormatError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
-        except ValueError as exc:
-            raise SwfFormatError(str(exc)) from None
-    else:
-        obj = data
-    if not isinstance(obj, dict):
-        raise SwfFormatError("swf document must be a JSON object")
+    obj = load_object(data, SwfFormatError, "swf")
     kind = obj.get("kind")
     if kind not in ("explicit", "pairwise"):
         raise SwfFormatError(f"kind must be 'explicit' or 'pairwise', got {kind!r}")

@@ -292,6 +292,27 @@ def test_filters_family_failure(capsys, tmp_path):
     assert "filter axioms: FAIL (F2) witness ({0}, {1})" in out
 
 
+def test_filters_enumerate_json(capsys):
+    code, out, _, _ = run(capsys, "filters", "--enumerate", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "arrovian/filters/v1"
+    assert doc["count"] == 7 == len(doc["filters"])
+
+
+def test_filters_family_json(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "members": [[0], [0, 1]]}))
+    code, out, _, _ = run(capsys, "filters", "--family", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "arrovian/filter-check/v1"
+    assert doc["members"] == [[0], [0, 1]]
+    keys = {"is_filter", "violated", "witness", "is_ultrafilter", "fixedness", "core"}
+    assert keys <= set(doc)
+    assert (doc["is_filter"], doc["is_ultrafilter"], doc["fixedness"], doc["core"]) == (True, True, "FIXED", [0])
+
+
 def test_filters_requires_a_mode(capsys):
     assert main(["filters"]) == 2
     capsys.readouterr()
@@ -579,6 +600,11 @@ def test_infinite_demo_rejects_negative_samples(capsys, mode):
     assert "--samples must be at least 0, got -5" in err
 
 
+def test_infinite_demo_has_no_frechet_flag(capsys):
+    assert main(["infinite-demo", "--frechet"]) == 2
+    assert "unrecognized arguments: --frechet" in capsys.readouterr().err
+
+
 def test_infinite_demo_seeded_json_is_deterministic(capsys):
     args = ("infinite-demo", "--seed", "5", "--samples", "200", "--json")
     _, out_a, _, _ = run(capsys, *args)
@@ -587,6 +613,65 @@ def test_infinite_demo_seeded_json_is_deterministic(capsys):
 
 
 # --- the frame -----------------------------------------------------------------------
+
+
+_EXPLICIT = {"kind": "explicit", "m": 3, "n": 1, "domain": "weak"}
+_PAIRWISE = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["axioms", "--swf", "{dir}"], None, "cannot read {dir}: Is a directory"),
+        (["axioms", "--swf", "{file}"], b"\xff", "{file} is not UTF-8 text: invalid start byte"),
+        (
+            ["arrow-search", "--voters", "2", "--domain", "linear", "--certificate", "{dir}/missing/cert.json"],
+            None,
+            "cannot write {dir}/missing/cert.json: No such file or directory",
+        ),
+        (["filters", "--enumerate", "5"], None, "ground set size must be between 1 and 4, got 5"),
+        (["infinite-demo", "--dictator", "-1"], None, "voter must be a natural number, got -1"),
+        (["infinite-demo", "--witness", "-1"], None, "witness voter must be a natural number, got -1"),
+        (["axioms", "--swf", "{file}"], {**_EXPLICIT, "entries": {}}, "{file}: entries must be a list"),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_EXPLICIT, "entries": [[1]]},
+            "{file}: entries[0]: expected [profile, verdict]",
+        ),
+        (["axioms", "--swf", "{file}"], {**_PAIRWISE, "rules": {"A": []}}, "{file}: rules key 'A': expected 'X,Y'"),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_PAIRWISE, "rules": {"A,Z": []}},
+            "{file}: rules key 'A,Z': unknown alternative label 'Z'",
+        ),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_PAIRWISE, "rules": {"A,B": {}}},
+            "{file}: rules['A,B'] must be a list of [tri-partition, stance]",
+        ),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_PAIRWISE, "rules": {"A,B": [[1]]}},
+            "{file}: rules['A,B'][0]: expected [tri-partition, stance]",
+        ),
+        (
+            ["condorcet-demo", "--profile", "{file}"],
+            {"m": 3, "n": 1, "prefs": [5]},
+            "{file}: prefs[0]: must be an order string",
+        ),
+    ],
+)
+def test_refused_input_exits_2_with_one_error_line(capsys, tmp_path, argv, content, message):
+    file = tmp_path / "input.json"
+    if content is not None:
+        file.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    code = main([arg.format(dir=tmp_path, file=file) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error, manifest = captured.err.splitlines()  # no traceback, one manifest line
+    assert error == "error: " + message.format(dir=tmp_path, file=file)
+    assert json.loads(manifest)["schema"] == "arrovian/manifest/v1"
 
 
 def test_unknown_subcommand(capsys):

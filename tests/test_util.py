@@ -1,4 +1,4 @@
-"""The canonical JSON writer against the standard library's encoder."""
+"""The canonical JSON writer against the standard library's encoder, and the one JSON reader."""
 
 import json
 
@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrovian._util import canonical_json
+from arrovian._util import FormatError, canonical_json
+from arrovian.filters import CoalitionFamily
+from arrovian.profiles import parse_profile_json
+from arrovian.swf import parse_swf_json
 
 
 def reference(obj) -> str:
@@ -70,3 +73,18 @@ def test_raises_type_error_where_json_dumps_does(obj):
     with pytest.raises(TypeError) as got:
         canonical_json(obj)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "parse,kind",
+    [(parse_swf_json, "swf"), (parse_profile_json, "profile"), (CoalitionFamily.from_json_dict, "family")],
+)
+def test_every_document_parser_reports_json_defects_alike(parse, kind):
+    with pytest.raises(FormatError) as truncated:
+        parse('{"m": 3,')
+    assert truncated.value.location == "line 1, column 9"
+    assert str(truncated.value) == "line 1, column 9: invalid JSON: Expecting property name enclosed in double quotes"
+    with pytest.raises(FormatError) as array:
+        parse("[1, 2]")
+    assert array.value.location is None
+    assert str(array.value) == f"{kind} document must be a JSON object"
