@@ -20,8 +20,10 @@ Every run prints one manifest line to stderr recording the command, its
 parameters, a sha256 digest of each input and output (stdout included),
 the wall time, per-phase times and the seed where one is used.  Stdout
 for a given command line and seed is byte-stable, so the digests make
-any published number regenerable by a single command.  JSON documents
-carry a versioned "schema" key of the form "arrovian/<kind>/v1".
+any published number regenerable by a single command.  Each subcommand
+builds one JSON result document, with a versioned "schema" key of the
+form "arrovian/<kind>/v1": --json prints it, and the text output is
+rendered from it alone (`arrow-search` prints its certificate instead).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
-from ._util import canonical_json, sha256_hex, slices
+from ._util import FormatError, canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
@@ -54,7 +56,6 @@ from .ks_bridge import NotArrovianError, extract_decisive_family, verify_ks2
 from .profiles import (
     BudgetExceededError,
     Domain,
-    ProfileFormatError,
     condorcet_profile,
     parse_profile_json,
 )
@@ -64,15 +65,11 @@ from .relations import (
     PairStance,
     format_weak_order,
 )
-from .swf import SwfFormatError, full_report, parse_swf_json
+from .swf import full_report, parse_swf_json
 
 
 class CliError(Exception):
-    """Anything that should stop the run with a usage-class exit code."""
-
-    def __init__(self, message: str, exit_code: int = 2):
-        self.exit_code = exit_code
-        super().__init__(message)
+    """Anything that should stop the run with exit code 2."""
 
 
 @dataclass
@@ -90,16 +87,19 @@ class RunContext:
     def say(self, text: str) -> None:
         self._parts.append(text)
 
-    def read_text(self, path: str) -> str:
+    def load(self, path: str, parse):
+        """parse(the text of the file at path); an unreadable file or a malformed document stops the run."""
         try:
             raw = Path(path).read_bytes()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
         self.inputs[path] = sha256_hex(raw)
         try:
-            return raw.decode("utf-8")
+            return parse(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except FormatError as exc:
+            raise CliError(f"{path}: {exc}") from None
 
     def write_text(self, path: str, text: str) -> None:
         try:
@@ -129,92 +129,64 @@ class RunContext:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _set_text(s) -> str:
-    return "{" + ",".join(str(v) for v in sorted(s)) + "}"
+def _set_text(s: list[int]) -> str:
+    return "{" + ",".join(map(str, s)) + "}"
 
 
-def _family_text(fam: CoalitionFamily) -> str:
-    return "{" + ", ".join(_set_text(s) for s in fam.member_sets()) + "}"
+def _voter(v: int | None) -> str:
+    return "none" if v is None else f"voter {v}"
 
 
-def _load_swf(ctx: RunContext, path: str):
-    text = ctx.read_text(path)
-    try:
-        return parse_swf_json(text)
-    except SwfFormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 # -------------------------------------------------------------- commands
 
 
-def _cmd_orders(args: argparse.Namespace, ctx: RunContext) -> int:
+def _cmd_orders(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     m = args.alternatives
     if not 1 <= m <= MAX_ALTERNATIVES:
         raise CliError(f"alternatives must be between 1 and {MAX_ALTERNATIVES}, got {m}")
     domain = Domain.LINEAR if args.linear else Domain.WEAK
     alts = AlternativeSet(m)
     texts = [format_weak_order(w, alts) for w in domain.orders(m)]
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/orders/v1",
-                    "m": m,
-                    "domain": domain.value,
-                    "count": len(texts),
-                    "orders": texts,
-                }
-            )
-        )
-    else:
-        for text in texts:
-            ctx.say(text + "\n")
-        ctx.say(f"{len(texts)} {domain.value} orders on {m} alternatives\n")
-    return 0
+    return 0, {"schema": "arrovian/orders/v1", "m": m, "domain": domain.value, "count": len(texts), "orders": texts}
 
 
-def _cmd_condorcet_demo(args: argparse.Namespace, ctx: RunContext) -> int:
+def _text_orders(doc: dict) -> str:
+    lines = [text + "\n" for text in doc["orders"]]
+    lines.append(f"{doc['count']} {doc['domain']} orders on {doc['m']} alternatives\n")
+    return "".join(lines)
+
+
+def _cmd_condorcet_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     if args.profile is not None:
-        text = ctx.read_text(args.profile)
-        try:
-            f, alts = parse_profile_json(text)
-        except ProfileFormatError as exc:
-            raise CliError(f"{args.profile}: {exc}") from None
+        f, alts = ctx.load(args.profile, parse_profile_json)
     else:
         f = condorcet_profile()
         alts = AlternativeSet(3)
     rel, res, verdict = compose(f.m, majority_codes(f))
-    edge_labels = [[alts.label(x), alts.label(y)] for x, y in rel.edges()]
-    verdict_text = format_weak_order(verdict, alts) if res.ok else None
-    witness_labels = [alts.label(x) for x in res.witness] if res.witness is not None else None
+    return 0, {
+        "schema": "arrovian/condorcet/v1",
+        "profile": [format_weak_order(w, alts) for w in f.prefs],
+        "majority_edges": [[alts.label(x), alts.label(y)] for x, y in rel.edges()],
+        "weak_order": _verdict(res.ok),
+        "violated": res.axiom,
+        "witness": [alts.label(x) for x in res.witness] if res.witness is not None else None,
+        "verdict": format_weak_order(verdict, alts) if res.ok else None,
+    }
 
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/condorcet/v1",
-                    "profile": [format_weak_order(w, alts) for w in f.prefs],
-                    "majority_edges": edge_labels,
-                    "weak_order": "PASS" if res.ok else "FAIL",
-                    "violated": res.axiom,
-                    "witness": witness_labels,
-                    "verdict": verdict_text,
-                }
-            )
-        )
+
+def _text_condorcet_demo(doc: dict) -> str:
+    lines = ["profile:\n", *(f"  voter {v}: {w}\n" for v, w in enumerate(doc["profile"]))]
+    edges = ", ".join(">".join(e) for e in doc["majority_edges"]) or "(none)"
+    lines.append(f"majority relation: {edges}\n")
+    if doc["weak_order"] == "PASS":
+        lines.append(f"weak-order check: PASS\nverdict: {doc['verdict']}\n")
     else:
-        ctx.say("profile:\n")
-        for v, w in enumerate(f.prefs):
-            ctx.say(f"  voter {v}: {format_weak_order(w, alts)}\n")
-        edges = ", ".join(">".join(e) for e in edge_labels) or "(none)"
-        ctx.say(f"majority relation: {edges}\n")
-        if res.ok:
-            ctx.say(f"weak-order check: PASS\nverdict: {verdict_text}\n")
-        else:
-            witness = ",".join(witness_labels)
-            ctx.say(f"weak-order check: FAIL ({res.axiom}) witness ({witness})\n")
-    return 0
+        lines.append(f"weak-order check: FAIL ({doc['violated']}) witness ({','.join(doc['witness'])})\n")
+    return "".join(lines)
 
 
 _AXIOM_TITLES = {
@@ -226,178 +198,133 @@ _AXIOM_TITLES = {
 }
 
 
-def _cmd_axioms(args: argparse.Namespace, ctx: RunContext) -> int:
-    swf, alts = _load_swf(ctx, args.swf)
+def _cmd_axioms(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
+    swf, alts = ctx.load(args.swf, parse_swf_json)
     report = full_report(swf)
-    doc = report.to_json_dict(alts)
-    failed = report.failed()
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/axioms/v1",
-                    "swf": swf.describe(),
-                    "verdict": "PASS" if not failed else "FAIL",
-                    **doc,
-                }
-            )
-        )
-    else:
-        ctx.say(swf.describe() + "\n")
-        for name in ("a1", "a2", "a3", "a4", "a5"):
-            ctx.say(f"{name} {_AXIOM_TITLES[name]}: {doc['axioms'][name]}\n")
-            if name in doc["witnesses"]:
-                ctx.say(f"  witness: {json.dumps(doc['witnesses'][name], sort_keys=True)}\n")
-        dictator = "none" if report.dictator is None else f"voter {report.dictator}"
-        ctx.say(f"dictator: {dictator}\n")
-        ctx.say("verdict: PASS\n" if not failed else f"verdict: FAIL [{', '.join(failed)}]\n")
-    return 0 if not failed else 1
+    ok = not report.failed()
+    return 0 if ok else 1, {
+        "schema": "arrovian/axioms/v1",
+        "swf": swf.describe(),
+        "verdict": _verdict(ok),
+        **report.to_json_dict(alts),
+    }
 
 
-def _cmd_filters(args: argparse.Namespace, ctx: RunContext) -> int:
+def _text_axioms(doc: dict) -> str:
+    lines = [doc["swf"] + "\n"]
+    for name, title in _AXIOM_TITLES.items():
+        lines.append(f"{name} {title}: {doc['axioms'][name]}\n")
+        if name in doc["witnesses"]:
+            lines.append(f"  witness: {json.dumps(doc['witnesses'][name], sort_keys=True)}\n")
+    lines.append(f"dictator: {_voter(doc['dictator'])}\n")
+    failed = [name for name in _AXIOM_TITLES if doc["axioms"][name] == "FAIL"]
+    lines.append(f"verdict: FAIL [{', '.join(failed)}]\n" if failed else "verdict: PASS\n")
+    return "".join(lines)
+
+
+def _members_text(members: list[list[int]]) -> str:
+    return ", ".join(map(_set_text, members))
+
+
+def _classification_lines(cls: dict) -> str:
+    """The filter-axiom verdict and, for a filter, its kind and core."""
+    if not cls["is_filter"]:
+        return f"filter axioms: FAIL ({cls['violated']}) witness ({_members_text(cls['witness'])})\n"
+    return (
+        "filter axioms: PASS\n"
+        f"ultrafilter: {'yes' if cls['is_ultrafilter'] else 'no'}\n"
+        f"fixedness: {cls['fixedness']} core={_set_text(cls['core'])}\n"
+    )
+
+
+def _cmd_filters(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     if args.enumerate is not None:
         n = args.enumerate
         if not 1 <= n <= MAX_GROUND:
             raise CliError(f"ground set size must be between 1 and {MAX_GROUND}, got {n}")
-        fams = enumerate_filters(n)
-        classified = [(fam, classify(fam)) for fam in fams]
-        if args.json:
-            ctx.say(
-                canonical_json(
-                    {
-                        "schema": "arrovian/filters/v1",
-                        "n": n,
-                        "count": len(fams),
-                        "filters": [
-                            {
-                                "members": [sorted(s) for s in fam.member_sets()],
-                                "is_ultrafilter": cls.is_ultrafilter,
-                                "fixedness": "FIXED" if cls.fixed else "FREE",
-                                "core": sorted(cls.core),
-                            }
-                            for fam, cls in classified
-                        ],
-                    }
-                )
-            )
-        else:
-            for fam, cls in classified:
-                kind = "ultrafilter" if cls.is_ultrafilter else "filter"
-                fixed = "FIXED" if cls.fixed else "FREE"
-                ctx.say(f"{_family_text(fam)}  {kind} {fixed} core={_set_text(cls.core)}\n")
-            ctx.say(f"{len(fams)} filters on {n} voters\n")
-        return 0
+        filters = []
+        for fam in enumerate_filters(n):
+            cls = classify(fam).to_json_dict()
+            kind = {key: cls[key] for key in ("is_ultrafilter", "fixedness", "core")}
+            filters.append({"members": [sorted(s) for s in fam.member_sets()], **kind})
+        return 0, {"schema": "arrovian/filters/v1", "n": n, "count": len(filters), "filters": filters}
 
-    text = ctx.read_text(args.family)
-    try:
-        fam = CoalitionFamily.from_json_dict(text)
-    except ValueError as exc:
-        raise CliError(f"{args.family}: {exc}") from None
-    cls = classify(fam)
-    check = cls.filter_check
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/filter-check/v1",
-                    "n": fam.n,
-                    "members": [sorted(s) for s in fam.member_sets()],
-                    **cls.to_json_dict(),
-                }
-            )
-        )
-    else:
-        members = ", ".join(_set_text(s) for s in fam.member_sets()) or "(empty)"
-        ctx.say(f"family on n={fam.n}: {members}\n")
-        if check.ok:
-            ctx.say("filter axioms: PASS\n")
-            ctx.say(f"ultrafilter: {'yes' if cls.is_ultrafilter else 'no'}\n")
-            fixed = "FIXED" if cls.fixed else "FREE"
-            ctx.say(f"fixedness: {fixed} core={_set_text(cls.core)}\n")
-        else:
-            witness = ", ".join(_set_text(s) for s in check.witness or ())
-            ctx.say(f"filter axioms: FAIL ({check.axiom}) witness ({witness})\n")
-    return 0 if check.ok else 1
+    fam = ctx.load(args.family, CoalitionFamily.from_json_dict)
+    cls = classify(fam).to_json_dict()
+    return 0 if cls["is_filter"] else 1, {"schema": "arrovian/filter-check/v1", **fam.to_json_dict(), **cls}
 
 
-def _refuse_not_arrovian(
-    args: argparse.Namespace, ctx: RunContext, schema: str, exc: NotArrovianError, alts: AlternativeSet
-) -> int:
-    """Report that a bridge command's SWF fails a1-a4; exit code 1."""
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": schema,
-                    "ok": False,
-                    "error": str(exc),
-                    "axioms": exc.report.to_json_dict(alts)["axioms"],
-                }
-            )
-        )
-    else:
-        ctx.say(f"not arrovian: {exc}\n")
-    return 1
+def _text_filters(doc: dict) -> str:
+    if doc["schema"] == "arrovian/filter-check/v1":
+        return f"family on n={doc['n']}: {_members_text(doc['members']) or '(empty)'}\n" + _classification_lines(doc)
+    lines = [
+        f"{{{_members_text(f['members'])}}}  {'ultrafilter' if f['is_ultrafilter'] else 'filter'} "
+        f"{f['fixedness']} core={_set_text(f['core'])}\n"
+        for f in doc["filters"]
+    ]
+    lines.append(f"{doc['count']} filters on {doc['n']} voters\n")
+    return "".join(lines)
 
 
-def _cmd_bridge_extract(args: argparse.Namespace, ctx: RunContext) -> int:
-    swf, alts = _load_swf(ctx, args.swf)
+def _not_arrovian(schema: str, exc: NotArrovianError, alts: AlternativeSet) -> tuple[int, dict]:
+    """The document of a bridge command whose SWF fails a1-a4; exit code 1."""
+    return 1, {"schema": schema, "ok": False, "error": str(exc), "axioms": exc.report.to_json_dict(alts)["axioms"]}
+
+
+def _cmd_bridge_extract(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
+    swf, alts = ctx.load(args.swf, parse_swf_json)
     try:
         dec = extract_decisive_family(swf)
     except NotArrovianError as exc:
-        return _refuse_not_arrovian(args, ctx, "arrovian/bridge-extract/v1", exc, alts)
+        return _not_arrovian("arrovian/bridge-extract/v1", exc, alts)
     cls = classify(dec.family)
     core = sorted(cls.core)
-    generator_voter = core[0] if cls.is_ultrafilter and len(core) == 1 else None
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/bridge-extract/v1",
-                    "ok": True,
-                    "provenance": dec.provenance,
-                    "family": dec.family.to_json_dict(),
-                    "classification": cls.to_json_dict(),
-                    "generator_voter": generator_voter,
-                }
-            )
-        )
-    else:
-        ctx.say(dec.provenance + "\n")
-        members = ", ".join(_set_text(s) for s in dec.family.member_sets()) or "(empty)"
-        ctx.say(f"decisive family ({len(dec.family.masks)} coalitions): {members}\n")
-        ctx.say(f"filter axioms: {'PASS' if cls.filter_check.ok else 'FAIL'}\n")
-        ctx.say(f"ultrafilter: {'yes' if cls.is_ultrafilter else 'no'}\n")
-        fixed = "FIXED" if cls.fixed else "FREE"
-        ctx.say(f"fixedness: {fixed} core={_set_text(cls.core)}\n")
-        if generator_voter is not None:
-            ctx.say(f"generator: voter {generator_voter}\n")
-        else:
-            ctx.say(f"generator: none (core {_set_text(cls.core)})\n")
-    return 0
+    return 0, {
+        "schema": "arrovian/bridge-extract/v1",
+        "ok": True,
+        "provenance": dec.provenance,
+        "family": dec.family.to_json_dict(),
+        "classification": cls.to_json_dict(),
+        "generator_voter": core[0] if cls.is_ultrafilter and len(core) == 1 else None,
+    }
 
 
-def _cmd_bridge_ks2(args: argparse.Namespace, ctx: RunContext) -> int:
-    swf, alts = _load_swf(ctx, args.swf)
+def _text_bridge_extract(doc: dict) -> str:
+    if not doc["ok"]:
+        return f"not arrovian: {doc['error']}\n"
+    members = doc["family"]["members"]
+    cls = doc["classification"]
+    generator = doc["generator_voter"]
+    core = "" if generator is not None else f" (core {_set_text(cls['core'])})"
+    return (
+        f"{doc['provenance']}\n"
+        f"decisive family ({len(members)} coalitions): {_members_text(members) or '(empty)'}\n"
+        f"{_classification_lines(cls)}"
+        f"generator: {_voter(generator)}{core}\n"
+    )
+
+
+def _cmd_bridge_ks2(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
+    swf, alts = ctx.load(args.swf, parse_swf_json)
     try:
         rep = verify_ks2(swf)
     except NotArrovianError as exc:
-        return _refuse_not_arrovian(args, ctx, "arrovian/bridge-ks2/v1", exc, alts)
-    if args.json:
-        ctx.say(
-            canonical_json({"schema": "arrovian/bridge-ks2/v1", "ok": True, **rep.to_json_dict()})
-        )
-    else:
-        dictator = "none" if rep.dictator is None else f"voter {rep.dictator}"
-        fixed = "FIXED" if rep.classification.fixed else "FREE"
-        ctx.say(f"dictator: {dictator}\n")
-        ctx.say(f"decisive family: {fixed} core={_set_text(rep.generator)}\n")
-        verdict = "PASS" if rep.consistent else "FAIL"
-        ctx.say(f"consistency (dictator absent <=> family free): {verdict}\n")
-    return 0 if rep.consistent else 1
+        return _not_arrovian("arrovian/bridge-ks2/v1", exc, alts)
+    return 0 if rep.consistent else 1, {"schema": "arrovian/bridge-ks2/v1", "ok": True, **rep.to_json_dict()}
 
 
-def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> int:
+def _text_bridge_ks2(doc: dict) -> str:
+    if not doc["ok"]:
+        return f"not arrovian: {doc['error']}\n"
+    return (
+        f"dictator: {_voter(doc['dictator'])}\n"
+        f"decisive family: {doc['classification']['fixedness']} core={_set_text(doc['generator'])}\n"
+        f"consistency (dictator absent <=> family free): {_verdict(doc['consistent'])}\n"
+    )
+
+
+def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, None]:
+    """Writes its own output: under --json the certificate text, otherwise a summary of its counters."""
     try:
         domain = Domain.from_name(args.domain)
     except ValueError as exc:
@@ -413,34 +340,34 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> int:
     if args.certificate:
         ctx.write_text(args.certificate, text)
     non_dictatorial = [i for i, rec in enumerate(cert.survivors) if rec.dictator is None]
+    code = 1 if non_dictatorial else 0
     if args.json:
         ctx.say(text)
+        return code, None
+    ctx.say(f"search m={cert.m} n={cert.n} domain={cert.domain.value}\n")
+    ctx.say(f"cells={cert.cell_count} (forced {cert.forced_cells}), space={cert.space}\n")
+    ctx.say(
+        f"nodes={cert.nodes} leaves={cert.explored_leaves} "
+        f"pruned={cert.pruned_total} (events {cert.pruned_events})\n"
+    )
+    survivors = len(cert.survivors)
+    if non_dictatorial:
+        ctx.say(f"survivors: {survivors}, {len(non_dictatorial)} NON-DICTATORIAL\n")
     else:
-        ctx.say(f"search m={cert.m} n={cert.n} domain={cert.domain.value}\n")
-        ctx.say(f"cells={cert.cell_count} (forced {cert.forced_cells}), space={cert.space}\n")
-        ctx.say(
-            f"nodes={cert.nodes} leaves={cert.explored_leaves} "
-            f"pruned={cert.pruned_total} (events {cert.pruned_events})\n"
-        )
-        survivors = len(cert.survivors)
-        if non_dictatorial:
-            ctx.say(f"survivors: {survivors}, {len(non_dictatorial)} NON-DICTATORIAL\n")
-        else:
-            tail = ", all dictatorial" if survivors else ""
-            ctx.say(f"survivors: {survivors}{tail}\n")
-        for i, rec in enumerate(cert.survivors):
-            who = "none" if rec.dictator is None else f"voter {rec.dictator}"
-            ctx.say(f"  survivor {i}: dictator {who}\n")
-        if args.certificate:
-            ctx.say(f"certificate written to {args.certificate}\n")
-    return 1 if non_dictatorial else 0
+        tail = ", all dictatorial" if survivors else ""
+        ctx.say(f"survivors: {survivors}{tail}\n")
+    for i, rec in enumerate(cert.survivors):
+        ctx.say(f"  survivor {i}: dictator {_voter(rec.dictator)}\n")
+    if args.certificate:
+        ctx.say(f"certificate written to {args.certificate}\n")
+    return code, None
 
 
-def _triple_text(t) -> str:
-    return f"({format_fc(t.first)}, {format_fc(t.second)}, {format_fc(t.tie)})"
+def _triple_text(t: dict) -> str:
+    return f"({t['first']}, {t['second']}, {t['tie']})"
 
 
-def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> int:
+def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     ctx.seed = args.seed
     if args.samples < 0:
         raise CliError(f"--samples must be at least 0, got {args.samples}")
@@ -458,37 +385,22 @@ def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> int:
         probe = non_dictatorship_witness(v0)
         probe_stance = dictator_stance(v0, probe)
         ok = not disagreements and probe_stance is PairStance.FIRST_PREFERRED
-        if args.json:
-            ctx.say(
-                canonical_json(
-                    {
-                        "schema": "arrovian/infinite/v1",
-                        "mode": "dictator",
-                        "voter": v0,
-                        "seed": args.seed,
-                        "samples": args.samples,
-                        "disagreements": disagreements,
-                        "probe_triple": probe.to_json_dict(),
-                        "probe_stance": probe_stance.value,
-                        "verdict": "PASS" if ok else "FAIL",
-                    }
-                )
-            )
-        else:
-            ctx.say(f"dictator rule for voter {v0}\n")
-            agreed = args.samples - len(disagreements)
-            ctx.say(
-                f"decisive membership vs fc_member: {agreed} of {args.samples} "
-                f"seeded coalitions agree (seed={args.seed})\n"
-            )
-            ctx.say(f"probe {_triple_text(probe)}: rule follows voter {v0} with FIRST\n")
-            ctx.say(f"verdict: {'PASS' if ok else 'FAIL'}\n")
-        return 0 if ok else 1
+        return 0 if ok else 1, {
+            "schema": "arrovian/infinite/v1",
+            "mode": "dictator",
+            "voter": v0,
+            "seed": args.seed,
+            "samples": args.samples,
+            "disagreements": disagreements,
+            "probe_triple": probe.to_json_dict(),
+            "probe_stance": probe_stance.value,
+            "verdict": _verdict(ok),
+        }
 
-    rep = validate_fc_filter_axioms(seed=args.seed, samples=args.samples)
     w = args.witness
     if w < 0:
         raise CliError(f"witness voter must be a natural number, got {w}")
+    rep = validate_fc_filter_axioms(seed=args.seed, samples=args.samples)
     triple = non_dictatorship_witness(w)
     voter_stance = dictator_stance(w, triple)
     rule_stance = frechet_stance(triple)
@@ -497,43 +409,54 @@ def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> int:
         and rule_stance is PairStance.SECOND_PREFERRED
     )
     ok = rep.all_ok() and overruled
-    if args.json:
-        ctx.say(
-            canonical_json(
-                {
-                    "schema": "arrovian/infinite/v1",
-                    "mode": "frechet",
-                    "axioms": rep.to_json_dict(),
-                    "witness": {
-                        "voter": w,
-                        "triple": triple.to_json_dict(),
-                        "voter_stance": voter_stance.value,
-                        "rule_stance": rule_stance.value,
-                        "overruled": overruled,
-                    },
-                    "verdict": "PASS" if ok else "FAIL",
-                }
-            )
+    return 0 if ok else 1, {
+        "schema": "arrovian/infinite/v1",
+        "mode": "frechet",
+        "axioms": rep.to_json_dict(),
+        "witness": {
+            "voter": w,
+            "triple": triple.to_json_dict(),
+            "voter_stance": voter_stance.value,
+            "rule_stance": rule_stance.value,
+            "overruled": overruled,
+        },
+        "verdict": _verdict(ok),
+    }
+
+
+_FC_AXIOM_TITLES = {
+    "upward_closed": "upward closure",
+    "intersection_closed": "intersection closure",
+    "proper": "properness",
+    "complement_exclusive": "complement exclusivity",
+    "free": "freeness",
+}
+
+
+def _text_infinite_demo(doc: dict) -> str:
+    if doc["mode"] == "dictator":
+        v0, samples = doc["voter"], doc["samples"]
+        return (
+            f"dictator rule for voter {v0}\n"
+            f"decisive membership vs fc_member: {samples - len(doc['disagreements'])} of {samples} "
+            f"seeded coalitions agree (seed={doc['seed']})\n"
+            f"probe {_triple_text(doc['probe_triple'])}: rule follows voter {v0} with FIRST\n"
+            f"verdict: {doc['verdict']}\n"
         )
-    else:
-        ctx.say("frechet rule on the finite-or-cofinite coalitions\n")
-        ctx.say(
-            f"ultrafilter spot-check (seed={rep.seed}, samples={rep.samples}): "
-            f"{'PASS' if rep.all_ok() else 'FAIL'}\n"
-        )
-        for label, value in (
-            ("upward closure", rep.upward_closed_ok),
-            ("intersection closure", rep.intersection_closed_ok),
-            ("properness", rep.proper_ok),
-            ("complement exclusivity", rep.complement_exclusive_ok),
-            ("freeness", rep.free_ok),
-        ):
-            ctx.say(f"  {label}: {'PASS' if value else 'FAIL'}\n")
-        ctx.say(f"witness against voter {w}: {_triple_text(triple)}\n")
-        ctx.say(f"  voter {w} says {voter_stance.value}; the rule says {rule_stance.value}\n")
-        ctx.say(f"overruled: {'yes' if overruled else 'no'}\n")
-        ctx.say(f"verdict: {'PASS' if ok else 'FAIL'}\n")
-    return 0 if ok else 1
+    axioms, witness = doc["axioms"], doc["witness"]
+    w = witness["voter"]
+    spot_check = _verdict(all(axioms[key] for key in _FC_AXIOM_TITLES))
+    return "".join(
+        [
+            "frechet rule on the finite-or-cofinite coalitions\n",
+            f"ultrafilter spot-check (seed={axioms['seed']}, samples={axioms['samples']}): {spot_check}\n",
+            *(f"  {title}: {_verdict(axioms[key])}\n" for key, title in _FC_AXIOM_TITLES.items()),
+            f"witness against voter {w}: {_triple_text(witness['triple'])}\n",
+            f"  voter {w} says {witness['voter_stance']}; the rule says {witness['rule_stance']}\n",
+            f"overruled: {'yes' if witness['overruled'] else 'no'}\n",
+            f"verdict: {doc['verdict']}\n",
+        ]
+    )
 
 
 # ------------------------------------------------------------ the parser
@@ -553,35 +476,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--alternatives", type=int, required=True)
     p.add_argument("--linear", action="store_true", help="restrict to linear orders")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_orders, command_name="orders")
+    p.set_defaults(handler=_cmd_orders, text=_text_orders, command_name="orders")
 
     p = sub.add_parser("condorcet-demo", help="majority cycle on three voters")
     p.add_argument("--profile", help="profile JSON file replacing the built-in example")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_condorcet_demo, command_name="condorcet-demo")
+    p.set_defaults(handler=_cmd_condorcet_demo, text=_text_condorcet_demo, command_name="condorcet-demo")
 
     p = sub.add_parser("axioms", help="five-axiom audit of an SWF document")
     p.add_argument("--swf", required=True, help="SWF JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_axioms, command_name="axioms")
+    p.set_defaults(handler=_cmd_axioms, text=_text_axioms, command_name="axioms")
 
     p = sub.add_parser("filters", help="classify a family or enumerate all filters")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="coalition-family JSON file")
     group.add_argument("--enumerate", type=int, metavar="N", help="scan all families on N voters")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_filters, command_name="filters")
+    p.set_defaults(handler=_cmd_filters, text=_text_filters, command_name="filters")
 
     p = sub.add_parser("bridge", help="decisive coalitions and the dictator correspondence")
     bridge_sub = p.add_subparsers(dest="bridge_command", required=True)
     b = bridge_sub.add_parser("extract", help="extract and classify the decisive family")
     b.add_argument("--swf", required=True, help="SWF JSON file")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bridge_extract, command_name="bridge extract")
+    b.set_defaults(handler=_cmd_bridge_extract, text=_text_bridge_extract, command_name="bridge extract")
     b = bridge_sub.add_parser("ks2", help="dictator absent versus free decisive family")
     b.add_argument("--swf", required=True, help="SWF JSON file")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bridge_ks2, command_name="bridge ks2")
+    b.set_defaults(handler=_cmd_bridge_ks2, text=_text_bridge_ks2, command_name="bridge ks2")
 
     p = sub.add_parser("arrow-search", help="complete search of the pairwise-rule space")
     p.add_argument("--alternatives", type=int, default=3)
@@ -600,13 +523,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_infinite_demo, command_name="infinite-demo")
+    p.set_defaults(handler=_cmd_infinite_demo, text=_text_infinite_demo, command_name="infinite-demo")
 
     return parser
 
 
 def _manifest_parameters(args: argparse.Namespace) -> dict:
-    skip = {"handler", "command_name", "command", "bridge_command"}
+    skip = {"handler", "text", "command_name", "command", "bridge_command"}
     return {
         key: value
         for key, value in sorted(vars(args).items())
@@ -624,12 +547,11 @@ def main(argv: list[str] | None = None) -> int:
     ctx = RunContext(command=args.command_name, parameters=_manifest_parameters(args))
     start = time.perf_counter()
     try:
-        code = args.handler(args, ctx)
+        code, doc = args.handler(args, ctx)
+        if doc is not None:
+            ctx.say(canonical_json(doc) if args.json else args.text(doc))
         ctx.flush()
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = exc.exit_code
-    except BudgetExceededError as exc:
+    except (CliError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     print(ctx.manifest_line(time.perf_counter() - start), file=sys.stderr)

@@ -97,6 +97,8 @@ class CoalitionFamily:
         n, members = obj["n"], obj["members"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise FormatError("n must be an integer")
+        if n < 1:
+            raise FormatError(f"ground set needs at least one voter, got n={n}")
         if n > MAX_FAMILY_VOTERS:
             raise FormatError(f"n must be at most {MAX_FAMILY_VOTERS}")
         if not isinstance(members, list) or not all(isinstance(s, list) for s in members):
@@ -104,6 +106,9 @@ class CoalitionFamily:
         for i, s in enumerate(members):
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
                 raise FormatError(f"members[{i}]: voter must be an integer")
+            for v in s:
+                if not 0 <= v < n:
+                    raise FormatError(f"members[{i}]: voter {v} out of range for n={n}")
         return cls.from_sets(n, members)
 
 

@@ -470,6 +470,65 @@ def test_audit_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert sha256_hex("".join(lines)) == PINNED_AUDITS[name]
 
 
+# Input files of the pinned command lines below, written to the working directory.
+_PINNED_INPUTS = {
+    "labelled.json": {"m": 4, "n": 3, "labels": ["w", "x", "y", "z"], "prefs": ["w>x>y>z", "x>y>z>w", "y~z>w>x"]},
+    "single.json": {"m": 1, "n": 2, "prefs": ["A", "A"]},
+    "filter.json": {"n": 3, "members": [[1], [0, 1], [1, 2], [0, 1, 2]]},
+    "not-upward.json": {"n": 3, "members": [[0], [0, 1]]},
+    "empty.json": {"n": 2, "members": []},
+}
+
+_PINNED_COMMAND_LINES = {
+    "orders": [f"orders -m {m}{linear}" for m in range(1, 6) for linear in ("", " --linear")],
+    "condorcet-demo": [
+        "condorcet-demo",
+        "condorcet-demo --profile labelled.json",
+        "condorcet-demo --profile single.json",
+    ],
+    "filters": [
+        *(f"filters --enumerate {n}" for n in range(1, 5)),
+        *(f"filters --family {name}" for name in ("filter.json", "not-upward.json", "empty.json")),
+    ],
+    "infinite-demo": [
+        "infinite-demo",
+        "infinite-demo --witness 7",
+        "infinite-demo --dictator 3 --samples 50 --seed 9",
+    ],
+}
+
+# sha256 per command of one line "<argv> <exit code> <sha256 of stdout>"
+# for each of its command lines above, text then --json.
+PINNED_COMMANDS = {
+    "orders": (
+        "50176cb0b5f2f63f9e393d6a621c7b55e5010864a58ed0dc9fcb76ed196c66fb"
+    ),
+    "condorcet-demo": (
+        "3778954efbc67dbd9bdcf0dafb020eba38a1ca62885d7994795700873a9edc71"
+    ),
+    "filters": (
+        "d9de25bcf574e3414b9c67be97dcbb24576b4a3ba3cc3264494a3513475346dc"
+    ),
+    "infinite-demo": (
+        "21b03d3931b66b37e9ba5ae710fb7b267924910c92be0ca73274a7bf7476bb07"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_COMMANDS)
+def test_command_output_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _PINNED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    lines = []
+    for line in _PINNED_COMMAND_LINES[command]:
+        for fmt in ([], ["--json"]):
+            argv = [*line.split(), *fmt]
+            code = main(argv)
+            lines.append(f"{' '.join(argv)} {code} {sha256_hex(capsys.readouterr().out)}\n")
+    assert sha256_hex("".join(lines)) == PINNED_COMMANDS[command]
+
+
 # --- arrow-search -------------------------------------------------------------------
 
 
@@ -658,6 +717,22 @@ _PAIRWISE = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
             ["condorcet-demo", "--profile", "{file}"],
             {"m": 3, "n": 1, "prefs": [5]},
             "{file}: prefs[0]: must be an order string",
+        ),
+        (
+            ["filters", "--family", "{file}"],
+            {"n": 2, "members": [[0], [0, 5]]},
+            "{file}: members[1]: voter 5 out of range for n=2",
+        ),
+        (
+            ["filters", "--family", "{file}"],
+            {"n": 0, "members": []},
+            "{file}: ground set needs at least one voter, got n=0",
+        ),
+        (["axioms", "--swf", "{file}"], {**_PAIRWISE, "rules": []}, "{file}: rules must be an object keyed by pair"),
+        (
+            ["condorcet-demo", "--profile", "{file}"],
+            {"m": 3, "n": 1, "prefs": "A>B>C"},
+            "{file}: prefs: must be a list of order strings",
         ),
     ],
 )
