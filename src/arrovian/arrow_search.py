@@ -25,11 +25,19 @@ was covered.  A search is bounded by the profile budget at the requested
 is built, and by the node budget.  The backtracking keeps its own stack, so
 a deep problem does not meet Python's recursion limit.
 
-Propagation is table-driven: a cell's domain is a 3-bit stance mask, so
-a constraint's three domains index one of 512 entries of a table that
-holds the supported stances of each cell, computed once from the 13
-triples.  Every survivor is still audited by `swf.full_report` over the
-m-ary profiles, an independent profile-level cross-check.
+Propagation is table-driven and cell-oriented: a cell's domain is a
+3-bit stance mask, and a queue holds the constraints of the cells whose
+masks shrank, each seen from that cell.  A constraint on cell x, with
+other cells a and b, is revised through the table of x's position in
+it: entry `d_x | d_a << 3 | d_b << 6` holds the supported stances
+`s_x | s_a << 3 | s_b << 6`, computed once from the 13 triples, so a
+revision that changes nothing is one lookup and one comparison.  A
+decision at cell d revises only the constraints that reach a cell after
+d: the others join d to cells bound before it, which the previous
+fixpoint already made consistent with every stance left at d, and a
+decision on a cell that propagation has bound revises nothing.  Every
+survivor is still audited by `swf.full_report` over the m-ary
+profiles, an independent profile-level cross-check.
 
 A cell is an integer: cell `q * len(splits) + j` is the stance of
 `pairs[q]` at tri-partition code `splits[j]`.
@@ -41,10 +49,11 @@ sorted keys, so two runs produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from itertools import combinations
-from typing import Callable
+from time import perf_counter
+from typing import Callable, Sequence
 
 from ._util import _quote, _render, canonical_json
 from .kernel import STANCES, domain_kernel
@@ -53,6 +62,8 @@ from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
 DEFAULT_MAX_NODES = 1_000_000
+# A bound cell's mask 1 << s, as its stance s.
+_STANCE_OF_MASK = bytes.maketrans(b"\x01\x02\x04", b"\x00\x01\x02")
 # The survivor audit's kernel costs about 400 bytes per m-ary profile (3.3 GB
 # at m=4, n=5 linear), so a search takes at most this many, about 40 MB.
 # The C(m, 3) * |D3|**n triangle constraints never outnumber them.
@@ -63,9 +74,17 @@ class SearchIncompleteError(RuntimeError):
     """The node budget ran out before the space was covered."""
 
 
+# A constraint seen from its cell x: the support table of x's position, x, and the other two cells.
+Watcher = tuple[tuple[int, ...], int, int, int]
+
+
 @dataclass
 class SearchProblem:
-    """Cell `q * len(splits) + j` is the stance of `pairs[q]` at code `splits[j]`."""
+    """Cell `q * len(splits) + j` is the stance of `pairs[q]` at code `splits[j]`.
+
+    `watchers[x]` sees each constraint on cell x from x; `later[x]` keeps
+    those in which x is not the last cell, so some other cell comes after x.
+    """
 
     m: int
     n: int
@@ -73,7 +92,8 @@ class SearchProblem:
     pairs: list[tuple[int, int]]
     splits: list[int]
     constraints: tuple[tuple[int, int, int], ...]
-    cell_constraints: tuple[tuple[int, ...], ...]
+    watchers: tuple[tuple[Watcher, ...], ...]
+    later: tuple[tuple[Watcher, ...], ...]
     forced: dict[int, int]
 
 
@@ -109,6 +129,22 @@ def _support_table() -> tuple[tuple[int, int, int], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _oriented_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """`_support_table` seen from each position x of a constraint, packed.
+
+    With a and b the other two positions in constraint order, entry
+    `d_x | d_a << 3 | d_b << 6` of table x is `s_x | s_a << 3 | s_b << 6`;
+    an entry equal to its key changes nothing, and 0 is a wipeout.
+    """
+    tables = ([0] * 512, [0] * 512, [0] * 512)
+    for key, found in enumerate(_support_table()):
+        doms = (key & 7, key >> 3 & 7, key >> 6)
+        for table, (x, a, b) in zip(tables, ((0, 1, 2), (1, 0, 2), (2, 0, 1))):
+            table[doms[x] | doms[a] << 3 | doms[b] << 6] = found[x] | found[a] << 3 | found[b] << 6
+    return tuple(map(tuple, tables))
+
+
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     """Cells by (pair, code); constraints by (triangle, m=3 profile index)."""
     if not 3 <= m <= MAX_ALTERNATIVES:
@@ -129,10 +165,15 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         for a, b, c in combinations(range(m), 3)
         for ab, ac, bc in zip(*kernel.tri)
     )
-    per_cell: list[list[int]] = [[] for _ in range(len(pairs) * len(splits))]
-    for ci, cons in enumerate(constraints):
-        for cell in cons:
-            per_cell[cell].append(ci)
+    # The pairs' cells come in pair order, so c1 < c2 < c3 in every constraint.
+    cells = range(len(pairs) * len(splits))
+    later: list[list[Watcher]] = [[] for _ in cells]  # constraints with a cell after this one
+    last: list[list[Watcher]] = [[] for _ in cells]
+    t1, t2, t3 = _oriented_tables()
+    for c1, c2, c3 in constraints:
+        later[c1].append((t1, c1, c2, c3))
+        later[c2].append((t2, c2, c1, c3))
+        last[c3].append((t3, c3, c1, c2))
     # every voter FIRST is code 0 and every voter SECOND is 1 + 3 + ... + 3**(n-1)
     unanimous = {pos[0]: 0, pos[(3**n - 1) // 2]: 1}
     forced = {start + j: s for start in base.values() for j, s in unanimous.items()}
@@ -143,47 +184,56 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         pairs=pairs,
         splits=splits,
         constraints=constraints,
-        cell_constraints=tuple(tuple(v) for v in per_cell),
+        watchers=tuple(tuple(w + v) for w, v in zip(later, last)),
+        later=tuple(map(tuple, later)),
         forced=forced,
     )
 
 
-def _gac(
-    problem: SearchProblem,
+def _propagate(
+    watchers: tuple[tuple[Watcher, ...], ...],
     domains: list[int],
-    pending: list[int],
+    pending: list[Sequence[Watcher]],
     trail: list[tuple[int, int]],
 ) -> bool:
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
-    Only unsupported stances are deleted, so every completion that was
-    consistent stays reachable (pruning is sound).  Deletions are pushed
-    onto `trail` so the caller can restore the exact previous state.
+    `pending` holds the watchers of the cells whose domains changed
+    since the last fixpoint, `watchers[x]` for a cell x, and each
+    queued constraint is revised.  A cell whose domain shrinks queues
+    its watchers again, so the fixpoint is the one a revision of every
+    constraint would reach.  Only unsupported stances are deleted, so
+    every completion that was consistent stays reachable (pruning is
+    sound).  Deletions are pushed onto `trail` so the caller can restore
+    the exact previous state.
     """
-    constraints, watchers, supports = problem.constraints, problem.cell_constraints, _support_table()
-    queued = set(pending)
-    queue = list(pending)
-    head = 0
-    while head < len(queue):
-        ci = queue[head]
-        head += 1
-        queued.discard(ci)
-        c1, c2, c3 = constraints[ci]
-        d1, d2, d3 = domains[c1], domains[c2], domains[c3]
-        s1, s2, s3 = supports[d1 | d2 << 3 | d3 << 6]
-        if s1 == d1 and s2 == d2 and s3 == d3:
-            continue
-        for cell, old, new in ((c1, d1, s1), (c2, d2, s2), (c3, d3, s3)):
-            if new == old:
+    queue = pending
+    for group in queue:  # the loop also reaches the groups appended below
+        for table, x, a, b in group:
+            dx = domains[x]
+            da = domains[a]
+            db = domains[b]
+            key = dx | da << 3 | db << 6
+            new = table[key]
+            if new == key:
                 continue
-            if new == 0:
+            if not new:
                 return False
-            domains[cell] = new
-            trail.append((cell, old))
-            for cj in watchers[cell]:
-                if cj != ci and cj not in queued:
-                    queue.append(cj)
-                    queued.add(cj)
+            s = new & 7
+            if s != dx:
+                trail.append((x, dx))
+                domains[x] = s
+                queue.append(watchers[x])
+            s = new >> 3 & 7
+            if s != da:
+                trail.append((a, da))
+                domains[a] = s
+                queue.append(watchers[a])
+            s = new >> 6
+            if s != db:
+                trail.append((b, db))
+                domains[b] = s
+                queue.append(watchers[b])
     return True
 
 
@@ -200,6 +250,7 @@ class SearchCertificate:
 
     `explored_leaves + pruned_total == 3 ** cell_count`: every complete
     assignment is either visited or accounted to a pruned subtree.
+    `audit_s`, the wall time of the survivor audit, is not part of the record.
     """
 
     m: int
@@ -213,6 +264,7 @@ class SearchCertificate:
     pruned_total: int
     nodes: int
     survivors: list[SurvivorRecord]
+    audit_s: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,13 +336,14 @@ def search_arrovian(
     for idx, stance in problem.forced.items():
         domains[idx] = 1 << stance
 
-    counters = {"leaves": 0, "pruned_events": 0, "pruned_total": 0, "nodes": 0}
+    watchers, later = problem.watchers, problem.later
+    nodes = found = pruned_events = pruned_total = 0
     # one byte per cell; rule tables are built only once the space is covered
     leaves: list[bytes] = []
 
-    if not _gac(problem, domains, list(range(len(problem.constraints))), []):
-        counters["pruned_events"] = 1
-        counters["pruned_total"] = space
+    # All-stance domains support each other, so only the forced cells start the root pass.
+    if not _propagate(watchers, domains, [watchers[cell] for cell in problem.forced], []):
+        pruned_events, pruned_total = 1, space
     else:
         # Backtracking on an explicit stack: level d holds the next stance to
         # try at cell d and the trail of the stance under trial, undone
@@ -300,8 +353,8 @@ def search_arrovian(
         depth = 0
         while depth >= 0:
             if depth == cell_count:
-                counters["leaves"] += 1
-                leaves.append(bytes([mask >> 1 for mask in domains]))  # a bound cell's mask is 1 << stance
+                found += 1
+                leaves.append(bytes(domains).translate(_STANCE_OF_MASK))
                 depth -= 1
                 continue
             trail = trails[depth]
@@ -313,37 +366,43 @@ def search_arrovian(
                 depth -= 1
                 continue
             next_stance[depth] = s + 1
-            counters["nodes"] += 1
-            if counters["nodes"] > max_nodes:
+            nodes += 1
+            if nodes > max_nodes:
                 raise SearchIncompleteError(
                     f"node budget {max_nodes} exhausted with the space not yet covered"
                 )
-            if progress is not None and counters["nodes"] % 100_000 == 0:
-                progress(dict(counters))
-            if not domains[depth] >> s & 1:
-                counters["pruned_events"] += 1
-                counters["pruned_total"] += pow3[cell_count - depth - 1]
-                continue
-            trail.append((depth, domains[depth]))
-            domains[depth] = 1 << s
-            if _gac(problem, domains, list(problem.cell_constraints[depth]), trail):
+            if progress is not None and nodes % 100_000 == 0:
+                progress(dict(leaves=found, pruned_events=pruned_events, pruned_total=pruned_total, nodes=nodes))
+            bit, mask = 1 << s, domains[depth]
+            if mask == bit:  # bound already, so the last fixpoint stands
+                consistent = True
+            elif mask & bit:
+                trail.append((depth, mask))
+                domains[depth] = bit
+                # The cells before `depth` are bound, and the last fixpoint left only stances
+                # they support here, so the constraints among them and this cell hold already.
+                consistent = _propagate(watchers, domains, [later[depth]], trail)
+            else:
+                consistent = False
+            if consistent:
                 depth += 1
                 next_stance[depth] = 0
             else:
-                counters["pruned_events"] += 1
-                counters["pruned_total"] += pow3[cell_count - depth - 1]
+                pruned_events += 1
+                pruned_total += pow3[cell_count - depth - 1]
 
-    if counters["leaves"] + counters["pruned_total"] != space:
+    if found + pruned_total != space:
         raise RuntimeError(
             "accounting mismatch: leaves + pruned does not cover the space"
         )
 
+    audit_start = perf_counter()
     survivors = []
     width = len(problem.splits)
     # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
     for stances in leaves:
         # Pair q's cells start at q * width; zip stops after the width of them.
-        tables ={pair: dict(zip(problem.splits, stances[q * width :])) for q, pair in enumerate(problem.pairs)}
+        tables = {pair: dict(zip(problem.splits, stances[q * width :])) for q, pair in enumerate(problem.pairs)}
         swf = PairwiseRuleSwf.from_tables(m, n, domain, tables)
         report = full_report(swf)
         if not report.arrovian():
@@ -358,9 +417,10 @@ def search_arrovian(
         cell_count=cell_count,
         forced_cells=len(problem.forced),
         space=space,
-        explored_leaves=counters["leaves"],
-        pruned_events=counters["pruned_events"],
-        pruned_total=counters["pruned_total"],
-        nodes=counters["nodes"],
+        explored_leaves=found,
+        pruned_events=pruned_events,
+        pruned_total=pruned_total,
+        nodes=nodes,
         survivors=survivors,
+        audit_s=perf_counter() - audit_start,
     )

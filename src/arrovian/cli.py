@@ -82,6 +82,7 @@ class RunContext:
     outputs: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
     phases: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
     _parts: list[str] = field(default_factory=list)
 
     def say(self, text: str) -> None:
@@ -125,6 +126,7 @@ class RunContext:
             "wall_time_s": round(wall_time_s, 6),
             "seed": self.seed,
             "phases": {name: round(s, 6) for name, s in self.phases.items()},
+            "counters": self.counters,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -336,7 +338,17 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
         raise CliError(str(exc)) from None
     searched = time.perf_counter()
     text = cert.to_json_text() if args.certificate or args.json else None
-    ctx.phases = {"search_s": searched - start, "render_s": 0.0 if text is None else time.perf_counter() - searched}
+    ctx.phases = {
+        "search_s": searched - start - cert.audit_s,
+        "audit_s": cert.audit_s,
+        "render_s": 0.0 if text is None else time.perf_counter() - searched,
+    }
+    ctx.counters = {
+        "nodes": cert.nodes,
+        "leaves": cert.explored_leaves,
+        "pruned_events": cert.pruned_events,
+        "survivors": len(cert.survivors),
+    }
     if args.certificate:
         ctx.write_text(args.certificate, text)
     non_dictatorial = [i for i, rec in enumerate(cert.survivors) if rec.dictator is None]

@@ -21,17 +21,21 @@ Codes:
   holds one per profile, `ABSENT` (-1) where there is none.
 
 Tables are stored per pair, one entry per profile, because the checks
-scan pairs outer and profiles inner, and read one profile across pairs
-with `zip`.
+scan pairs outer and profiles inner.  A stance column is `bytes`, one
+code per profile: `split_columns` gathers it from a rule table with one
+`bytes.translate` of the pair's split positions, and `row_keys` packs a
+profile's codes across pairs into one integer, so a pass over distinct
+rows hashes one int per profile.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .profiles import Domain, Profile, check_profile_space
 from .relations import (
@@ -65,7 +69,7 @@ class DomainKernel:
     the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
     round, in `canonical`.  `order_codes[q][d]` is the stance code of
     `orders[d]` on `canonical[q]` and `tri[q][i]` the tri-partition code
-    of profile i there; `strict_support` is built on first use.
+    of profile i there; `strict_support` and `split_positions` are built on first use.
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
@@ -110,12 +114,17 @@ class DomainKernel:
         """The tri-partition codes that occur in `tri`."""
         return frozenset().union(*self.tri)
 
-    def rows(self, columns: Sequence[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-        """Per profile, its entries across the given per-pair columns.
+    @cached_property
+    def split_positions(self) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
+        """The sorted splits and, per pair of `canonical`, each profile's split as its position there.
 
-        With no columns (m=1 has no pairs) every profile reads as ().
+        One byte per profile, so None above 256 splits.
         """
-        return zip(*columns) if columns else repeat((), self.size)
+        order = tuple(sorted(self.splits))
+        if len(order) > 256:
+            return None
+        at = {t: j for j, t in enumerate(order)}
+        return order, tuple(bytes(map(at.__getitem__, tri)) for tri in self.tri)
 
     def profile(self, i: int) -> Profile:
         """The profile at enumeration index i, as an object."""
@@ -176,15 +185,14 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
 _NOT_STANCE = tuple(bytes(int(c != s) for c in range(256)) for s in (FIRST, SECOND))
 
 
-def overruled(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+def overruled(k: DomainKernel, cols: Sequence[bytes]) -> tuple[int, ...]:
     """Per pair of `k.pairs`, the profiles whose verdict does not prefer its first alternative.
 
     A byte-wise int, byte i for profile i as in `strict_support`; an
     undefined verdict (`MISSING`) counts as not preferring it.
     """
-    raw = [bytes(col) for col in cols]
     return tuple(
-        int.from_bytes(raw[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
+        int.from_bytes(cols[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
         for (x, y), q in zip(k.pairs, k.slot)
     )
 
@@ -207,10 +215,61 @@ def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
         yield hit
 
 
-def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
-    """Per pair of `k.canonical`, its table (split code to stance code) read at each profile, MISSING where none."""
-    fill = dict.fromkeys(k.splits, MISSING)
-    return [tuple(map({**fill, **table}.__getitem__, tri)) for tri, table in zip(k.tri, tables)]
+def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[bytes]:
+    """Per pair of `k.canonical`, its table (split code to stance code) read at each profile, MISSING where none.
+
+    With at most 256 splits a column is the pair's split positions translated through
+    the table laid out by position; above that, each profile looks its split up.
+    """
+    if k.split_positions is None:
+        fill = dict.fromkeys(k.splits, MISSING)
+        return [bytes(map({**fill, **table}.__getitem__, tri)) for tri, table in zip(k.tri, tables)]
+    order, positions = k.split_positions
+    pad = bytes([MISSING]) * (256 - len(order))
+    return [
+        pos.translate(bytes(map(table.get, order, repeat(MISSING))) + pad)
+        for pos, table in zip(positions, tables)
+    ]
+
+
+def _key_width(count: int) -> int:
+    """Bytes per `row_keys` key of `count` columns: one byte lane per four, rounded up to a power of two."""
+    lanes = max(1, (count + 3) // 4)
+    return 1 << (lanes - 1).bit_length()
+
+
+def row_keys(k: DomainKernel, cols: Sequence[bytes]) -> array:
+    """Per profile, its codes across `cols` packed into one int; `unpack_row` reads it back.
+
+    Each code is 2 bits, so four pairs share one byte lane: lane g holds
+    columns 4g to 4g+3 and is byte g of the key's native-order bytes.
+    With no columns (m=1 has no pairs) every key is 0.
+    """
+    width = _key_width(len(cols))
+    buf = bytearray(k.size * width)
+    for g in range(0, len(cols), 4):
+        lane = 0
+        for shift, col in zip((0, 2, 4, 6), cols[g : g + 4]):
+            lane |= int.from_bytes(col, "little") << shift  # codes are below 4, so no carry leaves a byte
+        buf[g >> 2 :: width] = lane.to_bytes(k.size, "little")
+    keys = array({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+    keys.frombytes(buf)
+    return keys
+
+
+def unpack_row(key: int, count: int) -> tuple[int, ...]:
+    """The `count` codes that `row_keys` packed into key."""
+    lanes = key.to_bytes(_key_width(count), sys.byteorder)
+    return tuple(lane >> shift & 3 for lane in lanes for shift in (0, 2, 4, 6))[:count]
+
+
+@lru_cache(maxsize=1 << 16)  # a distinct row recurs across the rules of one domain
+def row_verdict(m: int, key: int) -> int:
+    """The verdict index of a `row_keys` key over the canonical pairs of m: its codes
+    composed, or ABSENT where one is MISSING or they do not compose."""
+    codes = unpack_row(key, m * (m - 1) // 2)
+    # a failure's None is not a key of `verdict_index`
+    return ABSENT if MISSING in codes else verdict_index(m).get(compose(m, codes)[2], ABSENT)
 
 
 def first_profile(hit: int) -> int:
@@ -238,12 +297,9 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
     return rel, res, to_canonical(rel) if res.ok else None
 
 
-def compose_rows(k: DomainKernel, cols: Sequence[tuple[int, ...]]) -> array:
+def compose_rows(k: DomainKernel, cols: Sequence[bytes]) -> array:
     """The verdict row of `cols`: per profile, its codes composed, or ABSENT where one is MISSING or they do not."""
-    index = verdict_index(k.m)
-    # one composition per distinct row; a failure's None is not a key of `index`
-    verdict = cache(lambda codes: ABSENT if MISSING in codes else index.get(compose(k.m, codes)[2], ABSENT))
-    return array("h", map(verdict, k.rows(cols)))
+    return array("h", map(row_verdict, repeat(k.m), row_keys(k, cols)))
 
 
 @lru_cache(maxsize=None)

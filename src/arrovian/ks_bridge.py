@@ -66,14 +66,14 @@ def extract_decisive_family(swf: Swf, require_arrovian: bool = True) -> Decisive
     return _decisive_family(swf, k, cols)
 
 
-def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, ...]]]:
+def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes]]:
     report, k, cols = audit_columns(swf)
     if not report.arrovian():
         raise NotArrovianError(report)
     return report, k, cols
 
 
-def _decisive_family(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> DecisiveFamily:
+def _decisive_family(swf: Swf, k: DomainKernel, cols: list[bytes]) -> DecisiveFamily:
     require_defined(swf, k, cols)
     over = overruled(k, cols)
     members = [c for c in range(1 << swf.n) if not any(overruled_by(k, over, c))]

@@ -67,7 +67,7 @@ from .profiles import (
 )
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
-    first_profile, overruled, overruled_by, split_columns, verdict_codes, verdict_index,
+    first_profile, overruled, overruled_by, row_keys, row_verdict, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -125,9 +125,9 @@ class ExplicitSwf:
     def stance(self, f: Profile, x: int, y: int) -> PairStance:
         return pair_stance(self.verdict(f), x, y)
 
-    def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
+    def stance_columns(self, k: DomainKernel) -> list[bytes]:
         """Per pair of `k.canonical`, the verdict's stance code on each profile."""
-        return [tuple(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
+        return [bytes(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -207,7 +207,7 @@ class PairwiseRuleSwf:
         rel, res, order = compose(self.m, codes)
         return order if res.ok else CompositionFailure(f, rel, res)
 
-    def stance_columns(self, k: DomainKernel) -> list[tuple[int, ...]]:
+    def stance_columns(self, k: DomainKernel) -> list[bytes]:
         """Per pair of `k.canonical`, the rule's stance code on each profile."""
         return split_columns(k, [self.tables.get(pair, {}) for pair in k.canonical])
 
@@ -249,7 +249,7 @@ def _profile_at(swf: Swf, k: DomainKernel, i: int, pair: tuple[int, int], code: 
     return f
 
 
-def _kernel_columns(swf: Swf) -> tuple[DomainKernel, list[tuple[int, ...]]]:
+def _kernel_columns(swf: Swf) -> tuple[DomainKernel, list[bytes]]:
     k = domain_kernel(swf.m, swf.n, swf.domain)
     return k, swf.stance_columns(k)
 
@@ -264,7 +264,7 @@ def check_unanimity(swf: Swf) -> UnanimityCheck:
     return _unanimity(swf, k, cols, overruled(k, cols))
 
 
-def _unanimity(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]], over: tuple[int, ...]) -> UnanimityCheck:
+def _unanimity(swf: Swf, k: DomainKernel, cols: list[bytes], over: tuple[int, ...]) -> UnanimityCheck:
     for pair, q, hit in zip(k.pairs, k.slot, overruled_by(k, over, (1 << k.n) - 1)):
         if hit:
             i = first_profile(hit)
@@ -285,7 +285,7 @@ def check_independence(swf: Swf) -> IndependenceCheck:
     return _independence(swf, *_kernel_columns(swf))
 
 
-def _tri_groups(k: DomainKernel, cols: list[tuple[int, ...]]) -> Iterator[tuple[dict[int, int], int | None]]:
+def _tri_groups(k: DomainKernel, cols: list[bytes]) -> Iterator[tuple[dict[int, int], int | None]]:
     """Per canonical pair, lazily, its stance per tri-partition code and the first break.
 
     Codes are keyed in order of first meeting.  The break is the first profile that is MISSING
@@ -301,7 +301,7 @@ def _tri_groups(k: DomainKernel, cols: list[tuple[int, ...]]) -> Iterator[tuple[
         yield seen, stop
 
 
-def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[tuple[int, ...]]) -> IndependenceCheck:
+def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[bytes]) -> IndependenceCheck:
     for pair, tri, col, (_, i) in zip(k.canonical, k.tri, cols, _tri_groups(k, cols)):
         if i is not None:
             _profile_at(swf, k, i, pair, col[i])
@@ -315,7 +315,7 @@ def find_dictator(swf: Swf) -> int | None:
     return _dictator(swf, k, cols, overruled(k, cols))
 
 
-def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]], over: tuple[int, ...]) -> int | None:
+def _dictator(swf: Swf, k: DomainKernel, cols: list[bytes], over: tuple[int, ...]) -> int | None:
     # A voter who is not one is checked at their first overruled place in
     # (profile, ordered pair) order, which raises if the verdict there is undefined.
     for v in range(k.n):
@@ -327,7 +327,7 @@ def _dictator(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]], over: tupl
     return None
 
 
-def require_defined(swf: Swf, k: DomainKernel, cols: list[tuple[int, ...]]) -> None:
+def require_defined(swf: Swf, k: DomainKernel, cols: list[bytes]) -> None:
     """Raise the LookupError of the first undefined verdict, if any.
 
     "First" is in (profile, ordered pair) order, the order in which a
@@ -405,7 +405,7 @@ def full_report(swf: Swf) -> AxiomReport:
     return audit_columns(swf)[0]
 
 
-def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, ...]]]:
+def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes]]:
     """`full_report`, with the kernel and stance columns it read.
 
     The columns are built once and shared by every check; callers that
@@ -426,10 +426,10 @@ def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[tuple[int, 
         # Each distinct row of stance codes is composed once, in order of
         # first occurrence, so the first failing row's first occurrence is
         # the first failing profile.
-        rows = list(k.rows(cols))
-        for codes in dict.fromkeys(rows):
-            if MISSING in codes or not compose(swf.m, codes)[1].ok:
-                f = k.profile(rows.index(codes))
+        keys = row_keys(k, cols)
+        for key in dict.fromkeys(keys):
+            if row_verdict(k.m, key) == ABSENT:
+                f = k.profile(keys.index(key))
                 try:
                     failure = swf.assemble(f)
                 except LookupError as exc:
@@ -630,20 +630,28 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
 
         parse = cache(lambda text: parse_weak_order(text, alts))  # one parse per distinct text
 
-        @cache
-        def ballot(text: str) -> int:  # one domain check per distinct text
+        def ballot(text: str) -> int:
             w = parse(text)
             if domain is Domain.LINEAR and len(w.classes) < m:
                 raise ValueError("profile outside the linear domain")
             return ballots[w]
 
-        def order(text, read=cache(lambda text: verdict_index(m)[parse(text)])) -> int:
+        def verdict(text: str) -> int:
+            return verdict_index(m)[parse(text)]
+
+        def order(text, read: Callable[[str], int]) -> int:
             if not isinstance(text, str):
                 raise ValueError(f"order must be a string, got {type(text).__name__}")
             return read(text)
 
-        table: dict[int, int] = {}  # profile index to verdict index
-        for i, entry in enumerate(entries):
+        size = len(ballots)
+        # Each text's ballot and verdict index, recorded once it has passed the checks below,
+        # so an entry of texts already seen costs a few dict lookups.
+        ballot_at: dict[str, int] = {}
+        verdict_at: dict[str, int] = {}
+
+        def checked(i: int, entry) -> tuple[int, int]:
+            """Entry i's profile index and verdict index, or the located error of its first defect."""
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SwfFormatError(f"entries[{i}]: expected [profile, verdict]")
             prof_texts, verdict_text = entry
@@ -652,10 +660,25 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             at = 0  # the profile's enumeration index
             try:
                 for text in prof_texts:
-                    at = at * len(ballots) + order(text, ballot)
-                w = order(verdict_text)
+                    ballot_at[text] = d = order(text, ballot)
+                    at = at * size + d
+                verdict_at[verdict_text] = w = order(verdict_text, verdict)
             except ValueError as exc:
                 raise SwfFormatError(f"entries[{i}]: {exc}") from None
+            return at, w
+
+        table: dict[int, int] = {}  # profile index to verdict index
+        for i, entry in enumerate(entries):
+            try:
+                prof_texts, verdict_text = entry
+                if type(entry) is not list or type(prof_texts) is not list or len(prof_texts) != n:
+                    raise TypeError
+                at = 0
+                for text in prof_texts:
+                    at = at * size + ballot_at[text]
+                w = verdict_at[verdict_text]
+            except (KeyError, TypeError, ValueError):  # a text not seen yet, or a malformed entry
+                at, w = checked(i, entry)
             if at in table:
                 raise SwfFormatError(f"entries[{i}]: duplicate profile")
             table[at] = w

@@ -10,9 +10,10 @@ witnesses and equal error texts.  Only tests import this module.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from arrovian.arrow_search import SearchProblem
+from arrovian.arrow_search import SearchProblem, _allowed_triples
 from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
 from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
 from arrovian.relations import (
@@ -209,3 +210,36 @@ def search_constraints(problem: SearchProblem) -> tuple[tuple[int, ...], ...]:
         for f in enumerate_profiles(problem.m, problem.n, problem.domain)
         for a, b, c in combinations(range(problem.m), 3)
     )
+
+
+def reference_gac(problem: SearchProblem, domains: list[int]) -> list[int] | None:
+    """Generalized arc consistency by a queue of constraints, each revised against the 13
+    stance triples directly: the stance masks at the fixpoint, or None on a wipeout.
+
+    Every constraint starts queued; one whose cell loses a stance queues the other
+    constraints on that cell again.
+    """
+    domains = list(domains)
+    on_cell: list[list[int]] = [[] for _ in domains]
+    for ci, cells in enumerate(problem.constraints):
+        for cell in cells:
+            on_cell[cell].append(ci)
+    queue = deque(range(len(problem.constraints)))
+    queued = set(queue)
+    while queue:
+        ci = queue.popleft()
+        queued.discard(ci)
+        cells = problem.constraints[ci]
+        live = [t for t in _allowed_triples() if all(domains[c] >> s & 1 for c, s in zip(cells, t))]
+        for j, cell in enumerate(cells):
+            mask = sum(1 << s for s in {t[j] for t in live})
+            if mask == domains[cell]:
+                continue
+            if not mask:
+                return None
+            domains[cell] = mask
+            for cj in on_cell[cell]:
+                if cj != ci and cj not in queued:
+                    queue.append(cj)
+                    queued.add(cj)
+    return domains

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import random
 import sys
 from collections import Counter
 from itertools import combinations, product
@@ -15,7 +16,8 @@ from arrovian.arrow_search import (
     MAX_SEARCH_PROFILES,
     SearchIncompleteError,
     _allowed_triples,
-    _gac,
+    _oriented_tables,
+    _propagate,
     _support_table,
     build_problem,
     search_arrovian,
@@ -33,11 +35,11 @@ def cell_for(p, f, pair):
 
 def root_domains(p, assignment=()):
     """The stance masks after unanimity forcing, the given (cell, stance) pairs
-    and generalized arc consistency over every constraint; None on a wipeout."""
+    and generalized arc consistency from every cell; None on a wipeout."""
     domains = [7] * (len(p.pairs) * len(p.splits))
     for cell, stance in [*p.forced.items(), *assignment]:
         domains[cell] = 1 << stance
-    return domains if _gac(p, domains, list(range(len(p.constraints))), []) else None
+    return domains if _propagate(p.watchers, domains, list(p.watchers), []) else None
 
 
 # --- problem construction ---------------------------------------------------
@@ -48,29 +50,29 @@ def test_problem_shapes():
     p = build_problem(3, 2, Domain.LINEAR)
     assert p.pairs == [(0, 1), (0, 2), (1, 2)]
     assert p.splits == [0, 1, 3, 4]  # the tie-free splits
-    assert len(p.cell_constraints) == 12  # 3 pairs x 4 tie-free splits
+    assert len(p.watchers) == 12  # 3 pairs x 4 tie-free splits
     assert p.forced == {0: 0, 3: 1, 4: 0, 7: 1, 8: 0, 11: 1}
     assert len(p.constraints) == 36  # 6**2 profiles
 
     p = build_problem(3, 2, Domain.WEAK)
     assert p.splits == list(range(9))
-    assert len(p.cell_constraints) == 27  # 3 pairs x 9 splits
+    assert len(p.watchers) == 27  # 3 pairs x 9 splits
     assert len(p.forced) == 6
     assert len(p.constraints) == 169  # 13**2 profiles
 
     p = build_problem(3, 3, Domain.LINEAR)
     assert len(p.splits) == 8  # tie-free splits
-    assert len(p.cell_constraints) == 24  # 3 pairs x 8 splits
+    assert len(p.watchers) == 24  # 3 pairs x 8 splits
     assert len(p.forced) == 6
 
     p = build_problem(4, 2, Domain.LINEAR)
     assert len(p.pairs) == 6
-    assert len(p.cell_constraints) == 24  # 6 pairs x 4 tie-free splits
+    assert len(p.watchers) == 24  # 6 pairs x 4 tie-free splits
     assert len(p.forced) == 12
     assert len(p.constraints) == 4 * 36  # 4 triangles
 
     p = build_problem(5, 1, Domain.WEAK)
-    assert len(p.cell_constraints) == 30  # 10 pairs x 3 splits
+    assert len(p.watchers) == 30  # 10 pairs x 3 splits
     assert len(p.constraints) == 10 * 13  # 10 triangles
 
 
@@ -140,6 +142,18 @@ def test_support_table_matches_the_thirteen_triples():
         assert table[doms[0] | doms[1] << 3 | doms[2] << 6] == expected
 
 
+def test_oriented_tables_pack_the_support_table():
+    """Table x, keyed by x's domain and then the other two in constraint order,
+    holds the same supported stances in the same packing."""
+    supports = _support_table()
+    for x, table in enumerate(_oriented_tables()):
+        others = [j for j in range(3) if j != x]
+        for doms in product(range(8), repeat=3):
+            found = supports[doms[0] | doms[1] << 3 | doms[2] << 6]
+            key = doms[x] | doms[others[0]] << 3 | doms[others[1]] << 6
+            assert table[key] == found[x] | found[others[0]] << 3 | found[others[1]] << 6
+
+
 # --- propagation --------------------------------------------------------------
 
 
@@ -160,8 +174,48 @@ def test_propagate_forces_transitive_closure():
 
 def test_fully_forced_single_voter_problem():
     p = build_problem(3, 1, Domain.LINEAR)
-    assert len(p.forced) == len(p.cell_constraints) == 6
+    assert len(p.forced) == len(p.watchers) == 6
     assert all(mask in (1, 2, 4) for mask in root_domains(p))
+
+
+@pytest.mark.parametrize("m,n,domain", [(3, 2, Domain.WEAK), (4, 1, Domain.WEAK), (3, 3, Domain.LINEAR)])
+def test_propagation_reaches_the_reference_fixpoint(m, n, domain):
+    """Seeded random partial assignments: propagating from the changed cells gives the
+    domains, or the wipeout, of a constraint-queue GAC over every constraint, and undoing
+    the trail restores the assignment.  A run of decisions in cell order, each revising
+    only the constraints that reach a later cell, as the search does, gives them too."""
+    p = build_problem(m, n, domain)
+    rng = random.Random(f"{m}/{n}/{domain.value}")
+    cells = len(p.watchers)
+    root = root_domains(p)
+    assert root == oracle.reference_gac(p, root)
+    wipeouts = 0
+    for _ in range(150):
+        domains = list(root)
+        changed = rng.sample([c for c in range(cells) if c not in p.forced], rng.randint(1, cells // 3))
+        for cell in changed:
+            domains[cell] = rng.randint(1, 7)
+        expected = oracle.reference_gac(p, domains)
+        got, trail = list(domains), []
+        ok = _propagate(p.watchers, got, [p.watchers[c] for c in changed], trail)
+        assert (got if ok else None) == expected
+        wipeouts += not ok
+        for cell, old in reversed(trail):
+            got[cell] = old
+        assert got == domains
+    assert 0 < wipeouts < 150
+    for _ in range(20):
+        domains = list(root)
+        for depth in range(cells):
+            stance = rng.choice([s for s in range(3) if domains[depth] >> s & 1])
+            trial = list(domains)
+            trial[depth] = 1 << stance
+            expected = oracle.reference_gac(p, trial)
+            ok = _propagate(p.watchers, trial, [p.later[depth]], [])
+            assert (trial if ok else None) == expected
+            if not ok:
+                break
+            domains = trial
 
 
 # --- the search -----------------------------------------------------------------
@@ -314,6 +368,7 @@ RENDERED = {
     (3, 2, "linear"): (66, 2, 43),
     (3, 3, "linear"): (201, 3, 132),
     (3, 4, "linear"): (546, 4, 361),
+    (3, 6, "linear"): (3348, 6, 2227),
     (3, 1, "weak"): (117, 13, 66),
     (3, 2, "weak"): (9444, 366, 5931),
     (4, 1, "weak"): (1242, 75, 754),

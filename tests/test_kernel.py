@@ -7,6 +7,7 @@ tables and ultrafilter tables must agree on every search survivor, every
 built-in constructor, partial rules and random tables.
 """
 
+import random
 from functools import lru_cache, reduce
 from itertools import product
 from operator import and_
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
-from arrovian.kernel import FIRST, SECOND, STANCES, compose, domain_kernel, majority_codes
+from arrovian.kernel import (
+    FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, split_columns, unpack_row,
+)
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
 from arrovian.ks_bridge import extract_decisive_family, swf_from_ultrafilter
@@ -131,6 +134,42 @@ def test_tables_match_the_profile_objects(m, n, domain):
                     if all(f.stance(v, x, y) is PairStance.FIRST_PREFERRED for v in range(n))]
         both = reduce(and_, strict, int.from_bytes(b"\1" * k.size, "little"))
         assert [i for i in range(k.size) if both >> 8 * i & 1] == everyone
+
+
+@pytest.mark.parametrize(
+    "m,n,domain,splits",
+    [(3, 2, Domain.WEAK, 9), (4, 2, Domain.LINEAR, 4), (2, 5, Domain.WEAK, 243), (2, 6, Domain.WEAK, 729)],
+)
+def test_split_columns_read_random_partial_tables(m, n, domain, splits):
+    """Both gathers, by split position up to 256 splits and by lookup above, read a
+    table as a dict map does, MISSING where it has no entry."""
+    k = domain_kernel(m, n, domain)
+    assert len(k.splits) == splits
+    assert (k.split_positions is None) == (splits > 256)
+    rng = random.Random(splits)
+    for _ in range(20):
+        tables = [
+            {t: rng.randrange(3) for t in rng.sample(sorted(k.splits), rng.randint(0, splits))}
+            for _ in k.canonical
+        ]
+        cols = split_columns(k, tables)
+        assert all(type(col) is bytes for col in cols)
+        fill = dict.fromkeys(k.splits, MISSING)
+        assert [tuple(c) for c in cols] == [tuple(map({**fill, **table}.get, tri)) for tri, table in zip(k.tri, tables)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_row_keys_pack_each_profile_across_pairs(m):
+    """One key per profile, 2 bits per pair in byte lanes of four pairs; unpacked, the
+    key gives the profile's codes back, and equal keys mean equal rows."""
+    k = domain_kernel(m, 1, Domain.WEAK)
+    rng = random.Random(m)
+    cols = [bytes(rng.randrange(4) for _ in range(k.size)) for _ in k.canonical]
+    keys = row_keys(k, cols)
+    rows = list(zip(*cols)) if cols else [()] * k.size
+    assert len(keys) == k.size
+    assert [unpack_row(key, len(cols)) for key in keys] == rows
+    assert len(set(keys)) == len(set(rows))
 
 
 def test_profiles_outside_the_domain_have_no_index():
