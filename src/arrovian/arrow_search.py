@@ -40,7 +40,8 @@ survivor is still audited by `swf.full_report` over the m-ary
 profiles, an independent profile-level cross-check.
 
 A cell is an integer: cell `q * len(splits) + j` is the stance of
-`pairs[q]` at tri-partition code `splits[j]`.
+`pairs[q]` at tri-partition code `splits[j]`.  A survivor is its leaf,
+one stance byte per cell, and its dictator; `leaf_rule` decodes the rule.
 
 Determinism: cells are ordered by (pair, tri-partition code), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
@@ -71,7 +72,12 @@ MAX_SEARCH_PROFILES = 100_000
 
 
 class SearchIncompleteError(RuntimeError):
-    """The node budget ran out before the space was covered."""
+    """The node budget ran out before the space was covered; `counters` are those reached, as `progress` gets them."""
+
+    counters = property(lambda self: self.args[0])  # the only argument, so that the error pickles
+
+    def __str__(self) -> str:
+        return f"node budget {self.counters['nodes']} exhausted with the space not yet covered"
 
 
 # A constraint seen from its cell x: the support table of x's position, x, and the other two cells.
@@ -152,9 +158,7 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     check_profile_space(m, n, domain)
     size = domain_size(m, n, domain)
     if size > MAX_SEARCH_PROFILES:
-        raise BudgetExceededError(
-            f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}"
-        )
+        raise BudgetExceededError(f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}")
     kernel = domain_kernel(3, n, domain)
     pairs = unordered_pairs(m)
     splits = sorted(kernel.splits)
@@ -237,11 +241,26 @@ def _propagate(
     return True
 
 
-@dataclass
+def leaf_rule(m: int, n: int, domain: Domain, leaf: bytes) -> PairwiseRuleSwf:
+    """The rule of a leaf of the (m, n, domain) search: pair q's stance codes start at byte q * len(splits)."""
+    splits = sorted(domain_kernel(3, n, domain).splits)
+    tables = {pair: dict(zip(splits, leaf[q * len(splits) :])) for q, pair in enumerate(unordered_pairs(m))}
+    return PairwiseRuleSwf.from_tables(m, n, domain, tables)
+
+
+@dataclass(frozen=True, slots=True)
 class SurvivorRecord:
-    swf: PairwiseRuleSwf
+    """A survivor is the leaf that the search produced and its dictator; `swf` is decoded on each access."""
+
+    stances: bytes
     dictator: int | None
-    stances: tuple[int, ...]
+    m: int
+    n: int
+    domain: Domain
+
+    @property
+    def swf(self) -> PairwiseRuleSwf:
+        return leaf_rule(self.m, self.n, self.domain, self.stances)
 
 
 @dataclass
@@ -366,11 +385,10 @@ def search_arrovian(
                 depth -= 1
                 continue
             next_stance[depth] = s + 1
+            if nodes == max_nodes:
+                counters = dict(leaves=found, pruned_events=pruned_events, pruned_total=pruned_total, nodes=nodes)
+                raise SearchIncompleteError(counters)
             nodes += 1
-            if nodes > max_nodes:
-                raise SearchIncompleteError(
-                    f"node budget {max_nodes} exhausted with the space not yet covered"
-                )
             if progress is not None and nodes % 100_000 == 0:
                 progress(dict(leaves=found, pruned_events=pruned_events, pruned_total=pruned_total, nodes=nodes))
             bit, mask = 1 << s, domains[depth]
@@ -392,24 +410,16 @@ def search_arrovian(
                 pruned_total += pow3[cell_count - depth - 1]
 
     if found + pruned_total != space:
-        raise RuntimeError(
-            "accounting mismatch: leaves + pruned does not cover the space"
-        )
+        raise RuntimeError("accounting mismatch: leaves + pruned does not cover the space")
 
     audit_start = perf_counter()
     survivors = []
-    width = len(problem.splits)
     # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
-    for stances in leaves:
-        # Pair q's cells start at q * width; zip stops after the width of them.
-        tables = {pair: dict(zip(problem.splits, stances[q * width :])) for q, pair in enumerate(problem.pairs)}
-        swf = PairwiseRuleSwf.from_tables(m, n, domain, tables)
-        report = full_report(swf)
+    for leaf in leaves:
+        report = full_report(leaf_rule(m, n, domain, leaf))
         if not report.arrovian():
-            raise RuntimeError(
-                f"survivor failed the axiom cross-check: {report.failed()}"
-            )
-        survivors.append(SurvivorRecord(swf, report.dictator, tuple(stances)))
+            raise RuntimeError(f"survivor failed the axiom cross-check: {report.failed()}")
+        survivors.append(SurvivorRecord(leaf, report.dictator, m, n, domain))
     return SearchCertificate(
         m=m,
         n=n,

@@ -329,12 +329,12 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
     """Writes its own output: under --json the certificate text, otherwise a summary of its counters."""
     try:
         domain = Domain.from_name(args.domain)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         cert = search_arrovian(args.alternatives, args.voters, domain, max_nodes=args.max_nodes)
-    except (ValueError, SearchIncompleteError) as exc:
+    except SearchIncompleteError as exc:
+        ctx.counters = {key: exc.counters[key] for key in ("nodes", "leaves", "pruned_events")}
+        raise CliError(str(exc)) from None
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     searched = time.perf_counter()
     text = cert.to_json_text() if args.certificate or args.json else None

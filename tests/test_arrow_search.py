@@ -1,9 +1,12 @@
 """The complete rule-space search and its propagation engine."""
 
+import gc
 import inspect
 import json
+import pickle
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -267,6 +270,28 @@ def test_weak_two_voters_all_survivors_dictatorial():
     assert cert.explored_leaves + cert.pruned_total == cert.space
 
 
+def test_a_survivor_keeps_only_its_leaf():
+    """A survivor holds the leaf bytes and its dictator, and its rule tables
+    are built when asked for: a warm-cache certificate of the 366 m=3 weak
+    n=2 survivors retains under 100 KB.  Keeping a per-pair dict table and a
+    stance tuple for each survivor retained about 660 KB."""
+    search_arrovian(3, 2, Domain.WEAK)  # warms the kernel caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = search_arrovian(3, 2, Domain.WEAK)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cert.survivors) == 366
+    assert retained < 100_000, f"the certificate retains {retained} bytes"
+    rec = cert.survivors[0]
+    assert type(rec.stances) is bytes and not hasattr(rec, "__dict__")
+    assert rec.swf is not rec.swf  # decoded on each access, never kept
+
+
 def test_range_guards():
     """Besides the m range (test_problem_rejects_other_m), a size must fit
     the profile budget at the requested m and the search's own profile
@@ -335,10 +360,15 @@ def test_node_budget_below_one_is_refused_up_front(budget):
 def test_progress_callback_sees_counters():
     """A report every 100,000 nodes: exactly one before the budget stops the search."""
     seen = []
-    with pytest.raises(SearchIncompleteError):
+    with pytest.raises(SearchIncompleteError) as stop:
         search_arrovian(3, 3, Domain.WEAK, max_nodes=100_000, progress=seen.append)
     assert len(seen) == 1
     assert seen[0]["nodes"] == 100_000
+    # the budget stop carries the counters it reached, in the same shape
+    assert stop.value.counters.keys() == seen[0].keys()
+    assert stop.value.counters["nodes"] == 100_000
+    copy = pickle.loads(pickle.dumps(stop.value))  # as a process pool would carry it back
+    assert (str(copy), copy.counters) == (str(stop.value), stop.value.counters)
 
 
 # --- certificates ------------------------------------------------------------------

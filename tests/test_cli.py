@@ -611,6 +611,14 @@ def test_search_guardrails(capsys):
     assert "unknown domain 'total'" in err
 
 
+def test_search_budget_stop_reports_its_counters(capsys):
+    """A run that ends on the node budget writes the counters it reached; stdout stays empty."""
+    code, out, manifest, err = run(capsys, "arrow-search", "--voters", "2", "--domain", "weak", "--max-nodes", "2000")
+    assert (code, out, err) == (2, "", "error: node budget 2000 exhausted with the space not yet covered")
+    assert manifest["counters"] == {"nodes": 2000, "leaves": 90, "pruned_events": 1235}
+    assert manifest["phases"] == {}
+
+
 def test_search_default_node_budget_and_ignored_allow_long(capsys):
     code, out, manifest, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear")
     assert code == 0

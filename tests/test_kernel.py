@@ -366,7 +366,7 @@ def test_brute_force_finds_the_survivors_of_the_search():
                 rules[pair][t] = stance_of[stances[i]]
             if full_report(PairwiseRuleSwf(m, n, domain, rules)).arrovian():
                 found.add(tuple(stances[i] for i in range(len(cells))))
-        assert found == {rec.stances for rec in search_arrovian(m, n, domain).survivors}
+        assert found == {tuple(rec.stances) for rec in search_arrovian(m, n, domain).survivors}
         assert len(found) == survivors
 
 
