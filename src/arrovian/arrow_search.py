@@ -40,10 +40,11 @@ survivor is still audited by `swf.full_report` over the m-ary
 profiles, an independent profile-level cross-check.
 
 A cell is an integer: cell `q * len(splits) + j` is the stance of
-`pairs[q]` at tri-partition code `splits[j]`.  A survivor is its leaf,
-one stance byte per cell, and its dictator; `leaf_rule` decodes the rule.
+`pairs[q]` at split position j, tri-partition code `splits[j]`.  A
+survivor is its leaf, one stance byte per cell, and its dictator;
+`leaf_rule` decodes the rule.
 
-Determinism: cells are ordered by (pair, tri-partition code), stances
+Determinism: cells are ordered by (pair, split position), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
 sorted keys, so two runs produce byte-identical output.
 """
@@ -86,7 +87,7 @@ Watcher = tuple[tuple[int, ...], int, int, int]
 
 @dataclass
 class SearchProblem:
-    """Cell `q * len(splits) + j` is the stance of `pairs[q]` at code `splits[j]`.
+    """Cell `q * len(splits) + j` is the stance of `pairs[q]` at split position j, code `splits[j]`.
 
     `watchers[x]` sees each constraint on cell x from x; `later[x]` keeps
     those in which x is not the last cell, so some other cell comes after x.
@@ -107,7 +108,7 @@ class SearchProblem:
 def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
     """The stance triples on (0, 1), (0, 2), (1, 2) of the weak orders on three.
 
-    One voter's tri-partition code on a pair is its stance code, so these
+    One voter's split position on a pair is its stance code, so these
     are the rows of the one-voter weak kernel at m=3.
     """
     return tuple(sorted(zip(*domain_kernel(3, 1, Domain.WEAK).tri)))
@@ -152,7 +153,7 @@ def _oriented_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
 
 
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
-    """Cells by (pair, code); constraints by (triangle, m=3 profile index)."""
+    """Cells by (pair, split position); constraints by (triangle, m=3 profile index)."""
     if not 3 <= m <= MAX_ALTERNATIVES:
         raise ValueError(f"the search needs 3 to {MAX_ALTERNATIVES} alternatives, got m={m}")
     check_profile_space(m, n, domain)
@@ -161,11 +162,10 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         raise BudgetExceededError(f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}")
     kernel = domain_kernel(3, n, domain)
     pairs = unordered_pairs(m)
-    splits = sorted(kernel.splits)
-    pos = {code: j for j, code in enumerate(splits)}
+    splits = list(kernel.splits)
     base = {pair: q * len(splits) for q, pair in enumerate(pairs)}
     constraints = tuple(
-        (base[a, b] + pos[ab], base[a, c] + pos[ac], base[b, c] + pos[bc])
+        (base[a, b] + ab, base[a, c] + ac, base[b, c] + bc)
         for a, b, c in combinations(range(m), 3)
         for ab, ac, bc in zip(*kernel.tri)
     )
@@ -178,8 +178,8 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         later[c1].append((t1, c1, c2, c3))
         later[c2].append((t2, c2, c1, c3))
         last[c3].append((t3, c3, c1, c2))
-    # every voter FIRST is code 0 and every voter SECOND is 1 + 3 + ... + 3**(n-1)
-    unanimous = {pos[0]: 0, pos[(3**n - 1) // 2]: 1}
+    # every voter FIRST is position 0 and every voter SECOND is 1 + b + ... + b**(n-1)
+    unanimous = {0: 0, sum(domain.split_base**v for v in range(n)): 1}
     forced = {start + j: s for start in base.values() for j, s in unanimous.items()}
     return SearchProblem(
         m=m,
@@ -243,7 +243,7 @@ def _propagate(
 
 def leaf_rule(m: int, n: int, domain: Domain, leaf: bytes) -> PairwiseRuleSwf:
     """The rule of a leaf of the (m, n, domain) search: pair q's stance codes start at byte q * len(splits)."""
-    splits = sorted(domain_kernel(3, n, domain).splits)
+    splits = domain_kernel(3, n, domain).splits
     tables = {pair: dict(zip(splits, leaf[q * len(splits) :])) for q, pair in enumerate(unordered_pairs(m))}
     return PairwiseRuleSwf.from_tables(m, n, domain, tables)
 

@@ -332,6 +332,7 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
         start = time.perf_counter()
         cert = search_arrovian(args.alternatives, args.voters, domain, max_nodes=args.max_nodes)
     except SearchIncompleteError as exc:
+        ctx.phases = {"search_s": time.perf_counter() - start}
         ctx.counters = {key: exc.counters[key] for key in ("nodes", "leaves", "pruned_events")}
         raise CliError(str(exc)) from None
     except ValueError as exc:

@@ -15,17 +15,18 @@ Codes:
   undefined;
 * a profile is its position in `enumerate_profiles` order (odometer
   order, voter n-1 fastest);
-* a voter split on a pair is its `TriPartition.code()`;
+* a voter split on a pair is its position among the domain's splits,
+  `sum(d_v * b**v)` over the voters' stance codes d_v with b =
+  `domain.split_base`; `splits[j]` is the `TriPartition.code()` there;
 * a verdict is its index in `enumerate_weak_orders(m)`, on either
   domain, since a verdict may tie where no ballot does; a verdict row
   holds one per profile, `ABSENT` (-1) where there is none.
 
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner.  A stance column is `bytes`, one
-code per profile: `split_columns` gathers it from a rule table with one
-`bytes.translate` of the pair's split positions, and `row_keys` packs a
-profile's codes across pairs into one integer, so a pass over distinct
-rows hashes one int per profile.
+code per profile: `split_columns` gathers it from a rule table laid out
+by split position, and `row_keys` packs a profile's codes across pairs
+into one integer, so a pass over distinct rows hashes one int per profile.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
-from .profiles import Domain, Profile, check_profile_space
+from .profiles import Domain, Profile, check_profile_space, split_codes
 from .relations import (
     BinaryRelation,
     PairStance,
@@ -68,8 +69,8 @@ class DomainKernel:
     `pairs` lists the ordered pairs lexicographically and `canonical`
     the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
     round, in `canonical`.  `order_codes[q][d]` is the stance code of
-    `orders[d]` on `canonical[q]` and `tri[q][i]` the tri-partition code
-    of profile i there; `strict_support` and `split_positions` are built on first use.
+    `orders[d]` on `canonical[q]` and `tri[q][i]` the split position of profile i
+    there (`bytes`, or an `array` above 256 splits); the rest is built on first use.
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
@@ -83,7 +84,7 @@ class DomainKernel:
     canonical: tuple[tuple[int, int], ...]
     slot: tuple[int, ...]
     order_codes: tuple[tuple[int, ...], ...]
-    tri: tuple[tuple[int, ...], ...]
+    tri: tuple[bytes | array, ...]
     _order_index: dict[WeakOrder, int] = field(repr=False)
 
     @property
@@ -96,35 +97,19 @@ class DomainKernel:
 
         Byte i of `strict_support[p][v]` is 1 when voter v strictly
         prefers the first alternative of `pairs[p]` in profile i, else 0,
-        so a scan over all profiles is one integer operation.  In odometer
-        order voter v holds order d for runs of k**(n-1-v) profiles, d
-        cycling 0..k-1, the cycle repeated k**v times.
+        so a scan over all profiles is one integer operation.
         """
-        k, n = len(self.orders), self.n
         out = []
         for (x, y), q in zip(self.pairs, self.slot):
             echo = FIRST if x < y else SECOND
             flags = [bytes([c == echo]) for c in self.order_codes[q]]
-            runs = (b"".join(f * k ** (n - 1 - v) for f in flags) * k**v for v in range(n))
-            out.append(tuple(int.from_bytes(run, "little") for run in runs))
+            out.append(tuple(_voter_lanes(flags, v, self.n) for v in range(self.n)))
         return tuple(out)
 
     @cached_property
-    def splits(self) -> frozenset[int]:
-        """The tri-partition codes that occur in `tri`."""
-        return frozenset().union(*self.tri)
-
-    @cached_property
-    def split_positions(self) -> tuple[tuple[int, ...], tuple[bytes, ...]] | None:
-        """The sorted splits and, per pair of `canonical`, each profile's split as its position there.
-
-        One byte per profile, so None above 256 splits.
-        """
-        order = tuple(sorted(self.splits))
-        if len(order) > 256:
-            return None
-        at = {t: j for j, t in enumerate(order)}
-        return order, tuple(bytes(map(at.__getitem__, tri)) for tri in self.tri)
+    def splits(self) -> tuple[int, ...]:
+        """The tri-partition code of each split position, ascending."""
+        return split_codes(self.n, self.domain)
 
     def profile(self, i: int) -> Profile:
         """The profile at enumeration index i, as an object."""
@@ -148,6 +133,16 @@ class DomainKernel:
         return i
 
 
+def _voter_lanes(lanes: Sequence[bytes], v: int, n: int) -> int:
+    """Voter v's lane per profile, `lanes[d]` where v holds order d, as one little-endian int.
+
+    In odometer order voter v holds order d for runs of k**(n-1-v) profiles, d cycling
+    0..k-1, the cycle repeated k**v times.
+    """
+    k = len(lanes)
+    return int.from_bytes(b"".join(lane * k ** (n - 1 - v) for lane in lanes) * k**v, "little")
+
+
 @lru_cache(maxsize=8)
 def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     """The cached kernel of (m, n, domain); raises as enumerate_profiles would."""
@@ -158,15 +153,16 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     slot = tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs)
     index = verdict_index(m)
     order_codes = tuple(tuple(codes[index[w]] for w in orders) for codes in verdict_codes(m))
-    # Voter v adds its code times 3**v; voter 0 is folded first and
-    # outermost, so each column follows odometer order, voter n-1 fastest.
+    b = domain.split_base
+    typecode = "B" if b**n <= 1 << 8 else "H" if b**n <= 1 << 16 else "I"
+    width = array(typecode).itemsize
     tri = []
-    for per_order in order_codes:
-        col = [0]
-        for v in range(n):
-            parts = [s * 3**v for s in per_order]
-            col = [c + part for c in col for part in parts]
-        tri.append(tuple(col))
+    for per_order in order_codes:  # voter v adds its stance code times b**v; positions stay below b**n
+        col = sum(_voter_lanes([(s * b**v).to_bytes(width, "little") for s in per_order], v, n) for v in range(n))
+        positions = array(typecode, col.to_bytes(len(orders) ** n * width, "little"))
+        if sys.byteorder == "big":
+            positions.byteswap()
+        tri.append(positions.tobytes() if width == 1 else positions)
     return DomainKernel(
         m=m,
         n=n,
@@ -181,20 +177,16 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     )
 
 
-# Byte translations, indexed by FIRST and SECOND: a stance code to 1 unless it is that one.
-_NOT_STANCE = tuple(bytes(int(c != s) for c in range(256)) for s in (FIRST, SECOND))
-
-
 def overruled(k: DomainKernel, cols: Sequence[bytes]) -> tuple[int, ...]:
     """Per pair of `k.pairs`, the profiles whose verdict does not prefer its first alternative.
 
     A byte-wise int, byte i for profile i as in `strict_support`; an
-    undefined verdict (`MISSING`) counts as not preferring it.
+    undefined verdict (`MISSING`) counts as not preferring it.  Each canonical column c
+    is read once: bit 0 of a byte of `c | c >> 1` is 1 unless it is FIRST, of `(c ^ ones) | c >> 1` unless SECOND.
     """
-    return tuple(
-        int.from_bytes(cols[q].translate(_NOT_STANCE[FIRST if x < y else SECOND]), "little")
-        for (x, y), q in zip(k.pairs, k.slot)
-    )
+    ones = int.from_bytes(b"\x01" * k.size, "little")
+    cuts = [((c | c >> 1) & ones, ((c ^ ones) | c >> 1) & ones) for c in map(int.from_bytes, cols, repeat("little"))]
+    return tuple(cuts[q][x > y] for (x, y), q in zip(k.pairs, k.slot))
 
 
 def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
@@ -218,18 +210,13 @@ def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
 def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[bytes]:
     """Per pair of `k.canonical`, its table (split code to stance code) read at each profile, MISSING where none.
 
-    With at most 256 splits a column is the pair's split positions translated through
-    the table laid out by position; above that, each profile looks its split up.
+    Each table is laid out over `k.splits`, by position.  With at most 256 splits a column
+    is the pair's positions translated through it; above that, each profile indexes it.
     """
-    if k.split_positions is None:
-        fill = dict.fromkeys(k.splits, MISSING)
-        return [bytes(map({**fill, **table}.__getitem__, tri)) for tri, table in zip(k.tri, tables)]
-    order, positions = k.split_positions
-    pad = bytes([MISSING]) * (256 - len(order))
-    return [
-        pos.translate(bytes(map(table.get, order, repeat(MISSING))) + pad)
-        for pos, table in zip(positions, tables)
-    ]
+    luts = (bytes(map(table.get, k.splits, repeat(MISSING))) for table in tables)
+    if k.domain.split_base**k.n <= 256:
+        return [tri.translate(lut.ljust(256, bytes([MISSING]))) for tri, lut in zip(k.tri, luts)]
+    return [bytes(map(lut.__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
 
 
 def _key_width(count: int) -> int:

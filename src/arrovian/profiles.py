@@ -50,6 +50,11 @@ class Domain(Enum):
             return enumerate_weak_orders(m)
         return enumerate_linear_orders(m)
 
+    @property
+    def split_base(self) -> int:
+        """The stances a voter can take on a pair: 3, or 2 on linear ballots, which never tie."""
+        return 2 if self is Domain.LINEAR else 3
+
     @classmethod
     def from_name(cls, name: str) -> "Domain":
         for dom in cls:
@@ -222,19 +227,22 @@ def enumerate_profiles(
     return (Profile(combo) for combo in product(orders, repeat=n))
 
 
+def split_codes(n: int, domain: Domain) -> tuple[int, ...]:
+    """The tri-partition codes reachable in the domain, ascending: position j's code is
+    j's base-`domain.split_base` digits read in base 3."""
+    codes = [0]
+    for v in range(n):
+        codes = [c + d * 3**v for d in range(domain.split_base) for c in codes]
+    return tuple(codes)
+
+
 def enumerate_tripartitions(n: int, domain: Domain) -> list[TriPartition]:
     """Tri-partitions reachable in the domain, ascending by code.
 
     Linear-order voters are never indifferent, so for Domain.LINEAR the
     tie part must be empty.
     """
-    out = []
-    for code in range(3**n):
-        t = TriPartition.from_code(n, code)
-        if domain is Domain.LINEAR and t.tie:
-            continue
-        out.append(t)
-    return out
+    return [TriPartition.from_code(n, code) for code in split_codes(n, domain)]
 
 
 def profile_from_texts(texts: list[str] | tuple[str, ...], alts: AlternativeSet | None = None) -> Profile:

@@ -275,7 +275,7 @@ def _unanimity(swf: Swf, k: DomainKernel, cols: list[bytes], over: tuple[int, ..
 def check_independence(swf: Swf) -> IndependenceCheck:
     """The verdict on a pair may depend only on the voters' stances there.
 
-    Profiles are grouped by their tri-partition code per pair, one hash
+    Profiles are grouped by their split position per pair, one hash
     pass over the domain; any two group members with different verdict
     stances are a counterexample.  Pairwise-rule SWFs satisfy this by
     construction and are accepted immediately.
@@ -286,16 +286,16 @@ def check_independence(swf: Swf) -> IndependenceCheck:
 
 
 def _tri_groups(k: DomainKernel, cols: list[bytes]) -> Iterator[tuple[dict[int, int], int | None]]:
-    """Per canonical pair, lazily, its stance per tri-partition code and the first break.
+    """Per canonical pair, lazily, its stance per split position and the first break.
 
-    Codes are keyed in order of first meeting.  The break is the first profile that is MISSING
-    or disagrees with an earlier profile of its code, or None; the pair's scan stops there.
+    Positions are keyed in order of first meeting.  The break is the first profile that is MISSING
+    or disagrees with an earlier profile of its split, or None; the pair's scan stops there.
     """
     for tri, col in zip(k.tri, cols):
         seen: dict[int, int] = {}
         stop = None
-        for i, (t, s) in enumerate(zip(tri, col)):
-            if s == MISSING or seen.setdefault(t, s) != s:
+        for i, (j, s) in enumerate(zip(tri, col)):
+            if s == MISSING or seen.setdefault(j, s) != s:
                 stop = i
                 break
         yield seen, stop
@@ -565,13 +565,13 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     stops = [(i, q) for q, (_, i) in enumerate(groups) if i is not None]
     if stops:
         i, q = min(stops)
-        pair, t, s = k.canonical[q], k.tri[q][i], cols[q][i]
+        pair, j, s = k.canonical[q], k.tri[q][i], cols[q][i]
         _profile_at(swf, k, i, pair, s)
         raise ValueError(
-            f"independence fails on pair {pair}: tri-partition code {t} "
-            f"maps to both {STANCES[groups[q][0][t]].value} and {STANCES[s].value}"
+            f"independence fails on pair {pair}: tri-partition code {k.splits[j]} "
+            f"maps to both {STANCES[groups[q][0][j]].value} and {STANCES[s].value}"
         )
-    tables = {pair: seen for pair, (seen, _) in zip(k.canonical, groups)}
+    tables = {pair: {k.splits[j]: s for j, s in seen.items()} for pair, (seen, _) in zip(k.canonical, groups)}
     return PairwiseRuleSwf.from_tables(swf.m, swf.n, swf.domain, tables)
 
 

@@ -612,11 +612,12 @@ def test_search_guardrails(capsys):
 
 
 def test_search_budget_stop_reports_its_counters(capsys):
-    """A run that ends on the node budget writes the counters it reached; stdout stays empty."""
+    """A run that ends on the node budget writes the counters and the phase it reached; stdout stays empty."""
     code, out, manifest, err = run(capsys, "arrow-search", "--voters", "2", "--domain", "weak", "--max-nodes", "2000")
     assert (code, out, err) == (2, "", "error: node budget 2000 exhausted with the space not yet covered")
     assert manifest["counters"] == {"nodes": 2000, "leaves": 90, "pruned_events": 1235}
-    assert manifest["phases"] == {}
+    assert list(manifest["phases"]) == ["search_s"]
+    assert manifest["phases"]["search_s"] > 0
 
 
 def test_search_default_node_budget_and_ignored_allow_long(capsys):

@@ -8,6 +8,7 @@ built-in constructor, partial rules and random tables.
 """
 
 import random
+import tracemalloc
 from functools import lru_cache, reduce
 from itertools import product
 from operator import and_
@@ -125,7 +126,7 @@ def test_tables_match_the_profile_objects(m, n, domain):
         assert k.profile(i) == f
         assert k.profile_index(f) == i
         for pair, tri in zip(k.canonical, k.tri):
-            assert tri[i] == pair_partition(f, *pair).code()
+            assert k.splits[tri[i]] == pair_partition(f, *pair).code()
         for (x, y), strict in zip(k.pairs, k.strict_support):
             flags = [int(f.stance(v, x, y) is PairStance.FIRST_PREFERRED) for v in range(n)]
             assert [b >> 8 * i & 0xFF for b in strict] == flags
@@ -141,21 +142,53 @@ def test_tables_match_the_profile_objects(m, n, domain):
     [(3, 2, Domain.WEAK, 9), (4, 2, Domain.LINEAR, 4), (2, 5, Domain.WEAK, 243), (2, 6, Domain.WEAK, 729)],
 )
 def test_split_columns_read_random_partial_tables(m, n, domain, splits):
-    """Both gathers, by split position up to 256 splits and by lookup above, read a
+    """Both gathers, by translation up to 256 splits and by indexing above, read a
     table as a dict map does, MISSING where it has no entry."""
     k = domain_kernel(m, n, domain)
     assert len(k.splits) == splits
-    assert (k.split_positions is None) == (splits > 256)
+    assert all((type(tri) is bytes) == (splits <= 256) for tri in k.tri)
     rng = random.Random(splits)
     for _ in range(20):
         tables = [
-            {t: rng.randrange(3) for t in rng.sample(sorted(k.splits), rng.randint(0, splits))}
+            {t: rng.randrange(3) for t in rng.sample(k.splits, rng.randint(0, splits))}
             for _ in k.canonical
         ]
         cols = split_columns(k, tables)
         assert all(type(col) is bytes for col in cols)
         fill = dict.fromkeys(k.splits, MISSING)
-        assert [tuple(c) for c in cols] == [tuple(map({**fill, **table}.get, tri)) for tri, table in zip(k.tri, tables)]
+        codes = [[k.splits[j] for j in tri] for tri in k.tri]
+        assert [tuple(c) for c in cols] == [tuple(map({**fill, **table}.get, t)) for t, table in zip(codes, tables)]
+
+
+@pytest.mark.parametrize(
+    "m,n,domain,typecode",
+    [(3, 2, Domain.WEAK, None), (2, 6, Domain.WEAK, "H"), (2, 17, Domain.LINEAR, "I")],
+)
+def test_split_positions_at_each_width(m, n, domain, typecode):
+    """A profile's split is its position among the ascending tri-partition codes: one byte
+    each up to 256 splits, an 'H' array up to 65,536 and an 'I' array above."""
+    k = domain_kernel(m, n, domain)
+    assert k.splits == tuple(t.code() for t in enumerate_tripartitions(n, domain))
+    for tri in k.tri:
+        assert len(tri) == k.size
+        assert (type(tri) is bytes) if typecode is None else (tri.typecode == typecode)
+    rng = random.Random(n)
+    for i in [0, k.size - 1] + rng.sample(range(k.size), 50):
+        f = k.profile(i)
+        for pair, tri in zip(k.canonical, k.tri):
+            assert k.splits[tri[i]] == pair_partition(f, *pair).code()
+
+
+def test_kernel_build_stays_small():
+    """The m=3 n=8 linear kernel (1,679,616 profiles, three pairs) is built as byte lanes,
+    one byte per profile and pair, with no Python int per profile."""
+    tracemalloc.start()
+    try:
+        domain_kernel.__wrapped__(3, 8, Domain.LINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
