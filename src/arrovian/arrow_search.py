@@ -70,6 +70,8 @@ _STANCE_OF_MASK = bytes.maketrans(b"\x01\x02\x04", b"\x00\x01\x02")
 # at m=4, n=5 linear), so a search takes at most this many, about 40 MB.
 # The C(m, 3) * |D3|**n triangle constraints never outnumber them.
 MAX_SEARCH_PROFILES = 100_000
+# An entry of the survivor audit's column memo holds about 4 bytes per m-ary profile; past this many, it starts over.
+MEMO_BYTES = 1 << 23
 
 
 class SearchIncompleteError(RuntimeError):
@@ -269,7 +271,8 @@ class SearchCertificate:
 
     `explored_leaves + pruned_total == 3 ** cell_count`: every complete
     assignment is either visited or accounted to a pruned subtree.
-    `audit_s`, the wall time of the survivor audit, is not part of the record.
+    `build_s` and `audit_s`, the wall times of `build_problem` and of the survivor audit, and
+    `distinct_columns`, the count of (pair, column) facts the audit computed, are not part of the record.
     """
 
     m: int
@@ -283,7 +286,9 @@ class SearchCertificate:
     pruned_total: int
     nodes: int
     survivors: list[SurvivorRecord]
+    build_s: float = field(default=0.0, compare=False)
     audit_s: float = field(default=0.0, compare=False)
+    distinct_columns: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,7 +351,9 @@ def search_arrovian(
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    build_start = perf_counter()
     problem = build_problem(m, n, domain)
+    build_s = perf_counter() - build_start
     cell_count = len(problem.pairs) * len(problem.splits)
     pow3 = [3**i for i in range(cell_count + 1)]
     space = pow3[cell_count]
@@ -414,12 +421,16 @@ def search_arrovian(
 
     audit_start = perf_counter()
     survivors = []
+    memo: dict = {}  # survivors share most columns; the memo ends with this call
+    computed, cap = 0, MEMO_BYTES // (4 * domain_size(m, n, domain))
     # The DFS fixes cells in order and tries stances 0 < 1 < 2, so leaves arrive sorted.
     for leaf in leaves:
-        report = full_report(leaf_rule(m, n, domain, leaf))
+        report = full_report(leaf_rule(m, n, domain, leaf), memo)
         if not report.arrovian():
             raise RuntimeError(f"survivor failed the axiom cross-check: {report.failed()}")
         survivors.append(SurvivorRecord(leaf, report.dictator, m, n, domain))
+        if len(memo) > cap:
+            computed, memo = computed + len(memo), {}
     return SearchCertificate(
         m=m,
         n=n,
@@ -432,5 +443,7 @@ def search_arrovian(
         pruned_total=pruned_total,
         nodes=nodes,
         survivors=survivors,
+        build_s=build_s,
         audit_s=perf_counter() - audit_start,
+        distinct_columns=computed + len(memo),
     )

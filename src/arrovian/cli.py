@@ -340,7 +340,8 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
     searched = time.perf_counter()
     text = cert.to_json_text() if args.certificate or args.json else None
     ctx.phases = {
-        "search_s": searched - start - cert.audit_s,
+        "build_s": cert.build_s,
+        "search_s": searched - start - cert.build_s - cert.audit_s,
         "audit_s": cert.audit_s,
         "render_s": 0.0 if text is None else time.perf_counter() - searched,
     }
@@ -349,6 +350,7 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
         "leaves": cert.explored_leaves,
         "pruned_events": cert.pruned_events,
         "survivors": len(cert.survivors),
+        "distinct_columns": cert.distinct_columns,
     }
     if args.certificate:
         ctx.write_text(args.certificate, text)

@@ -27,6 +27,8 @@ scan pairs outer and profiles inner.  A stance column is `bytes`, one
 code per profile: `split_columns` gathers it from a rule table laid out
 by split position, and `row_keys` packs a profile's codes across pairs
 into one integer, so a pass over distinct rows hashes one int per profile.
+What the checks read of one column alone is its `ColumnFacts`, computed
+once per distinct (pair, column) that a memo meets; one search's survivors share one.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from operator import and_
+from typing import Mapping, NamedTuple, Sequence
 
 from .profiles import Domain, Profile, check_profile_space, split_codes
 from .relations import (
@@ -67,13 +70,14 @@ class DomainKernel:
     """Stance facts of every profile of one (m, n, domain), as integers.
 
     `pairs` lists the ordered pairs lexicographically and `canonical`
-    the pairs x < y; `slot[p]` is the position of `pairs[p]`, either way
-    round, in `canonical`.  `order_codes[q][d]` is the stance code of
+    the pairs x < y; `slot[p]` is (q, r): q the position of `pairs[p]`,
+    either way round, in `canonical`, and r 0 when x < y and 1 when it is
+    reversed, x > y.  `order_codes[q][d]` is the stance code of
     `orders[d]` on `canonical[q]` and `tri[q][i]` the split position of profile i
     there (`bytes`, or an `array` above 256 splits); the rest is built on first use.
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
-    reads column `slot[p]` against FIRST when x < y and SECOND when x > y.
+    reads column q against FIRST when r is 0 and SECOND when it is 1.
     """
 
     m: int
@@ -82,7 +86,7 @@ class DomainKernel:
     orders: tuple[WeakOrder, ...]
     pairs: tuple[tuple[int, int], ...]
     canonical: tuple[tuple[int, int], ...]
-    slot: tuple[int, ...]
+    slot: tuple[tuple[int, int], ...]
     order_codes: tuple[tuple[int, ...], ...]
     tri: tuple[bytes | array, ...]
     _order_index: dict[WeakOrder, int] = field(repr=False)
@@ -100,11 +104,15 @@ class DomainKernel:
         so a scan over all profiles is one integer operation.
         """
         out = []
-        for (x, y), q in zip(self.pairs, self.slot):
-            echo = FIRST if x < y else SECOND
-            flags = [bytes([c == echo]) for c in self.order_codes[q]]
+        for q, r in self.slot:
+            flags = [bytes([c == (FIRST, SECOND)[r]]) for c in self.order_codes[q]]
             out.append(tuple(_voter_lanes(flags, v, self.n) for v in range(self.n)))
         return tuple(out)
+
+    @cached_property
+    def unanimous(self) -> tuple[int, ...]:
+        """Per pair of `pairs`, the AND of its `strict_support` rows: where every voter prefers its first."""
+        return tuple(reduce(and_, rows) for rows in self.strict_support)
 
     @cached_property
     def splits(self) -> tuple[int, ...]:
@@ -150,7 +158,7 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     orders = tuple(domain.orders(m))
     pairs = tuple(ordered_pairs(m))
     canonical = tuple(unordered_pairs(m))
-    slot = tuple(canonical.index((min(x, y), max(x, y))) for x, y in pairs)
+    slot = tuple((canonical.index((min(x, y), max(x, y))), int(x > y)) for x, y in pairs)
     index = verdict_index(m)
     order_codes = tuple(tuple(codes[index[w]] for w in orders) for codes in verdict_codes(m))
     b = domain.split_base
@@ -177,34 +185,38 @@ def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
     )
 
 
-def overruled(k: DomainKernel, cols: Sequence[bytes]) -> tuple[int, ...]:
-    """Per pair of `k.pairs`, the profiles whose verdict does not prefer its first alternative.
+class ColumnFacts(NamedTuple):
+    """What the checks read of one stance column of a canonical pair, per direction r as in `DomainKernel.slot`.
 
-    A byte-wise int, byte i for profile i as in `strict_support`; an
-    undefined verdict (`MISSING`) counts as not preferring it.  Each canonical column c
-    is read once: bit 0 of a byte of `c | c >> 1` is 1 unless it is FIRST, of `(c ^ ones) | c >> 1` unless SECOND.
+    `code` is the column as a little-endian int; `over[r]` is byte-wise, byte i 1 when the verdict on profile i
+    does not prefer the direction's first alternative (MISSING never does); `unanimous[r]` and `first[v][r]` are
+    the first such profile where every voter, or voter v, strictly does, or None.
     """
-    ones = int.from_bytes(b"\x01" * k.size, "little")
-    cuts = [((c | c >> 1) & ones, ((c ^ ones) | c >> 1) & ones) for c in map(int.from_bytes, cols, repeat("little"))]
-    return tuple(cuts[q][x > y] for (x, y), q in zip(k.pairs, k.slot))
+
+    code: int
+    over: tuple[int, int]
+    unanimous: tuple[int | None, int | None]
+    first: tuple[tuple[int | None, int | None], ...]
 
 
-def overruled_by(k: DomainKernel, over: Sequence[int], c: int) -> Iterator[int]:
-    """Per pair of `k.pairs`, lazily, the profiles where coalition c is overruled.
+def column_facts(k: DomainKernel, cols: Sequence[bytes], memo: dict | None = None) -> list[ColumnFacts]:
+    """Per pair of `k.canonical`, its column's facts, computed once per (pair, column bytes) in memo, or in a fresh one.
 
-    c is a voter bitmask and `over` is `overruled(k, cols)`.  Byte i of
-    the p-th int is 1 when every voter of c strictly prefers the first
-    alternative of `pairs[p]` in profile i and the verdict does not: the
-    pair's overruled int ANDed with the `strict_support` rows of c's
-    voters.  The empty coalition is overruled wherever the verdict is.
+    Bit 0 of a byte of `c | c >> 1` is 1 unless it is FIRST, of `(c ^ ones) | c >> 1` unless SECOND.
     """
-    voters = [v for v in range(k.n) if c >> v & 1]
-    for hit, rows in zip(over, k.strict_support):
-        for v in voters:
-            if not hit:
-                break
-            hit &= rows[v]
-        yield hit
+    memo = {} if memo is None else memo
+    out = []
+    for q, col in enumerate(cols):
+        facts = memo.get((q, col))
+        if facts is None:
+            c, ones = int.from_bytes(col, "little"), int.from_bytes(b"\x01" * k.size, "little")
+            over = ((c | c >> 1) & ones, ((c ^ ones) | c >> 1) & ones)
+            sides = list(zip(over, (k.slot.index((q, 0)), k.slot.index((q, 1)))))
+            una = tuple(first_profile(o & k.unanimous[p]) for o, p in sides)
+            first = tuple(tuple(first_profile(o & k.strict_support[p][v]) for o, p in sides) for v in range(k.n))
+            facts = memo[q, col] = ColumnFacts(c, over, una, first)
+        out.append(facts)
+    return out
 
 
 def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[bytes]:
@@ -225,19 +237,19 @@ def _key_width(count: int) -> int:
     return 1 << (lanes - 1).bit_length()
 
 
-def row_keys(k: DomainKernel, cols: Sequence[bytes]) -> array:
-    """Per profile, its codes across `cols` packed into one int; `unpack_row` reads it back.
+def row_keys(k: DomainKernel, codes: Sequence[int]) -> array:
+    """Per profile, its codes across the columns, each given as `ColumnFacts.code`, packed into one int.
 
     Each code is 2 bits, so four pairs share one byte lane: lane g holds
-    columns 4g to 4g+3 and is byte g of the key's native-order bytes.
-    With no columns (m=1 has no pairs) every key is 0.
+    columns 4g to 4g+3 and is byte g of the key's native-order bytes;
+    `unpack_row` reads a key back.  With no columns (m=1 has no pairs) every key is 0.
     """
-    width = _key_width(len(cols))
+    width = _key_width(len(codes))
     buf = bytearray(k.size * width)
-    for g in range(0, len(cols), 4):
+    for g in range(0, len(codes), 4):
         lane = 0
-        for shift, col in zip((0, 2, 4, 6), cols[g : g + 4]):
-            lane |= int.from_bytes(col, "little") << shift  # codes are below 4, so no carry leaves a byte
+        for shift, c in zip((0, 2, 4, 6), codes[g : g + 4]):
+            lane |= c << shift  # codes are below 4, so no carry leaves a byte
         buf[g >> 2 :: width] = lane.to_bytes(k.size, "little")
     keys = array({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
     keys.frombytes(buf)
@@ -259,9 +271,25 @@ def row_verdict(m: int, key: int) -> int:
     return ABSENT if MISSING in codes else verdict_index(m).get(compose(m, codes)[2], ABSENT)
 
 
-def first_profile(hit: int) -> int:
-    """The profile of the lowest nonzero byte of a nonzero byte-wise int."""
-    return ((hit & -hit).bit_length() - 1) >> 3
+def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
+    """The first profile whose `row_keys` key has no verdict, or None; `row_verdict` composes each distinct key once."""
+    if len(codes) <= 4:  # one-byte keys (m <= 3), read through a table of all 256
+        lane = sum(c << 2 * q for q, c in enumerate(codes)).to_bytes(k.size, "little")
+        return None if (i := lane.translate(_absent_table(k.m)).find(1)) < 0 else i
+    keys = row_keys(k, codes)
+    if all(row_verdict(k.m, key) != ABSENT for key in set(keys)):  # a set is the cheaper pass where every row composes
+        return None
+    return next(keys.index(key) for key in dict.fromkeys(keys) if row_verdict(k.m, key) == ABSENT)
+
+
+@lru_cache(maxsize=None)
+def _absent_table(m: int) -> bytes:  # keys use 2 bits per pair, so only the first 4**pairs occur
+    return bytes(row_verdict(m, key) == ABSENT for key in range(4 ** (m * (m - 1) // 2))).ljust(256, b"\0")
+
+
+def first_profile(hit: int) -> int | None:
+    """The profile of the lowest nonzero byte of a byte-wise int, or None when it is 0."""
+    return ((hit & -hit).bit_length() - 1) >> 3 if hit else None
 
 
 # At most 3 ** (m(m-1)/2) keys per m: 729 at m=4, 59049 at m=5.
@@ -286,7 +314,7 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
 
 def compose_rows(k: DomainKernel, cols: Sequence[bytes]) -> array:
     """The verdict row of `cols`: per profile, its codes composed, or ABSENT where one is MISSING or they do not."""
-    return array("h", map(row_verdict, repeat(k.m), row_keys(k, cols)))
+    return array("h", map(row_verdict, repeat(k.m), row_keys(k, [int.from_bytes(c, "little") for c in cols])))
 
 
 @lru_cache(maxsize=None)

@@ -24,12 +24,13 @@ set never allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement, set_to_mask
 from .profiles import Domain, TriPartition
 from .kernel import (
-    ABSENT, FIRST, MISSING, SECOND, TIE, DomainKernel, compose, compose_rows, domain_kernel, overruled, overruled_by,
-    split_columns,
+    ABSENT, FIRST, MISSING, SECOND, TIE, ColumnFacts, DomainKernel, compose, compose_rows, domain_kernel, split_columns,
 )
 from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
 
@@ -54,29 +55,29 @@ class DecisiveFamily:
 def extract_decisive_family(swf: Swf, require_arrovian: bool = True) -> DecisiveFamily:
     """Collect every decisive coalition by exhaustive scan.
 
-    With `require_arrovian` (the default) the SWF is audited first and
-    a NotArrovianError raised on an a1-a4 failure; pass False to get
-    the raw family of a non-Arrovian rule for diagnostics.
+    The SWF is audited first.  With `require_arrovian` (the default) an
+    a1-a4 failure raises NotArrovianError; pass False to get the raw
+    family of a non-Arrovian rule for diagnostics.
     """
-    if require_arrovian:
-        _, k, cols = _audit_arrovian(swf)
-    else:
-        k = domain_kernel(swf.m, swf.n, swf.domain)
-        cols = swf.stance_columns(k)
-    return _decisive_family(swf, k, cols)
+    _, k, cols, facts = (_audit_arrovian if require_arrovian else audit_columns)(swf)
+    return _decisive_family(swf, k, cols, facts)
 
 
-def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes]]:
-    report, k, cols = audit_columns(swf)
+def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes], list[ColumnFacts]]:
+    report, k, cols, facts = audit_columns(swf)
     if not report.arrovian():
         raise NotArrovianError(report)
-    return report, k, cols
+    return report, k, cols, facts
 
 
-def _decisive_family(swf: Swf, k: DomainKernel, cols: list[bytes]) -> DecisiveFamily:
+def _decisive_family(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFacts]) -> DecisiveFamily:
     require_defined(swf, k, cols)
-    over = overruled(k, cols)
-    members = [c for c in range(1 << swf.n) if not any(overruled_by(k, over, c))]
+    # Coalition c, a voter bitmask, is overruled where all of c strictly prefers a pair's first and the verdict does not
+    pairs = [(facts[q].over[r], rows) for (q, r), rows in zip(k.slot, k.strict_support)]
+    members = [
+        c for c in range(1 << swf.n)
+        if not any(reduce(and_, (rows[v] for v in range(swf.n) if c >> v & 1), over) for over, rows in pairs)
+    ]
     family = CoalitionFamily(swf.n, frozenset(members))
     return DecisiveFamily(family, provenance=swf.describe())
 
@@ -142,8 +143,8 @@ def verify_ks2(swf: Swf) -> Ks2Report:
     On finite electorates the family is always fixed and the rule always
     has a dictator, so `consistent` asserts the two negatives agree.
     """
-    report, k, cols = _audit_arrovian(swf)
-    extracted = _decisive_family(swf, k, cols)
+    report, k, cols, facts = _audit_arrovian(swf)
+    extracted = _decisive_family(swf, k, cols, facts)
     cls = classify(extracted.family)
     dictator = report.dictator
     free = not cls.fixed

@@ -66,8 +66,8 @@ from .profiles import (
     parse_header,
 )
 from .kernel import (
-    ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, DomainKernel, compose, compose_rows, domain_kernel,
-    first_profile, overruled, overruled_by, row_keys, row_verdict, split_columns, verdict_codes, verdict_index,
+    ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, ColumnFacts, DomainKernel, column_facts, compose,
+    compose_rows, domain_kernel, first_absent, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -261,13 +261,13 @@ def check_unanimity(swf: Swf) -> UnanimityCheck:
     order, so a failing witness is deterministic.
     """
     k, cols = _kernel_columns(swf)
-    return _unanimity(swf, k, cols, overruled(k, cols))
+    return _unanimity(swf, k, cols, column_facts(k, cols))
 
 
-def _unanimity(swf: Swf, k: DomainKernel, cols: list[bytes], over: tuple[int, ...]) -> UnanimityCheck:
-    for pair, q, hit in zip(k.pairs, k.slot, overruled_by(k, over, (1 << k.n) - 1)):
-        if hit:
-            i = first_profile(hit)
+def _unanimity(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFacts]) -> UnanimityCheck:
+    for pair, (q, r) in zip(k.pairs, k.slot):
+        i = facts[q].unanimous[r]
+        if i is not None:
             return UnanimityCheck(False, _profile_at(swf, k, i, pair, cols[q][i]), pair)
     return UnanimityCheck(True)
 
@@ -312,18 +312,19 @@ def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[bytes]) -> Indep
 def find_dictator(swf: Swf) -> int | None:
     """The least voter whose strict preferences the verdict always follows."""
     k, cols = _kernel_columns(swf)
-    return _dictator(swf, k, cols, overruled(k, cols))
+    return _dictator(swf, k, cols, column_facts(k, cols))
 
 
-def _dictator(swf: Swf, k: DomainKernel, cols: list[bytes], over: tuple[int, ...]) -> int | None:
+def _dictator(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFacts]) -> int | None:
     # A voter who is not one is checked at their first overruled place in
     # (profile, ordered pair) order, which raises if the verdict there is undefined.
     for v in range(k.n):
-        places = [(first_profile(hit), p) for p, hit in enumerate(overruled_by(k, over, 1 << v)) if hit]
+        places = [(i, p) for p, (q, r) in enumerate(k.slot) if (i := facts[q].first[v][r]) is not None]
         if not places:
             return v
         i, p = min(places)
-        _profile_at(swf, k, i, k.pairs[p], cols[k.slot[p]][i])
+        if cols[k.slot[p][0]][i] == MISSING:
+            _profile_at(swf, k, i, k.pairs[p], MISSING)
     return None
 
 
@@ -395,85 +396,70 @@ def _witness_json(data: dict, alts: AlternativeSet | None) -> dict:
     return out
 
 
-def full_report(swf: Swf) -> AxiomReport:
+def full_report(swf: Swf, memo: dict | None = None) -> AxiomReport:
     """Audit all five axioms, collecting a concrete witness per failure.
 
     On a partial rule (missing verdicts or rule cells) the quantified
     checks a3 through a5 cannot sweep the whole domain; they are then
     reported failed with an explanatory witness rather than raising.
+    Audits that share a `memo` of `kernel.column_facts`, as one search's
+    survivors do, compute each distinct column's facts once.
     """
-    return audit_columns(swf)[0]
+    return audit_columns(swf, memo)[0]
 
 
-def audit_columns(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes]]:
-    """`full_report`, with the kernel and stance columns it read.
+def audit_columns(
+    swf: Swf, memo: dict | None = None
+) -> tuple[AxiomReport, DomainKernel, list[bytes], list[ColumnFacts]]:
+    """`full_report`, with the kernel, stance columns and column facts it read.
 
     The columns are built once and shared by every check; callers that
     scan them again after the audit take them from here.
     """
     k = domain_kernel(swf.m, swf.n, swf.domain)
-    witnesses: dict[str, dict] = {}
-
-    a1 = swf.m >= 3
-    if not a1:
+    witnesses: dict[str, dict] = {}  # an axiom holds exactly when it has no witness
+    if swf.m < 3:
         witnesses["a1"] = {"m": swf.m}
 
     cols = swf.stance_columns(k)
+    facts = column_facts(k, cols, memo)
     if isinstance(swf, ExplicitSwf):
         if ABSENT in swf.row:
             witnesses["a2"] = {"profile": k.profile(swf.row.index(ABSENT)), "error": "no verdict recorded"}
-    else:
-        # Each distinct row of stance codes is composed once, in order of
-        # first occurrence, so the first failing row's first occurrence is
-        # the first failing profile.
-        keys = row_keys(k, cols)
-        for key in dict.fromkeys(keys):
-            if row_verdict(k.m, key) == ABSENT:
-                f = k.profile(keys.index(key))
-                try:
-                    failure = swf.assemble(f)
-                except LookupError as exc:
-                    witnesses["a2"] = {"profile": f, "error": str(exc)}
-                else:
-                    res = failure.validation
-                    witnesses["a2"] = {"profile": f, "axiom": res.axiom, "witness": res.witness}
-                break
-    a2 = "a2" not in witnesses
+    elif (i := first_absent(k, [c.code for c in facts])) is not None:
+        f = k.profile(i)
+        try:
+            failure = swf.assemble(f)
+        except LookupError as exc:
+            witnesses["a2"] = {"profile": f, "error": str(exc)}
+        else:
+            res = failure.validation
+            witnesses["a2"] = {"profile": f, "axiom": res.axiom, "witness": res.witness}
 
-    over = overruled(k, cols)
     try:
-        una = _unanimity(swf, k, cols, over)
-        a3 = una.ok
-        if not a3:
+        una = _unanimity(swf, k, cols, facts)
+        if not una.ok:
             witnesses["a3"] = {"profile": una.profile, "pair": una.pair}
     except LookupError as exc:
-        a3 = False
         witnesses["a3"] = {"error": f"not evaluable: {exc}"}
 
     try:
         ind = check_independence(swf) if isinstance(swf, PairwiseRuleSwf) else _independence(swf, k, cols)
-        a4 = ind.ok
-        if not a4:
-            witnesses["a4"] = {
-                "profile_a": ind.profile_a,
-                "profile_b": ind.profile_b,
-                "pair": ind.pair,
-            }
+        if not ind.ok:
+            witnesses["a4"] = {"profile_a": ind.profile_a, "profile_b": ind.profile_b, "pair": ind.pair}
     except LookupError as exc:
-        a4 = False
         witnesses["a4"] = {"error": f"not evaluable: {exc}"}
 
+    dictator = None
     try:
-        dictator = _dictator(swf, k, cols, over)
-        a5 = dictator is None
-        if not a5:
+        dictator = _dictator(swf, k, cols, facts)
+        if dictator is not None:
             witnesses["a5"] = {"dictator": dictator}
     except LookupError as exc:
-        dictator = None
-        a5 = False
         witnesses["a5"] = {"error": f"not evaluable: {exc}"}
 
-    return AxiomReport(a1, a2, a3, a4, a5, dictator, witnesses), k, cols
+    holds = (name not in witnesses for name in ("a1", "a2", "a3", "a4", "a5"))
+    return AxiomReport(*holds, dictator, witnesses), k, cols, facts
 
 
 # ---------------------------------------------------------- constructors

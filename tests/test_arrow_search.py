@@ -292,6 +292,27 @@ def test_a_survivor_keeps_only_its_leaf():
     assert rec.swf is not rec.swf  # decoded on each access, never kept
 
 
+def test_nothing_outlives_a_search():
+    """The survivor audit's column memo lives for one search: once the kernel caches are warm,
+    a search whose certificate is dropped retains nothing, and a second one no more than the first.
+    The memo itself holds about 200 KB at its end; the slack covers the measurements' own ints."""
+    search_arrovian(3, 2, Domain.WEAK)  # warms the kernel caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        retained = []
+        for _ in range(2):
+            cert = search_arrovian(3, 2, Domain.WEAK)
+            assert cert.distinct_columns == 162
+            del cert
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert retained[0] < 2_000 and retained[1] - retained[0] < 500, f"searches retain {retained} bytes"
+
+
 def test_range_guards():
     """Besides the m range (test_problem_rejects_other_m), a size must fit
     the profile budget at the requested m and the search's own profile

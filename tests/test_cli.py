@@ -569,12 +569,14 @@ def test_search_manifest_reports_phase_times(capsys, render):
     code, out, manifest, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear", *render)
     assert code == 0
     phases = manifest["phases"]
-    assert sorted(phases) == ["audit_s", "render_s", "search_s"]
+    assert sorted(phases) == ["audit_s", "build_s", "render_s", "search_s"]
     assert all(isinstance(s, float) and s >= 0 for s in phases.values())
-    assert phases["search_s"] + phases["audit_s"] <= manifest["wall_time_s"]
+    assert phases["build_s"] + phases["search_s"] + phases["audit_s"] <= manifest["wall_time_s"]
     if not render:
         assert phases["render_s"] == 0.0
-    assert manifest["counters"] == {"nodes": 66, "leaves": 2, "pruned_events": 43, "survivors": 2}
+    assert manifest["counters"] == {
+        "nodes": 66, "leaves": 2, "pruned_events": 43, "survivors": 2, "distinct_columns": 6,
+    }
     # other commands report no phases or counters yet
     other = run(capsys, "orders", "-m", "3")[2]
     assert other["phases"] == other["counters"] == {}

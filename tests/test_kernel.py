@@ -198,7 +198,7 @@ def test_row_keys_pack_each_profile_across_pairs(m):
     k = domain_kernel(m, 1, Domain.WEAK)
     rng = random.Random(m)
     cols = [bytes(rng.randrange(4) for _ in range(k.size)) for _ in k.canonical]
-    keys = row_keys(k, cols)
+    keys = row_keys(k, [int.from_bytes(col, "little") for col in cols])
     rows = list(zip(*cols)) if cols else [()] * k.size
     assert len(keys) == k.size
     assert [unpack_row(key, len(cols)) for key in keys] == rows
@@ -244,6 +244,45 @@ def test_every_weak_survivor_audits_as_the_oracle_does(weak_survivors):
         assert full_report(rec.swf).to_json_dict() == expected.to_json_dict()
         assert rec.dictator == expected.dictator is not None
         assert extract_decisive_family(rec.swf).family == oracle.decisive_family(rec.swf)
+
+
+def test_every_m4_single_weak_voter_survivor_audits_as_the_oracle_does():
+    survivors = search_arrovian(4, 1, Domain.WEAK).survivors
+    assert len(survivors) == 75
+    for rec in survivors:
+        expected = oracle.full_report(rec.swf)
+        assert full_report(rec.swf).to_json_dict() == expected.to_json_dict()
+        assert rec.dictator == expected.dictator == 0
+
+
+def memo_tables() -> list[dict]:
+    """Pair tables of m=3, n=2 linear rules: a constant table puts the same column bytes on every
+    pair, and the partial tables leave a cell undefined at different splits (MISSING at different places)."""
+    tris = enumerate_tripartitions(2, Domain.LINEAR)
+    constant = [dict.fromkeys(tris, s) for s in STANCES]
+    dictators = [{t: STANCES[t.code() // 3**v % 3] for t in tris} for v in (0, 1)]
+    gaps = tris[1:3]
+    partial = [{t: s for t, s in table.items() if t != gap} for table in (dictators[0], constant[0]) for gap in gaps]
+    return constant + dictators + partial
+
+
+def test_a_shared_column_memo_audits_as_a_fresh_audit_and_the_oracle_do():
+    """Rules audited through one memo, in which one column's bytes sit on different pairs, report
+    exactly what a fresh audit and the oracle report, witnesses included; so does each rule's
+    explicit table where it has one.  A memo keyed by the column alone, not by (pair, column),
+    hands one pair the facts of another and fails here."""
+    memo: dict = {}
+    tables = memo_tables()
+    for triple in product(tables, repeat=3):
+        rule = PairwiseRuleSwf(3, 2, Domain.LINEAR, dict(zip(unordered_pairs(3), triple)))
+        explicit = outcome(expand_to_explicit, rule)
+        for swf in [rule] + ([explicit[1]] if explicit[0] == "value" else []):
+            report = full_report(swf, memo)
+            assert report.witnesses == full_report(swf).witnesses
+            assert report.to_json_dict() == oracle.full_report(swf).to_json_dict()
+    # each pair met each table's column once, and the constant ones on every pair
+    assert len(memo) == 3 * len(tables)
+    assert len({col for _, col in memo}) == 3 * len(tables) - 2 * 3
 
 
 @pytest.mark.parametrize("kind", KINDS)
