@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator
+from typing import Callable, Iterator
 
 # A value that is not a container (None, bool, int, float, str), written as
 # json.dumps writes it; other types raise json.dumps's TypeError.
@@ -87,8 +87,13 @@ def slices(data: bytes | str) -> Iterator[bytes | str]:
     return (data[i : i + (1 << 20)] for i in range(0, len(data), 1 << 20))
 
 
-def sha256_hex(data: bytes | str) -> str:
+def sha256_hex(data: bytes | str, write: Callable[[bytes], object] | None = None) -> str:
+    """The sha256 of data, text as UTF-8, hashed a slice at a time; `write`, when given, gets each
+    slice's bytes too, so that text which is both written and hashed is encoded once."""
     h = hashlib.sha256()
     for piece in slices(data):
-        h.update(piece.encode("utf-8") if isinstance(piece, str) else piece)
+        piece = piece.encode("utf-8") if isinstance(piece, str) else piece
+        h.update(piece)
+        if write is not None:
+            write(piece)
     return h.hexdigest()

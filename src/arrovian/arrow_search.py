@@ -42,7 +42,8 @@ profiles, an independent profile-level cross-check.
 A cell is an integer: cell `q * len(splits) + j` is the stance of
 `pairs[q]` at split position j, tri-partition code `splits[j]`.  A
 survivor is its leaf, one stance byte per cell, and its dictator;
-`leaf_rule` decodes the rule.
+`leaf_rule` cuts the leaf into the rule's per-pair layout, which the
+audit reads as it is, with no table built.
 
 Determinism: cells are ordered by (pair, split position), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -117,40 +118,21 @@ def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _support_table() -> tuple[tuple[int, int, int], ...]:
-    """Supported stance masks of a constraint's cells, by their domains.
-
-    Entry `d1 | d2 << 3 | d3 << 6` holds (s1, s2, s3): the stances of
-    each cell that occur in an allowed triple drawn from the three
-    domain masks.  An empty domain supports nothing.
-    """
-    allowed = _allowed_triples()
-    table = []
-    for key in range(512):
-        d1, d2, d3 = key & 7, key >> 3 & 7, key >> 6
-        s1 = s2 = s3 = 0
-        for a, b, c in allowed:
-            if d1 >> a & 1 and d2 >> b & 1 and d3 >> c & 1:
-                s1 |= 1 << a
-                s2 |= 1 << b
-                s3 |= 1 << c
-        table.append((s1, s2, s3))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _oriented_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """`_support_table` seen from each position x of a constraint, packed.
+    """Supported stance masks of a constraint's cells, by their domains, seen from each position x.
 
-    With a and b the other two positions in constraint order, entry
-    `d_x | d_a << 3 | d_b << 6` of table x is `s_x | s_a << 3 | s_b << 6`;
-    an entry equal to its key changes nothing, and 0 is a wipeout.
+    With a and b the other two positions in constraint order, entry `d_x | d_a << 3 | d_b << 6` of
+    table x is `s_x | s_a << 3 | s_b << 6`: the stances of each cell that occur in an allowed triple
+    drawn from the three domain masks, each triple packed so and ORed into the 64 keys whose masks
+    hold it.  An entry equal to its key changes nothing, and 0 is a wipeout.
     """
+    holding = [[d for d in range(8) if d >> s & 1] for s in range(3)]  # the four masks that hold stance s
     tables = ([0] * 512, [0] * 512, [0] * 512)
-    for key, found in enumerate(_support_table()):
-        doms = (key & 7, key >> 3 & 7, key >> 6)
+    for triple in _allowed_triples():
         for table, (x, a, b) in zip(tables, ((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-            table[doms[x] | doms[a] << 3 | doms[b] << 6] = found[x] | found[a] << 3 | found[b] << 6
+            sx, sa, sb = triple[x], triple[a], triple[b]
+            for dx, da, db in product(holding[sx], holding[sa], holding[sb]):
+                table[dx | da << 3 | db << 6] |= 1 << sx | 8 << sa | 64 << sb
     return tuple(map(tuple, tables))
 
 
@@ -244,15 +226,15 @@ def _propagate(
 
 
 def leaf_rule(m: int, n: int, domain: Domain, leaf: bytes) -> PairwiseRuleSwf:
-    """The rule of a leaf of the (m, n, domain) search: pair q's stance codes start at byte q * len(splits)."""
-    splits = domain_kernel(3, n, domain).splits
-    tables = {pair: dict(zip(splits, leaf[q * len(splits) :])) for q, pair in enumerate(unordered_pairs(m))}
-    return PairwiseRuleSwf.from_tables(m, n, domain, tables)
+    """The rule of a leaf of the (m, n, domain) search, whose layout is the leaf cut into its pairs'
+    slices: pair q's stance codes start at byte q * len(splits).  Its tables are decoded only when read."""
+    width = domain.split_base**n
+    return PairwiseRuleSwf.from_layout(m, n, domain, tuple(leaf[i : i + width] for i in range(0, len(leaf), width)))
 
 
 @dataclass(frozen=True, slots=True)
 class SurvivorRecord:
-    """A survivor is the leaf that the search produced and its dictator; `swf` is decoded on each access."""
+    """A survivor is the leaf that the search produced and its dictator; `swf` is built from the leaf on each access."""
 
     stances: bytes
     dictator: int | None

@@ -37,7 +37,7 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
-from ._util import FormatError, canonical_json, sha256_hex, slices
+from ._util import FormatError, canonical_json, sha256_hex
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
@@ -104,17 +104,19 @@ class RunContext:
 
     def write_text(self, path: str, text: str) -> None:
         try:
-            with open(path, "w", encoding="utf-8") as out:
-                out.writelines(slices(text))  # encoded a slice at a time, like the digest below
+            with open(path, "wb") as out:
+                self.outputs[path] = sha256_hex(text, out.write)
         except OSError as exc:
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
-        self.outputs[path] = sha256_hex(text)
 
     def flush(self) -> None:
-        text = "".join(self._parts)
-        self.outputs["stdout"] = sha256_hex(text)
-        sys.stdout.writelines(slices(text))
-        sys.stdout.flush()
+        text, out = "".join(self._parts), sys.stdout
+        out.flush()  # anything already written as text goes first
+        buffer = getattr(out, "buffer", None)
+        if buffer is None:  # an in-memory stream takes the text
+            out.write(text)
+        self.outputs["stdout"] = sha256_hex(text, None if buffer is None else buffer.write)
+        out.flush()
 
     def manifest_line(self, wall_time_s: float) -> str:
         doc = {

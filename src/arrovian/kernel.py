@@ -24,8 +24,8 @@ Codes:
 
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner.  A stance column is `bytes`, one
-code per profile: `split_columns` gathers it from a rule table laid out
-by split position, and `row_keys` packs a profile's codes across pairs
+code per profile: `split_columns` gathers it from a pair's stance codes
+laid out by split position, and `row_keys` packs a profile's codes across pairs
 into one integer, so a pass over distinct rows hashes one int per profile.
 What the checks read of one column alone is its `ColumnFacts`, computed
 once per distinct (pair, column) that a memo meets; one search's survivors share one.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import and_
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .profiles import Domain, Profile, check_profile_space, split_codes
 from .relations import (
@@ -219,15 +219,15 @@ def column_facts(k: DomainKernel, cols: Sequence[bytes], memo: dict | None = Non
     return out
 
 
-def split_columns(k: DomainKernel, tables: Sequence[Mapping[int, int]]) -> list[bytes]:
-    """Per pair of `k.canonical`, its table (split code to stance code) read at each profile, MISSING where none.
+def split_columns(k: DomainKernel, luts: Sequence[bytes]) -> list[bytes]:
+    """Per pair of `k.canonical`, its stance codes laid out over `k.splits` by position, read at each profile.
 
-    Each table is laid out over `k.splits`, by position.  With at most 256 splits a column
-    is the pair's positions translated through it; above that, each profile indexes it.
+    With at most 256 splits a column is the pair's positions translated
+    through its lut; above that, each profile indexes it.
     """
-    luts = (bytes(map(table.get, k.splits, repeat(MISSING))) for table in tables)
-    if k.domain.split_base**k.n <= 256:
-        return [tri.translate(lut.ljust(256, bytes([MISSING]))) for tri, lut in zip(k.tri, luts)]
+    if len(k.splits) <= 256:
+        pad = bytes([MISSING])
+        return [tri.translate(lut.ljust(256, pad)) for tri, lut in zip(k.tri, luts)]
     return [bytes(map(lut.__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
 
 

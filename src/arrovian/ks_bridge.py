@@ -102,8 +102,8 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
             return MISSING if reverse else FIRST
         return SECOND if reverse else TIE
 
-    table = {t: code(TriPartition.from_code(n, t)) for t in k.splits}
-    cols = split_columns(k, [table] * len(k.canonical))
+    lut = bytes(code(TriPartition.from_code(n, t)) for t in k.splits)  # laid out over the splits
+    cols = split_columns(k, [lut] * len(k.canonical))
     row = compose_rows(k, cols)
     if ABSENT in row:
         codes = tuple(col[row.index(ABSENT)] for col in cols)

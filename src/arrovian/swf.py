@@ -7,8 +7,9 @@ Two representations are used side by side:
   order; `verdict(f)` and the read-only `verdicts` mapping are views
   that build `Profile` and `WeakOrder` objects on demand.
 * `PairwiseRuleSwf`: per pair of alternatives, a map from the voters'
-  tri-partition code on that pair to a verdict stance code; `rules` is
-  the same as `TriPartition` and `PairStance` objects.  This is exactly
+  tri-partition code on that pair to a verdict stance code, or the same
+  laid out by split position, which the checks read; `rules` is the
+  same as `TriPartition` and `PairStance` objects.  This is exactly
   the shape forced by the independence axiom, so independence holds for
   it by construction; whether the per-pair stances assemble into a valid
   weak order on every profile is a separate question, answered by
@@ -38,7 +39,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import product
+from itertools import product, repeat
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -64,6 +65,7 @@ from .profiles import (
     enumerate_tripartitions,
     pair_partition,
     parse_header,
+    split_codes,
 )
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, ColumnFacts, DomainKernel, column_facts, compose,
@@ -146,9 +148,11 @@ class PairwiseRuleSwf:
 
     `tables` maps each canonical pair (x, y), x < y, to a map from tri-partition code (voters
     preferring x first) to the stance code of the verdict on (x, y); no entry means no rule.
-    Producers in this package write it through `from_tables`; the constructor takes
-    `TriPartition`-to-`PairStance` maps and drops the pairs and splits outside the domain,
-    which no check reads.  `rules` is `tables` as such maps, read-only, built on first use.
+    `layout[q]`, which the checks read, is pair q's table laid out over the domain's splits by
+    position, MISSING where it has no entry.  Producers in this package write one of the two
+    (`from_tables`, `from_layout`) and the other is built from it on first use.  The constructor takes
+    `TriPartition`-to-`PairStance` maps and drops the pairs and splits outside the domain, which no
+    check reads.  `rules` is `tables` as such maps, read-only, built on first use.
     """
 
     def __init__(
@@ -167,6 +171,22 @@ class PairwiseRuleSwf:
         swf = cls.__new__(cls)
         swf.m, swf.n, swf.domain, swf.tables = m, n, domain, tables
         return swf
+
+    @classmethod
+    def from_layout(cls, m: int, n: int, domain: Domain, layout: tuple[bytes, ...]) -> PairwiseRuleSwf:
+        swf = cls.__new__(cls)
+        swf.m, swf.n, swf.domain, swf.layout = m, n, domain, layout
+        return swf
+
+    @cached_property
+    def tables(self) -> dict[tuple[int, int], dict[int, int]]:
+        splits, pairs = split_codes(self.n, self.domain), unordered_pairs(self.m)
+        return {pair: {t: s for t, s in zip(splits, lut) if s != MISSING} for pair, lut in zip(pairs, self.layout)}
+
+    @cached_property
+    def layout(self) -> tuple[bytes, ...]:
+        splits, tables = split_codes(self.n, self.domain), self.tables
+        return tuple(bytes(map(tables.get(pair, {}).get, splits, repeat(MISSING))) for pair in unordered_pairs(self.m))
 
     @cached_property
     def rules(self) -> Mapping[tuple[int, int], Mapping[TriPartition, PairStance]]:
@@ -209,7 +229,7 @@ class PairwiseRuleSwf:
 
     def stance_columns(self, k: DomainKernel) -> list[bytes]:
         """Per pair of `k.canonical`, the rule's stance code on each profile."""
-        return split_columns(k, [self.tables.get(pair, {}) for pair in k.canonical])
+        return split_columns(k, self.layout)
 
     def describe(self) -> str:
         return f"pairwise-rule swf, m={self.m}, n={self.n}, domain={self.domain.value}"

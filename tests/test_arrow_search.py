@@ -21,15 +21,14 @@ from arrovian.arrow_search import (
     _allowed_triples,
     _oriented_tables,
     _propagate,
-    _support_table,
     build_problem,
     search_arrovian,
 )
 from arrovian.cli import main
-from arrovian.kernel import STANCE_CODE
+from arrovian.kernel import STANCE_CODE, domain_kernel
 from arrovian.profiles import BudgetExceededError, Domain, enumerate_tripartitions, pair_partition, profile_from_texts
 from arrovian.relations import PairStance, enumerate_weak_orders, pair_stance
-from arrovian.swf import dictator_rules, parse_swf_json
+from arrovian.swf import PairwiseRuleSwf, dictator_rules, full_report, parse_swf_json
 
 
 def cell_for(p, f, pair):
@@ -134,27 +133,33 @@ def test_triangle_constraints_match_the_m4_profiles(n, domain):
     assert len(set(p.constraints)) == len(p.constraints)
 
 
+def supported(doms):
+    """Per cell, the stances of some allowed triple whose three stances all lie in the three domains."""
+    live = [t for t in _allowed_triples() if all(doms[j] >> t[j] & 1 for j in range(3))]
+    return tuple(sum(1 << s for s in {t[j] for t in live}) for j in range(3))
+
+
 def test_support_table_matches_the_thirteen_triples():
-    """Entry d1 | d2 << 3 | d3 << 6: per cell, the stances of some allowed
-    triple whose three stances all lie in the three domains."""
-    table = _support_table()
+    """Table 0, in constraint order: entry d1 | d2 << 3 | d3 << 6 is s1 | s2 << 3 | s3 << 6,
+    the stances each cell takes in the allowed triples that the three domains hold."""
+    table = _oriented_tables()[0]
     assert len(table) == 512
     for doms in product(range(8), repeat=3):
-        live = [t for t in _allowed_triples() if all(doms[j] >> t[j] & 1 for j in range(3))]
-        expected = tuple(sum(1 << s for s in {t[j] for t in live}) for j in range(3))
-        assert table[doms[0] | doms[1] << 3 | doms[2] << 6] == expected
+        s1, s2, s3 = supported(doms)
+        assert table[doms[0] | doms[1] << 3 | doms[2] << 6] == s1 | s2 << 3 | s3 << 6
 
 
 def test_oriented_tables_pack_the_support_table():
-    """Table x, keyed by x's domain and then the other two in constraint order,
-    holds the same supported stances in the same packing."""
-    supports = _support_table()
-    for x, table in enumerate(_oriented_tables()):
+    """Tables 1 and 2, keyed by x's domain and then the other two in constraint order,
+    hold the same supported stances in the same packing."""
+    tables = _oriented_tables()
+    for x in (1, 2):
+        assert len(tables[x]) == 512
         others = [j for j in range(3) if j != x]
         for doms in product(range(8), repeat=3):
-            found = supports[doms[0] | doms[1] << 3 | doms[2] << 6]
+            found = supported(doms)
             key = doms[x] | doms[others[0]] << 3 | doms[others[1]] << 6
-            assert table[key] == found[x] | found[others[0]] << 3 | found[others[1]] << 6
+            assert tables[x][key] == found[x] | found[others[0]] << 3 | found[others[1]] << 6
 
 
 # --- propagation --------------------------------------------------------------
@@ -268,6 +273,25 @@ def test_weak_two_voters_all_survivors_dictatorial():
     assert Counter(rec.dictator for rec in cert.survivors) == {0: 183, 1: 183}
     assert len(cert.survivors) == 366
     assert cert.explored_leaves + cert.pruned_total == cert.space
+
+
+@pytest.mark.parametrize(
+    "m,n,domain", [(3, 2, Domain.WEAK), (3, 3, Domain.LINEAR), (4, 1, Domain.WEAK), (5, 1, Domain.WEAK)]
+)
+def test_a_survivor_audits_from_its_leaf_as_from_dict_tables(m, n, domain):
+    """Every survivor's rule reads its columns straight from the leaf bytes: they equal the
+    columns read through per-pair dict tables at each profile, its decoded tables equal those
+    dicts, and its report equals the report of the same dicts as a `from_tables` rule."""
+    k = domain_kernel(m, n, domain)
+    width = len(k.splits)
+    for rec in search_arrovian(m, n, domain).survivors:
+        dicts = {pair: dict(zip(k.splits, rec.stances[q * width :])) for q, pair in enumerate(k.canonical)}
+        rule = rec.swf
+        by_dict = [bytes(dicts[pair][k.splits[j]] for j in tri) for pair, tri in zip(k.canonical, k.tri)]
+        assert rule.stance_columns(k) == by_dict
+        assert rule.tables == dicts
+        old = PairwiseRuleSwf.from_tables(m, n, domain, dicts)
+        assert full_report(rule).to_json_dict() == full_report(old).to_json_dict()
 
 
 def test_a_survivor_keeps_only_its_leaf():

@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, exit codes, manifests."""
 
+import contextlib
+import io
 import json
 import sys
 
@@ -77,6 +79,21 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, out_b, man_b, _ = run(capsys, "orders", "-m", "4", "--json")
     assert out_a == out_b
     assert man_a["outputs"]["stdout"] == man_b["outputs"]["stdout"]
+
+
+def test_an_in_memory_stdout_takes_the_same_text_and_digest(capsys, tmp_path):
+    """A redirected stdout with no binary buffer gets the text itself; a real one, and the
+    certificate file, get its UTF-8 bytes, hashed as they are written."""
+    cert = tmp_path / "cert.json"
+    argv = ["arrow-search", "--voters", "2", "--domain", "linear", "--json", "--certificate", str(cert)]
+    _, out, manifest, _ = run(capsys, *argv)
+    memory = io.StringIO()
+    with contextlib.redirect_stdout(memory):
+        main(argv)
+    again = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert memory.getvalue() == out == cert.read_text(encoding="utf-8")
+    digest = sha256_hex(cert.read_bytes())
+    assert again["outputs"] == manifest["outputs"] == {"stdout": digest, str(cert): digest}
 
 
 # --- condorcet-demo -----------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
 from arrovian.kernel import (
-    FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, split_columns, unpack_row,
+    FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, unpack_row,
 )
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
@@ -142,8 +142,8 @@ def test_tables_match_the_profile_objects(m, n, domain):
     [(3, 2, Domain.WEAK, 9), (4, 2, Domain.LINEAR, 4), (2, 5, Domain.WEAK, 243), (2, 6, Domain.WEAK, 729)],
 )
 def test_split_columns_read_random_partial_tables(m, n, domain, splits):
-    """Both gathers, by translation up to 256 splits and by indexing above, read a
-    table as a dict map does, MISSING where it has no entry."""
+    """A rule's tables, laid out over the splits, read at every profile by both gathers (by
+    translation up to 256 splits, by indexing above) as a dict map does, MISSING where none."""
     k = domain_kernel(m, n, domain)
     assert len(k.splits) == splits
     assert all((type(tri) is bytes) == (splits <= 256) for tri in k.tri)
@@ -153,7 +153,7 @@ def test_split_columns_read_random_partial_tables(m, n, domain, splits):
             {t: rng.randrange(3) for t in rng.sample(k.splits, rng.randint(0, splits))}
             for _ in k.canonical
         ]
-        cols = split_columns(k, tables)
+        cols = PairwiseRuleSwf.from_tables(m, n, domain, dict(zip(k.canonical, tables))).stance_columns(k)
         assert all(type(col) is bytes for col in cols)
         fill = dict.fromkeys(k.splits, MISSING)
         codes = [[k.splits[j] for j in tri] for tri in k.tri]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrovian._util import canonical_json
-from arrovian.kernel import domain_kernel
+from arrovian.kernel import MISSING, domain_kernel
 from arrovian.profiles import (
     BudgetExceededError,
     Domain,
@@ -92,6 +92,28 @@ def test_rule_stance_errors():
         swf.rule_stance((0, 1), tie)
     with pytest.raises(LookupError, match=r"^no rule for pair \(0, 1\) at tri-partition code 0$"):
         swf.rule_stance((0, 1), TriPartition.from_code(3, 0))
+
+
+def test_an_absent_pair_and_an_empty_table_keep_their_errors():
+    """A `from_tables` rule with no table for (1, 2) and an empty one for (0, 2) reads both as
+    undefined, yet names them apart, and writes both back as they were."""
+    tables = {(0, 1): dict(dictator_rules(0, 3, 2, Domain.LINEAR).tables[(0, 1)]), (0, 2): {}}
+    swf = PairwiseRuleSwf.from_tables(3, 2, Domain.LINEAR, tables)
+    t = pair_partition(profile_from_texts(["A>B>C", "A>B>C"]), 0, 1)
+    with pytest.raises(LookupError, match=r"^no rule table for pair \(1, 2\)$"):
+        swf.rule_stance((1, 2), t)
+    with pytest.raises(LookupError, match=rf"^no rule for pair \(0, 2\) at tri-partition code {t.code()}$"):
+        swf.rule_stance((0, 2), t)
+    k = domain_kernel(3, 2, Domain.LINEAR)
+    assert swf.stance_columns(k)[1:] == [bytes([MISSING]) * k.size] * 2
+    report = full_report(swf)
+    gap = "no rule for pair (0, 2) at tri-partition code 0"
+    assert report.witnesses["a2"] == {"profile": k.profile(0), "error": gap}
+    doc = swf_to_json_dict(swf)
+    assert doc["rules"]["A,C"] == [] and "B,C" not in doc["rules"]
+    back, _ = parse_swf_json(canonical_json(doc))
+    assert back.tables == tables and back.layout == swf.layout
+    assert full_report(back).to_json_dict() == report.to_json_dict()
 
 
 def test_explicit_verdict_lookup_error():
