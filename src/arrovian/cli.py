@@ -37,7 +37,7 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
-from ._util import FormatError, canonical_json, sha256_hex
+from ._util import FormatError, canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
@@ -110,13 +110,10 @@ class RunContext:
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
     def flush(self) -> None:
-        text, out = "".join(self._parts), sys.stdout
-        out.flush()  # anything already written as text goes first
-        buffer = getattr(out, "buffer", None)
-        if buffer is None:  # an in-memory stream takes the text
-            out.write(text)
-        self.outputs["stdout"] = sha256_hex(text, None if buffer is None else buffer.write)
-        out.flush()
+        text = "".join(self._parts)
+        self.outputs["stdout"] = sha256_hex(text)
+        sys.stdout.writelines(slices(text))
+        sys.stdout.flush()
 
     def manifest_line(self, wall_time_s: float) -> str:
         doc = {

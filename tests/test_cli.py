@@ -82,8 +82,8 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def test_an_in_memory_stdout_takes_the_same_text_and_digest(capsys, tmp_path):
-    """A redirected stdout with no binary buffer gets the text itself; a real one, and the
-    certificate file, get its UTF-8 bytes, hashed as they are written."""
+    """A redirected stdout gets the same text as the captured one, and the manifest names the
+    same digest for it and for the certificate file, which holds that text as UTF-8."""
     cert = tmp_path / "cert.json"
     argv = ["arrow-search", "--voters", "2", "--domain", "linear", "--json", "--certificate", str(cert)]
     _, out, manifest, _ = run(capsys, *argv)
