@@ -16,8 +16,8 @@ Codes:
 * a profile is its position in `enumerate_profiles` order (odometer
   order, voter n-1 fastest);
 * a voter split on a pair is its position among the domain's splits,
-  `sum(d_v * b**v)` over the voters' stance codes d_v with b =
-  `domain.split_base`; `splits[j]` is the `TriPartition.code()` there;
+  `sum(d_v * b**v)` over the voters' stance codes d_v with b = `domain.split_base`;
+  `splits[j]` is the `TriPartition.code()` there, `first_seen[q][j]` its first profile on pair q;
 * a verdict is its index in `enumerate_weak_orders(m)`, on either
   domain, since a verdict may tie where no ballot does; a verdict row
   holds one per profile, `ABSENT` (-1) where there is none.
@@ -118,6 +118,17 @@ class DomainKernel:
     def splits(self) -> tuple[int, ...]:
         """The tri-partition code of each split position, ascending."""
         return split_codes(self.n, self.domain)
+
+    @cached_property
+    def first_seen(self) -> tuple[tuple[int, ...], ...]:
+        """Per pair of `canonical`, the first profile at each split position j, `tri[q].index(j)`."""
+        b, k, out = self.domain.split_base, len(self.orders), []
+        for codes in self.order_codes:  # odometer order: there each voter holds the first order with its stance
+            firsts, seen = [codes.index(s) for s in range(b)], [0]
+            for v in range(self.n):  # voter v's stance is digit v of the position
+                seen = [i + firsts[s] * k ** (self.n - 1 - v) for s in range(b) for i in seen]
+            out.append(tuple(seen))
+        return tuple(out)
 
     def profile(self, i: int) -> Profile:
         """The profile at enumeration index i, as an object."""

@@ -36,12 +36,13 @@ JSON formats (owned here)::
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product, repeat
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from ._util import FormatError, load_object
 from .relations import (
@@ -69,7 +70,7 @@ from .profiles import (
 )
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, ColumnFacts, DomainKernel, column_facts, compose,
-    compose_rows, domain_kernel, first_absent, split_columns, verdict_codes, verdict_index,
+    compose_rows, domain_kernel, first_absent, first_profile, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -128,8 +129,12 @@ class ExplicitSwf:
         return pair_stance(self.verdict(f), x, y)
 
     def stance_columns(self, k: DomainKernel) -> list[bytes]:
-        """Per pair of `k.canonical`, the verdict's stance code on each profile."""
-        return [bytes(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
+        """Per pair of `k.canonical`, the verdict's stance code on each profile: below 256 verdicts (m <= 4)
+        each entry's low byte translated through the codes padded with MISSING, which ABSENT's 0xFF reads."""
+        if len(verdict_index(self.m)) > 255:
+            return [bytes(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
+        low, pad = self.row.tobytes()[sys.byteorder == "big" :: 2], bytes([MISSING])
+        return [low.translate(bytes(codes[:-1]).ljust(256, pad)) for codes in verdict_codes(self.m)]
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -257,6 +262,11 @@ class IndependenceCheck:
     by_construction: bool = False
 
 
+_UNANIMOUS = UnanimityCheck(True)  # a passing check has no witness, so every audit shares one
+_INDEPENDENT = IndependenceCheck(True)
+_INDEPENDENT_BY_CONSTRUCTION = IndependenceCheck(True, by_construction=True)
+
+
 def _profile_at(swf: Swf, k: DomainKernel, i: int, pair: tuple[int, int], code: int) -> Profile:
     """Profile i as an object, for a witness at `pair`.
 
@@ -289,44 +299,35 @@ def _unanimity(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnF
         i = facts[q].unanimous[r]
         if i is not None:
             return UnanimityCheck(False, _profile_at(swf, k, i, pair, cols[q][i]), pair)
-    return UnanimityCheck(True)
+    return _UNANIMOUS
 
 
 def check_independence(swf: Swf) -> IndependenceCheck:
     """The verdict on a pair may depend only on the voters' stances there.
 
-    Profiles are grouped by their split position per pair, one hash
-    pass over the domain; any two group members with different verdict
-    stances are a counterexample.  Pairwise-rule SWFs satisfy this by
-    construction and are accepted immediately.
+    The first profile whose verdict stance is not its split's first profile's is a
+    counterexample.  Pairwise-rule SWFs satisfy this by construction.
     """
     if isinstance(swf, PairwiseRuleSwf):
-        return IndependenceCheck(True, by_construction=True)
+        return _INDEPENDENT_BY_CONSTRUCTION
     return _independence(swf, *_kernel_columns(swf))
 
 
-def _tri_groups(k: DomainKernel, cols: list[bytes]) -> Iterator[tuple[dict[int, int], int | None]]:
-    """Per canonical pair, lazily, its stance per split position and the first break.
-
-    Positions are keyed in order of first meeting.  The break is the first profile that is MISSING
-    or disagrees with an earlier profile of its split, or None; the pair's scan stops there.
-    """
-    for tri, col in zip(k.tri, cols):
-        seen: dict[int, int] = {}
-        stop = None
-        for i, (j, s) in enumerate(zip(tri, col)):
-            if s == MISSING or seen.setdefault(j, s) != s:
-                stop = i
-                break
-        yield seen, stop
+def _layouts(k: DomainKernel, cols: list[bytes]) -> tuple[list[bytes], list[int | None]]:
+    """Per canonical pair, its column at the first profile of each split (`k.first_seen`), and its first break:
+    the first profile MISSING or unlike its split's first, where the layout read back, MISSING as 0xFF, differs."""
+    layouts = [bytes(map(col.__getitem__, first)) for first, col in zip(k.first_seen, cols)]
+    backs = split_columns(k, [lut.replace(bytes([MISSING]), b"\xff") for lut in layouts])
+    diffs = (0 if c == b else int.from_bytes(c, "little") ^ int.from_bytes(b, "little") for c, b in zip(cols, backs))
+    return layouts, list(map(first_profile, diffs))
 
 
 def _independence(swf: ExplicitSwf, k: DomainKernel, cols: list[bytes]) -> IndependenceCheck:
-    for pair, tri, col, (_, i) in zip(k.canonical, k.tri, cols, _tri_groups(k, cols)):
+    for q, (pair, i) in enumerate(zip(k.canonical, _layouts(k, cols)[1])):
         if i is not None:
-            _profile_at(swf, k, i, pair, col[i])
-            return IndependenceCheck(False, k.profile(tri.index(tri[i])), k.profile(i), pair)
-    return IndependenceCheck(True)
+            _profile_at(swf, k, i, pair, cols[q][i])
+            return IndependenceCheck(False, k.profile(k.first_seen[q][k.tri[q][i]]), k.profile(i), pair)
+    return _INDEPENDENT
 
 
 def find_dictator(swf: Swf) -> int | None:
@@ -567,18 +568,16 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     the verdict stance, i.e. when independence fails.
     """
     k, cols = _kernel_columns(swf)
-    groups = list(_tri_groups(k, cols))
-    stops = [(i, q) for q, (_, i) in enumerate(groups) if i is not None]
-    if stops:
-        i, q = min(stops)
+    layouts, stops = _layouts(k, cols)
+    if breaks := [(i, q) for q, i in enumerate(stops) if i is not None]:
+        i, q = min(breaks)
         pair, j, s = k.canonical[q], k.tri[q][i], cols[q][i]
         _profile_at(swf, k, i, pair, s)
         raise ValueError(
             f"independence fails on pair {pair}: tri-partition code {k.splits[j]} "
-            f"maps to both {STANCES[groups[q][0][j]].value} and {STANCES[s].value}"
+            f"maps to both {STANCES[layouts[q][j]].value} and {STANCES[s].value}"
         )
-    tables = {pair: {k.splits[j]: s for j, s in seen.items()} for pair, (seen, _) in zip(k.canonical, groups)}
-    return PairwiseRuleSwf.from_tables(swf.m, swf.n, swf.domain, tables)
+    return PairwiseRuleSwf.from_layout(swf.m, swf.n, swf.domain, tuple(layouts))
 
 
 # ------------------------------------------------------------------ JSON

@@ -9,6 +9,7 @@ built-in constructor, partial rules and random tables.
 
 import random
 import tracemalloc
+from array import array
 from functools import lru_cache, reduce
 from itertools import product
 from operator import and_
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
 from arrovian.kernel import (
-    FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, unpack_row,
+    ABSENT, FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, unpack_row,
+    verdict_codes,
 )
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
@@ -47,6 +49,7 @@ from arrovian.swf import (
     PairwiseRuleSwf,
     anti_dictator_explicit,
     borda_explicit,
+    check_independence,
     constant_explicit,
     constant_rules,
     derive_rules,
@@ -358,6 +361,34 @@ def test_random_tables_audit_as_the_oracle_does(m, n, domain, data):
             rules[cells[c][0]].pop(cells[c][1], None)
         swf = PairwiseRuleSwf(m, n, domain, rules)
     assert_same_audit(swf)
+
+
+@pytest.mark.parametrize("m,n", [(2, 6), (4, 1), (5, 1)])
+def test_explicit_tables_at_every_gather_width_audit_as_the_oracle_does(m, n):
+    """Weak-domain explicit tables at sizes the random tables above never reach: 729 splits at m=2
+    n=6 (split positions in an 'H' array), 75 verdicts at m=4 (the low-byte gather) and 541 at m=5
+    (the indexed gather).  A seeded pick of independent built-in tables is audited as it is, with
+    one ABSENT verdict, and with the stance on one pair changed at the first, middle or last profile
+    of one of its splits (at m=2 each split holds one profile, so that change breaks nothing)."""
+    k, verdicts = domain_kernel(m, n, Domain.WEAK), len(enumerate_weak_orders(m))
+    rng = random.Random(10 * m + n)
+    for q, tri in enumerate(k.tri):
+        assert k.first_seen[q] == tuple(tri.index(j) for j in range(len(k.splits)))
+    for change in (None, "absent", "first", "middle", "last"):
+        row = array("h", builtin(rng.choice(KINDS[:3]), m, n, Domain.WEAK).row)
+        if change == "absent":
+            row[rng.randrange(k.size)] = ABSENT
+        elif change is not None:
+            q = rng.randrange(len(k.canonical))
+            split = k.tri[q][rng.randrange(k.size)]
+            members = [i for i, j in enumerate(k.tri[q]) if j == split]
+            i = members[{"first": 0, "middle": len(members) // 2, "last": -1}[change]]
+            codes = verdict_codes(m)[q]
+            row[i] = rng.choice([w for w in range(verdicts) if codes[w] != codes[row[i]]])
+        swf = ExplicitSwf.from_row(m, n, Domain.WEAK, row)
+        assert swf.stance_columns(k) == [bytes(codes[j] for j in row) for codes in verdict_codes(m)]
+        assert outcome(check_independence, swf) == outcome(oracle.check_independence, swf)
+        assert_same_audit(swf)
 
 
 def test_some_builtin_rules_do_not_assemble():
