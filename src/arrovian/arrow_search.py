@@ -59,7 +59,7 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 from ._util import _quote, _render, canonical_json
-from .kernel import STANCES, domain_kernel
+from .kernel import STANCES, domain_kernel, verdict_codes
 from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
@@ -109,12 +109,8 @@ class SearchProblem:
 
 @lru_cache(maxsize=None)
 def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
-    """The stance triples on (0, 1), (0, 2), (1, 2) of the weak orders on three.
-
-    One voter's split position on a pair is its stance code, so these
-    are the rows of the one-voter weak kernel at m=3.
-    """
-    return tuple(sorted(zip(*domain_kernel(3, 1, Domain.WEAK).tri)))
+    """The stance triples on (0, 1), (0, 2), (1, 2) of the weak orders on three: the columns of `verdict_codes(3)`."""
+    return tuple(sorted(zip(*(codes[:-1] for codes in verdict_codes(3)))))
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,8 @@ scan pairs outer and profiles inner.  A stance column is `bytes`, one
 code per profile: `split_columns` gathers it from a pair's stance codes
 laid out by split position, and `row_keys` packs a profile's codes across pairs
 into one integer, so a pass over distinct rows hashes one int per profile.
+`verdict_codes(m)` is the one table between weak orders and stance rows; `verdict_keys(m)`,
+its inverse on packed keys, turns a row into its verdict or finds it is none.
 What the checks read of one column alone is its `ColumnFacts`, computed
 once per distinct (pair, column) that a memo meets; one search's survivors share one.
 """
@@ -251,9 +253,9 @@ def _key_width(count: int) -> int:
 def row_keys(k: DomainKernel, codes: Sequence[int]) -> array:
     """Per profile, its codes across the columns, each given as `ColumnFacts.code`, packed into one int.
 
-    Each code is 2 bits, so four pairs share one byte lane: lane g holds
-    columns 4g to 4g+3 and is byte g of the key's native-order bytes;
-    `unpack_row` reads a key back.  With no columns (m=1 has no pairs) every key is 0.
+    Each code is 2 bits, the code on column q at bits 2q and 2q+1, so four
+    pairs share one byte lane of the little-endian key and `verdict_keys`
+    reads a key as it stands.  With no columns (m=1 has no pairs) every key is 0.
     """
     width = _key_width(len(codes))
     buf = bytearray(k.size * width)
@@ -264,38 +266,25 @@ def row_keys(k: DomainKernel, codes: Sequence[int]) -> array:
         buf[g >> 2 :: width] = lane.to_bytes(k.size, "little")
     keys = array({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
     keys.frombytes(buf)
+    if sys.byteorder == "big":
+        keys.byteswap()
     return keys
 
 
-def unpack_row(key: int, count: int) -> tuple[int, ...]:
-    """The `count` codes that `row_keys` packed into key."""
-    lanes = key.to_bytes(_key_width(count), sys.byteorder)
-    return tuple(lane >> shift & 3 for lane in lanes for shift in (0, 2, 4, 6))[:count]
-
-
-@lru_cache(maxsize=1 << 16)  # a distinct row recurs across the rules of one domain
-def row_verdict(m: int, key: int) -> int:
-    """The verdict index of a `row_keys` key over the canonical pairs of m: its codes
-    composed, or ABSENT where one is MISSING or they do not compose."""
-    codes = unpack_row(key, m * (m - 1) // 2)
-    # a failure's None is not a key of `verdict_index`
-    return ABSENT if MISSING in codes else verdict_index(m).get(compose(m, codes)[2], ABSENT)
-
-
 def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
-    """The first profile whose `row_keys` key has no verdict, or None; `row_verdict` composes each distinct key once."""
+    """The first profile whose `row_keys` key is not a verdict's, or None."""
     if len(codes) <= 4:  # one-byte keys (m <= 3), read through a table of all 256
         lane = sum(c << 2 * q for q, c in enumerate(codes)).to_bytes(k.size, "little")
         return None if (i := lane.translate(_absent_table(k.m)).find(1)) < 0 else i
-    keys = row_keys(k, codes)
-    if all(row_verdict(k.m, key) != ABSENT for key in set(keys)):  # a set is the cheaper pass where every row composes
+    keys, verdicts = row_keys(k, codes), verdict_keys(k.m)
+    if verdicts.keys() >= set(keys):  # a set is the cheaper pass where every row composes
         return None
-    return next(keys.index(key) for key in dict.fromkeys(keys) if row_verdict(k.m, key) == ABSENT)
+    return next(i for i, key in enumerate(keys) if key not in verdicts)
 
 
 @lru_cache(maxsize=None)
-def _absent_table(m: int) -> bytes:  # keys use 2 bits per pair, so only the first 4**pairs occur
-    return bytes(row_verdict(m, key) == ABSENT for key in range(4 ** (m * (m - 1) // 2))).ljust(256, b"\0")
+def _absent_table(m: int) -> bytes:
+    return bytes(key not in verdict_keys(m) for key in range(256))
 
 
 def first_profile(hit: int) -> int | None:
@@ -309,8 +298,8 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
     """Compose stance codes on the canonical pairs into one relation.
 
     Returns the relation, its weak-order validation and, when valid,
-    its canonical form.  This is the one place where per-pair stances
-    become a verdict order.
+    its canonical form: the witness and failing axiom of a row that
+    `verdict_keys` holds no verdict for.
     """
     grid = [[False] * m for _ in range(m)]
     for (x, y), s in zip(unordered_pairs(m), codes):
@@ -324,8 +313,9 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
 
 
 def compose_rows(k: DomainKernel, cols: Sequence[bytes]) -> array:
-    """The verdict row of `cols`: per profile, its codes composed, or ABSENT where one is MISSING or they do not."""
-    return array("h", map(row_verdict, repeat(k.m), row_keys(k, [int.from_bytes(c, "little") for c in cols])))
+    """The verdict row of `cols`: per profile, the verdict of its codes, or ABSENT where they are none's."""
+    keys = row_keys(k, [int.from_bytes(c, "little") for c in cols])
+    return array("h", map(verdict_keys(k.m).get, keys, repeat(ABSENT)))
 
 
 @lru_cache(maxsize=None)
@@ -339,6 +329,16 @@ def verdict_codes(m: int) -> tuple[tuple[int, ...], ...]:
     """Per canonical pair of m, the stance code of each verdict index, then MISSING, which ABSENT reads."""
     orders = enumerate_weak_orders(m)
     return tuple(tuple(STANCE_CODE[pair_stance(w, x, y)] for w in orders) + (MISSING,) for x, y in unordered_pairs(m))
+
+
+@lru_cache(maxsize=None)
+def verdict_keys(m: int) -> dict[int, int]:
+    """The inverse of `verdict_codes(m)`: each verdict's stance codes packed as a `row_keys` key, to its index.
+
+    A weak order is fixed by its stance on each pair, so a row of codes
+    composes into a weak order exactly when its key is here.
+    """
+    return {sum(codes[j] << 2 * q for q, codes in enumerate(verdict_codes(m))): j for j in range(len(verdict_index(m)))}
 
 
 def majority_codes(f: Profile) -> tuple[int, ...]:

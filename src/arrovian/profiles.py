@@ -17,6 +17,7 @@ JSON profile format::
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -151,6 +152,8 @@ class TriPartition:
             raise ValueError("tri-partition JSON must have exactly three voter arrays")
         if not all(isinstance(v, int) and not isinstance(v, bool) for p in lists for v in p):
             raise ValueError("voter must be an integer")
+        if (twice := next((v for v, c in Counter(v for p in lists for v in p).items() if c > 1), None)) is not None:
+            raise ValueError(f"voter {twice} listed twice")  # a frozenset would drop the repeat
         return cls(n, frozenset(lists[0]), frozenset(lists[1]), frozenset(lists[2]))
 
 

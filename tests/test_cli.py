@@ -764,6 +764,11 @@ _PAIRWISE = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
             {"m": 3, "n": 1, "prefs": "A>B>C"},
             "{file}: prefs: must be a list of order strings",
         ),
+        (  # as sets, the parts [0, 0], [1], [] would partition the voters
+            ["axioms", "--swf", "{file}"],
+            {**_PAIRWISE, "n": 2, "rules": {"A,B": [[[[0, 0], [1], []], "FIRST"]]}},
+            "{file}: rules['A,B'][0]: voter 0 listed twice",
+        ),
     ],
 )
 def test_refused_input_exits_2_with_one_error_line(capsys, tmp_path, argv, content, message):

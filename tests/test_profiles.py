@@ -90,6 +90,9 @@ def test_tripartition_json_lists_round_trip():
     assert TriPartition.from_json_lists(3, lists) == t
     with pytest.raises(ValueError):
         TriPartition.from_json_lists(3, [[0], [1]])
+    for lists in ([[0, 0], [1], []], [[1], [0, 1, 0], []]):  # as sets, both would partition the voters
+        with pytest.raises(ValueError, match="^voter [01] listed twice$"):
+            TriPartition.from_json_lists(2, lists)
 
 
 def test_enumerate_tripartitions_linear_excludes_ties():

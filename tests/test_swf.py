@@ -432,6 +432,8 @@ def test_swf_json_errors():
         parse_swf_json({**base, "rules": {"B,A": []}})
     with pytest.raises(SwfFormatError, match="stance|INDIFFERENT"):
         parse_swf_json({**base, "rules": {"A,B": [[[[0], [], []], "MAYBE"]]}})
+    with pytest.raises(SwfFormatError, match=r"^rules\['A,B'\]\[0\]: voter 0 listed twice$"):
+        parse_swf_json({**base, "n": 2, "rules": {"A,B": [[[[0, 0], [1], []], "FIRST"]]}})
     with pytest.raises(SwfFormatError, match="duplicate tri-partition"):
         parse_swf_json(
             {
