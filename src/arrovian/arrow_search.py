@@ -67,8 +67,10 @@ from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 DEFAULT_MAX_NODES = 1_000_000
 # A bound cell's mask 1 << s, as its stance s.
 _STANCE_OF_MASK = bytes.maketrans(b"\x01\x02\x04", b"\x00\x01\x02")
-# The survivor audit's kernel costs about 400 bytes per m-ary profile (3.3 GB
-# at m=4, n=5 linear), so a search takes at most this many, about 40 MB.
+# The survivor audit's kernel retains 34-68 bytes per m-ary profile and peaks
+# below 100 (tracemalloc over `domain_kernel` and the `full_report` of a dictator
+# rule, 5,625 to 371,293 profiles at m=3 and 4), so a search takes at most this
+# many, under 10 MB; m=4, n=5 linear would retain about 500 MB at that rate.
 # The C(m, 3) * |D3|**n triangle constraints never outnumber them.
 MAX_SEARCH_PROFILES = 100_000
 # An entry of the survivor audit's column memo holds about 4 bytes per m-ary profile; past this many, it starts over.
@@ -223,7 +225,7 @@ def _propagate(
 
 def leaf_rule(m: int, n: int, domain: Domain, leaf: bytes) -> PairwiseRuleSwf:
     """The rule of a leaf of the (m, n, domain) search, whose layout is the leaf cut into its pairs'
-    slices: pair q's stance codes start at byte q * len(splits).  Its tables are decoded only when read."""
+    slices: pair q's stance codes start at byte q * len(splits).  Its `rules` are decoded only when read."""
     width = domain.split_base**n
     return PairwiseRuleSwf.from_layout(m, n, domain, tuple(leaf[i : i + width] for i in range(0, len(leaf), width)))
 
@@ -342,7 +344,7 @@ def search_arrovian(
 
     watchers, later = problem.watchers, problem.later
     nodes = found = pruned_events = pruned_total = 0
-    # one byte per cell; rule tables are built only once the space is covered
+    # one byte per cell; rules are built only once the space is covered
     leaves: list[bytes] = []
 
     # All-stance domains support each other, so only the forced cells start the root pass.

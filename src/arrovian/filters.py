@@ -103,13 +103,21 @@ class CoalitionFamily:
             raise FormatError(f"n must be at most {MAX_FAMILY_VOTERS}")
         if not isinstance(members, list) or not all(isinstance(s, list) for s in members):
             raise FormatError("members must be a list of voter lists")
+        masks: set[int] = set()  # a set would drop a repeated voter or coalition, so each is refused
         for i, s in enumerate(members):
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
                 raise FormatError(f"members[{i}]: voter must be an integer")
+            mask = 0
             for v in s:
                 if not 0 <= v < n:
                     raise FormatError(f"members[{i}]: voter {v} out of range for n={n}")
-        return cls.from_sets(n, members)
+                if mask >> v & 1:
+                    raise FormatError(f"members[{i}]: voter {v} listed twice")
+                mask |= 1 << v
+            if mask in masks:
+                raise FormatError(f"members[{i}]: duplicate coalition")
+            masks.add(mask)
+        return cls(n, frozenset(masks))
 
 
 @dataclass(frozen=True)

@@ -236,12 +236,13 @@ def split_columns(k: DomainKernel, luts: Sequence[bytes]) -> list[bytes]:
     """Per pair of `k.canonical`, its stance codes laid out over `k.splits` by position, read at each profile.
 
     With at most 256 splits a column is the pair's positions translated
-    through its lut; above that, each profile indexes it.
+    through its lut; above that, each profile indexes it.  A lut shorter
+    than the splits reads MISSING past its end.
     """
+    pad = bytes([MISSING])
     if len(k.splits) <= 256:
-        pad = bytes([MISSING])
         return [tri.translate(lut.ljust(256, pad)) for tri, lut in zip(k.tri, luts)]
-    return [bytes(map(lut.__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
+    return [bytes(map(lut.ljust(len(k.splits), pad).__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
 
 
 def _key_width(count: int) -> int:

@@ -239,6 +239,13 @@ def split_codes(n: int, domain: Domain) -> tuple[int, ...]:
     return tuple(codes)
 
 
+def split_position(t: TriPartition, domain: Domain) -> int | None:
+    """t's position in `split_codes(t.n, domain)`, or None where t is no split of the domain: a linear tie."""
+    if domain is Domain.WEAK:
+        return t.code()  # every code is a weak split, in order
+    return None if t.tie else sum(1 << v for v in t.second)  # the code's base-3 digits read in base 2
+
+
 def enumerate_tripartitions(n: int, domain: Domain) -> list[TriPartition]:
     """Tri-partitions reachable in the domain, ascending by code.
 

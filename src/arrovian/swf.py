@@ -6,10 +6,10 @@ Two representations are used side by side:
   stored as one row of verdict indices in the domain kernel's profile
   order; `verdict(f)` and the read-only `verdicts` mapping are views
   that build `Profile` and `WeakOrder` objects on demand.
-* `PairwiseRuleSwf`: per pair of alternatives, a map from the voters'
-  tri-partition code on that pair to a verdict stance code, or the same
-  laid out by split position, which the checks read; `rules` is the
-  same as `TriPartition` and `PairStance` objects.  This is exactly
+* `PairwiseRuleSwf`: per pair of alternatives, the verdict's stance
+  code at each of the voters' tri-partitions on that pair, laid out by
+  split position, which the checks read; `rules` is the same as
+  `TriPartition` and `PairStance` objects.  This is exactly
   the shape forced by the independence axiom, so independence holds for
   it by construction; whether the per-pair stances assemble into a valid
   weak order on every profile is a separate question, answered by
@@ -62,11 +62,13 @@ from .profiles import (
     Domain,
     Profile,
     TriPartition,
+    check_profile_space,
     enumerate_profiles,
     enumerate_tripartitions,
     pair_partition,
     parse_header,
     split_codes,
+    split_position,
 )
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, ColumnFacts, DomainKernel, column_facts, compose,
@@ -151,31 +153,24 @@ def _filled(k: DomainKernel, cells: dict[int, int]) -> array:
 class PairwiseRuleSwf:
     """Per-pair verdict rules keyed by the voters' tri-partition.
 
-    `tables` maps each canonical pair (x, y), x < y, to a map from tri-partition code (voters
-    preferring x first) to the stance code of the verdict on (x, y); no entry means no rule.
-    `layout[q]`, which the checks read, is pair q's table laid out over the domain's splits by
-    position, MISSING where it has no entry.  Producers in this package write one of the two
-    (`from_tables`, `from_layout`) and the other is built from it on first use.  The constructor takes
-    `TriPartition`-to-`PairStance` maps and drops the pairs and splits outside the domain, which no
-    check reads.  `rules` is `tables` as such maps, read-only, built on first use.
+    `layout[q]` is canonical pair q's rule, its stance code at each of the domain's splits by
+    position (`split_codes`, ascending tri-partition code), MISSING where it has none, and
+    `b""` where the pair has no rule table at all.  Producers in this package write it through
+    `from_layout`.  The constructor takes `TriPartition`-to-`PairStance` maps, drops the pairs
+    and splits outside the domain, which no check reads, and raises as `enumerate_profiles`
+    would.  `rules` is the layout as such maps, read-only, built on first use.
     """
 
     def __init__(
         self, m: int, n: int, domain: Domain, rules: Mapping[tuple[int, int], Mapping[TriPartition, PairStance]]
     ):
-        pairs, linear = unordered_pairs(m), domain is Domain.LINEAR
-        tables = {
-            pair: {t.code(): STANCE_CODE[s] for t, s in table.items() if t.n == n and not (linear and t.tie)}
-            for pair, table in rules.items()
-            if pair in pairs
-        }
-        self.m, self.n, self.domain, self.tables = m, n, domain, tables
-
-    @classmethod
-    def from_tables(cls, m: int, n: int, domain: Domain, tables: dict[tuple[int, int], dict]) -> PairwiseRuleSwf:
-        swf = cls.__new__(cls)
-        swf.m, swf.n, swf.domain, swf.tables = m, n, domain, tables
-        return swf
+        check_profile_space(m, n, domain)  # before a layout of one byte per split
+        splits = split_codes(n, domain)
+        tables = {pair: {t.code(): STANCE_CODE[s] for t, s in rule.items() if t.n == n} for pair, rule in rules.items()}
+        self.m, self.n, self.domain = m, n, domain
+        self.layout = tuple(
+            bytes(map(tables[p].get, splits, repeat(MISSING))) if p in tables else b"" for p in unordered_pairs(m)
+        )
 
     @classmethod
     def from_layout(cls, m: int, n: int, domain: Domain, layout: tuple[bytes, ...]) -> PairwiseRuleSwf:
@@ -184,20 +179,12 @@ class PairwiseRuleSwf:
         return swf
 
     @cached_property
-    def tables(self) -> dict[tuple[int, int], dict[int, int]]:
-        splits, pairs = split_codes(self.n, self.domain), unordered_pairs(self.m)
-        return {pair: {t: s for t, s in zip(splits, lut) if s != MISSING} for pair, lut in zip(pairs, self.layout)}
-
-    @cached_property
-    def layout(self) -> tuple[bytes, ...]:
-        splits, tables = split_codes(self.n, self.domain), self.tables
-        return tuple(bytes(map(tables.get(pair, {}).get, splits, repeat(MISSING))) for pair in unordered_pairs(self.m))
-
-    @cached_property
     def rules(self) -> Mapping[tuple[int, int], Mapping[TriPartition, PairStance]]:
+        tris = enumerate_tripartitions(self.n, self.domain)
         return MappingProxyType({
-            pair: MappingProxyType({TriPartition.from_code(self.n, t): STANCES[s] for t, s in sorted(table.items())})
-            for pair, table in self.tables.items()
+            pair: MappingProxyType({t: STANCES[s] for t, s in zip(tris, lut) if s != MISSING})
+            for pair, lut in zip(unordered_pairs(self.m), self.layout)
+            if lut
         })
 
     def domain_profiles(self) -> list[Profile]:
@@ -207,12 +194,13 @@ class PairwiseRuleSwf:
         x, y = pair
         if x >= y:
             raise ValueError(f"pair {pair} is not canonical (need x < y)")
-        if pair not in self.tables:
+        q = x * (2 * self.m - x - 1) // 2 + y - x - 1  # the position of (x, y) in `unordered_pairs(m)`
+        if x < 0 or y >= self.m or not (lut := self.layout[q]):
             raise LookupError(f"no rule table for pair {pair}")
-        s = self.tables[pair].get(t.code()) if t.n == self.n else None
-        if s is None:
+        j = split_position(t, self.domain) if t.n == self.n else None
+        if j is None or lut[j] == MISSING:
             raise LookupError(f"no rule for pair {pair} at tri-partition code {t.code()}")
-        return STANCES[s]
+        return STANCES[lut[j]]
 
     def stance(self, f: Profile, x: int, y: int) -> PairStance:
         if x < y:
@@ -526,8 +514,8 @@ def _rule_tables(
     def stance(d: int) -> int:
         return FIRST if d > 0 else SECOND if d < 0 else TIE
 
-    tables = {pair: {t.code(): stance(margin(pair, t)) for t in tris} for pair in unordered_pairs(m)}
-    return PairwiseRuleSwf.from_tables(m, n, domain, tables)
+    layout = tuple(bytes(stance(margin(pair, t)) for t in tris) for pair in unordered_pairs(m))
+    return PairwiseRuleSwf.from_layout(m, n, domain, layout)
 
 
 def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
@@ -605,10 +593,10 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
             **base,
             "entries": [[list(f), text(j)] for f, j in zip(profiles, swf.row) if j != ABSENT],
         }
-    lists = cache(lambda t: TriPartition.from_code(swf.n, t).to_json_lists())  # one rendering per distinct code
+    lists = cache(TriPartition.to_json_lists)  # one rendering per distinct tri-partition
     rules_json = {
-        f"{alts.label(x)},{alts.label(y)}": [[lists(t), STANCES[s].value] for t, s in sorted(table.items())]
-        for (x, y), table in sorted(swf.tables.items())
+        f"{alts.label(x)},{alts.label(y)}": [[lists(t), s.value] for t, s in table.items()]
+        for (x, y), table in swf.rules.items()
     }
     return {"kind": "pairwise", **base, "rules": rules_json}
 
@@ -618,6 +606,9 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     kind = obj.get("kind")
     if kind not in ("explicit", "pairwise"):
         raise SwfFormatError(f"kind must be 'explicit' or 'pairwise', got {kind!r}")
+    body = "entries" if kind == "explicit" else "rules"
+    if unknown := sorted(set(obj) - {"kind", "m", "n", "domain", "labels", body}):
+        raise SwfFormatError(f"unknown keys {unknown}")
     for key in ("m", "n", "domain"):
         if key not in obj:
             raise SwfFormatError(f"required key {key!r} missing")
@@ -693,7 +684,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     rules_json = obj.get("rules")
     if not isinstance(rules_json, dict):
         raise SwfFormatError("rules must be an object keyed by pair")
-    tables: dict[tuple[int, int], dict[int, int]] = {}
+    tables: dict[tuple[int, int], dict[TriPartition, PairStance]] = {}
     for key, cells in rules_json.items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -706,7 +697,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             raise SwfFormatError(f"rules key {key!r}: pair must be canonical (x before y)")
         if not isinstance(cells, list):
             raise SwfFormatError(f"rules[{key!r}] must be a list of [tri-partition, stance]")
-        table: dict[int, int] = {}  # tri-partition code to stance code
+        table: dict[TriPartition, PairStance] = {}
         for i, cell in enumerate(cells):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise SwfFormatError(f"rules[{key!r}][{i}]: expected [tri-partition, stance]")
@@ -718,8 +709,9 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
             if t.tie and domain is Domain.LINEAR:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
-            if t.code() in table:
+            if t in table:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: duplicate tri-partition")
-            table[t.code()] = STANCE_CODE[s]
+            table[t] = s
         tables[(x, y)] = table
-    return PairwiseRuleSwf.from_tables(m, n, domain, tables), alts
+    # The domain's size is checked only now, so that a defect in the rules is reported first.
+    return PairwiseRuleSwf(m, n, domain, tables), alts

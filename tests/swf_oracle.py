@@ -131,16 +131,19 @@ def full_report(swf: Swf) -> AxiomReport:
 
 
 def decisive_family(swf: Swf) -> CoalitionFamily:
-    """Every coalition whose unanimous strict preference the verdict always echoes."""
-    supporters: list[tuple[int, bool]] = []
+    """Every coalition whose unanimous strict preference the verdict always echoes.
+
+    Each profile and pair (x, y), x < y, is read once: the stances on (y, x) are those on
+    (x, y) flipped, so y is preferred there where x is on (x, y).  Coalitions are then tested
+    against the distinct (supporters of the first alternative, verdict prefers it) outcomes.
+    """
+    outcomes: set[tuple[int, bool]] = set()
     for f in swf.domain_profiles():
-        for x, y in ordered_pairs(swf.m):
-            mask = 0
-            for v in range(swf.n):
-                if f.stance(v, x, y) is PairStance.FIRST_PREFERRED:
-                    mask |= 1 << v
-            supporters.append((mask, swf.stance(f, x, y) is PairStance.FIRST_PREFERRED))
-    members = [c for c in range(1 << swf.n) if all(wins for mask, wins in supporters if c & ~mask == 0)]
+        for x, y in unordered_pairs(swf.m):
+            stances, verdict = [f.stance(v, x, y) for v in range(swf.n)], swf.stance(f, x, y)
+            for first in (PairStance.FIRST_PREFERRED, PairStance.FIRST_PREFERRED.flipped()):  # (x, y), then (y, x)
+                outcomes.add((sum(1 << v for v, s in enumerate(stances) if s is first), verdict is first))
+    members = [c for c in range(1 << swf.n) if all(wins for mask, wins in outcomes if c & ~mask == 0)]
     return CoalitionFamily(swf.n, frozenset(members))
 
 

@@ -25,8 +25,10 @@ from arrovian.arrow_search import (
     search_arrovian,
 )
 from arrovian.cli import main
-from arrovian.kernel import STANCE_CODE, domain_kernel
-from arrovian.profiles import BudgetExceededError, Domain, enumerate_tripartitions, pair_partition, profile_from_texts
+from arrovian.kernel import STANCE_CODE, STANCES, domain_kernel
+from arrovian.profiles import (
+    BudgetExceededError, Domain, TriPartition, enumerate_tripartitions, pair_partition, profile_from_texts,
+)
 from arrovian.relations import PairStance, enumerate_weak_orders, pair_stance
 from arrovian.swf import PairwiseRuleSwf, dictator_rules, full_report, parse_swf_json
 
@@ -280,8 +282,8 @@ def test_weak_two_voters_all_survivors_dictatorial():
 )
 def test_a_survivor_audits_from_its_leaf_as_from_dict_tables(m, n, domain):
     """Every survivor's rule reads its columns straight from the leaf bytes: they equal the
-    columns read through per-pair dict tables at each profile, its decoded tables equal those
-    dicts, and its report equals the report of the same dicts as a `from_tables` rule."""
+    columns read through per-pair dict tables at each profile, its decoded `rules` equal those
+    dicts, and its report equals the report of the same dicts passed to the constructor."""
     k = domain_kernel(m, n, domain)
     width = len(k.splits)
     for rec in search_arrovian(m, n, domain).survivors:
@@ -289,14 +291,15 @@ def test_a_survivor_audits_from_its_leaf_as_from_dict_tables(m, n, domain):
         rule = rec.swf
         by_dict = [bytes(dicts[pair][k.splits[j]] for j in tri) for pair, tri in zip(k.canonical, k.tri)]
         assert rule.stance_columns(k) == by_dict
-        assert rule.tables == dicts
-        old = PairwiseRuleSwf.from_tables(m, n, domain, dicts)
+        maps = {pair: {TriPartition.from_code(n, t): STANCES[s] for t, s in d.items()} for pair, d in dicts.items()}
+        assert rule.rules == maps
+        old = PairwiseRuleSwf(m, n, domain, maps)
         assert full_report(rule).to_json_dict() == full_report(old).to_json_dict()
 
 
 def test_a_survivor_keeps_only_its_leaf():
-    """A survivor holds the leaf bytes and its dictator, and its rule tables
-    are built when asked for: a warm-cache certificate of the 366 m=3 weak
+    """A survivor holds the leaf bytes and its dictator, and its rule is
+    built when asked for: a warm-cache certificate of the 366 m=3 weak
     n=2 survivors retains under 100 KB.  Keeping a per-pair dict table and a
     stance tuple for each survivor retained about 660 KB."""
     search_arrovian(3, 2, Domain.WEAK)  # warms the kernel caches

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from itertools import product
 
 import pytest
 
@@ -217,8 +218,9 @@ def test_axioms_rejects_labels_that_are_not_a_list_of_strings(capsys, tmp_path, 
 
 
 def test_axioms_rejects_a_huge_electorate(capsys, tmp_path):
-    for m in (1, 3):
-        doc = {"kind": "explicit", "m": m, "n": 10**30, "domain": "weak", "entries": []}
+    """Before a pairwise document is laid out, one byte per split, its domain's size is checked."""
+    for m, body in product((1, 3), ({"kind": "explicit", "entries": []}, {"kind": "pairwise", "rules": {}})):
+        doc = {"m": m, "n": 10**30, "domain": "weak", **body}
         code, out, _, err = _axioms_on(capsys, tmp_path, doc)
         assert code == 2
         assert out == ""
@@ -768,6 +770,26 @@ _PAIRWISE = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
             ["axioms", "--swf", "{file}"],
             {**_PAIRWISE, "n": 2, "rules": {"A,B": [[[[0, 0], [1], []], "FIRST"]]}},
             "{file}: rules['A,B'][0]: voter 0 listed twice",
+        ),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_EXPLICIT, "entries": [], "extra": 1},
+            "{file}: unknown keys ['extra']",
+        ),
+        (
+            ["axioms", "--swf", "{file}"],
+            {**_PAIRWISE, "rules": {}, "entries": []},
+            "{file}: unknown keys ['entries']",
+        ),
+        (  # as a set, [0, 0] would be the coalition {0}
+            ["filters", "--family", "{file}"],
+            {"n": 3, "members": [[0, 0]]},
+            "{file}: members[0]: voter 0 listed twice",
+        ),
+        (
+            ["filters", "--family", "{file}"],
+            {"n": 3, "members": [[0, 1], [1, 0]]},
+            "{file}: members[1]: duplicate coalition",
         ),
     ],
 )

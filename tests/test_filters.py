@@ -234,4 +234,8 @@ def test_family_json_errors():
         CoalitionFamily.from_json_dict({"n": 2, "members": [[1.0]]})
     with pytest.raises(ValueError, match="at most 64"):
         CoalitionFamily.from_json_dict({"n": 65, "members": []})
+    with pytest.raises(ValueError, match=r"^members\[0\]: voter 0 listed twice$"):
+        CoalitionFamily.from_json_dict({"n": 3, "members": [[0, 0]]})
+    with pytest.raises(ValueError, match=r"^members\[2\]: duplicate coalition$"):
+        CoalitionFamily.from_json_dict({"n": 3, "members": [[0, 1], [2], [1, 0]]})
     assert CoalitionFamily.from_json_dict({"n": 64, "members": [[63]]}).masks == {1 << 63}

@@ -34,6 +34,7 @@ from arrovian.profiles import (
     enumerate_tripartitions,
     pair_partition,
     pairwise_majority,
+    split_position,
 )
 from arrovian.relations import (
     BinaryRelation,
@@ -146,21 +147,31 @@ def test_tables_match_the_profile_objects(m, n, domain):
 )
 def test_split_columns_read_random_partial_tables(m, n, domain, splits):
     """A rule's tables, laid out over the splits, read at every profile by both gathers (by
-    translation up to 256 splits, by indexing above) as a dict map does, MISSING where none."""
+    translation up to 256 splits, by indexing above) as a dict map does, MISSING where none,
+    also on a pair left out of the rule, whose layout is b""."""
     k = domain_kernel(m, n, domain)
     assert len(k.splits) == splits
     assert all((type(tri) is bytes) == (splits <= 256) for tri in k.tri)
     rng = random.Random(splits)
     for _ in range(20):
-        tables = [
-            {t: rng.randrange(3) for t in rng.sample(k.splits, rng.randint(0, splits))}
+        tables = [  # None leaves the pair out
+            {t: rng.randrange(3) for t in rng.sample(k.splits, rng.randint(0, splits))} if rng.random() < 0.8 else None
             for _ in k.canonical
         ]
-        cols = PairwiseRuleSwf.from_tables(m, n, domain, dict(zip(k.canonical, tables))).stance_columns(k)
+        rules = {
+            pair: {TriPartition.from_code(n, t): STANCES[s] for t, s in table.items()}
+            for pair, table in zip(k.canonical, tables)
+            if table is not None
+        }
+        swf = PairwiseRuleSwf(m, n, domain, rules)
+        assert [lut == b"" for lut in swf.layout] == [table is None for table in tables]
+        cols = swf.stance_columns(k)
         assert all(type(col) is bytes for col in cols)
         fill = dict.fromkeys(k.splits, MISSING)
         codes = [[k.splits[j] for j in tri] for tri in k.tri]
-        assert [tuple(c) for c in cols] == [tuple(map({**fill, **table}.get, t)) for t, table in zip(codes, tables)]
+        assert [tuple(c) for c in cols] == [
+            tuple(map({**fill, **(table or {})}.get, t)) for t, table in zip(codes, tables)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -180,6 +191,7 @@ def test_split_positions_at_each_width(m, n, domain, typecode):
         f = k.profile(i)
         for pair, tri in zip(k.canonical, k.tri):
             assert k.splits[tri[i]] == pair_partition(f, *pair).code()
+            assert tri[i] == split_position(pair_partition(f, *pair), domain)
 
 
 def test_kernel_build_stays_small():

@@ -21,6 +21,7 @@ from arrovian.profiles import (
     parse_profile_json,
     profile_from_texts,
     profile_to_json_dict,
+    split_position,
 )
 from arrovian.relations import AlternativeSet, PairStance, validate_weak_order
 
@@ -102,6 +103,9 @@ def test_enumerate_tripartitions_linear_excludes_ties():
     assert len(linear) == 4
     assert all(not t.tie for t in linear)
     assert [t.code() for t in weak] == sorted(t.code() for t in weak)
+    assert [split_position(t, Domain.WEAK) for t in weak] == list(range(9))
+    assert [split_position(t, Domain.LINEAR) for t in linear] == list(range(4))
+    assert [split_position(t, Domain.LINEAR) for t in weak if t.tie] == [None] * 5
 
 
 def test_pair_partition_agrees_with_stances():

@@ -95,10 +95,11 @@ def test_rule_stance_errors():
 
 
 def test_an_absent_pair_and_an_empty_table_keep_their_errors():
-    """A `from_tables` rule with no table for (1, 2) and an empty one for (0, 2) reads both as
-    undefined, yet names them apart, and writes both back as they were."""
-    tables = {(0, 1): dict(dictator_rules(0, 3, 2, Domain.LINEAR).tables[(0, 1)]), (0, 2): {}}
-    swf = PairwiseRuleSwf.from_tables(3, 2, Domain.LINEAR, tables)
+    """A rule with no table for (1, 2) and an empty one for (0, 2) reads both as undefined, yet
+    names them apart, lays them out as b"" and as MISSING, and writes both back as they were."""
+    rules = {(0, 1): dict(dictator_rules(0, 3, 2, Domain.LINEAR).rules[(0, 1)]), (0, 2): {}}
+    swf = PairwiseRuleSwf(3, 2, Domain.LINEAR, rules)
+    assert swf.layout[1:] == (bytes([MISSING]) * 4, b"")
     t = pair_partition(profile_from_texts(["A>B>C", "A>B>C"]), 0, 1)
     with pytest.raises(LookupError, match=r"^no rule table for pair \(1, 2\)$"):
         swf.rule_stance((1, 2), t)
@@ -112,7 +113,7 @@ def test_an_absent_pair_and_an_empty_table_keep_their_errors():
     doc = swf_to_json_dict(swf)
     assert doc["rules"]["A,C"] == [] and "B,C" not in doc["rules"]
     back, _ = parse_swf_json(canonical_json(doc))
-    assert back.tables == tables and back.layout == swf.layout
+    assert back.rules == rules and back.layout == swf.layout
     assert full_report(back).to_json_dict() == report.to_json_dict()
 
 
@@ -426,6 +427,10 @@ def test_swf_json_errors():
         parse_swf_json({"kind": "explicit", "m": 3, "n": 1, "domain": "semi", "entries": []})
     with pytest.raises(SwfFormatError, match="invalid JSON"):
         parse_swf_json("{")
+    with pytest.raises(SwfFormatError, match=r"^unknown keys \['extra'\]$"):
+        parse_swf_json({"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": [], "extra": 1})
+    with pytest.raises(SwfFormatError, match=r"^unknown keys \['entries'\]$"):  # once silently dropped
+        parse_swf_json({"kind": "pairwise", "m": 3, "n": 1, "domain": "weak", "rules": {}, "entries": []})
 
     base = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
     with pytest.raises(SwfFormatError, match="canonical"):
