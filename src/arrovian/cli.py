@@ -89,18 +89,22 @@ class RunContext:
         self._parts.append(text)
 
     def load(self, path: str, parse):
-        """parse(the text of the file at path); an unreadable file or a malformed document stops the run."""
+        """parse(the text of the file at path), timed as `phases.parse_s`; an unreadable file or a
+        malformed document stops the run."""
         try:
             raw = Path(path).read_bytes()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
         self.inputs[path] = sha256_hex(raw)
+        start = time.perf_counter()
         try:
             return parse(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not UTF-8 text: {exc.reason}") from None
         except FormatError as exc:
             raise CliError(f"{path}: {exc}") from None
+        finally:
+            self.phases["parse_s"] = time.perf_counter() - start
 
     def write_text(self, path: str, text: str) -> None:
         try:
@@ -563,7 +567,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, doc = args.handler(args, ctx)
         if doc is not None:
+            rendering = time.perf_counter()
             ctx.say(canonical_json(doc) if args.json else args.text(doc))
+            ctx.phases["render_s"] = time.perf_counter() - rendering
         ctx.flush()
     except (CliError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -596,9 +596,23 @@ def test_search_manifest_reports_phase_times(capsys, render):
     assert manifest["counters"] == {
         "nodes": 66, "leaves": 2, "pruned_events": 43, "survivors": 2, "distinct_columns": 6,
     }
-    # other commands report no phases or counters yet
+    # other commands time their rendering, and reading their input file, and count nothing yet
     other = run(capsys, "orders", "-m", "3")[2]
-    assert other["phases"] == other["counters"] == {}
+    assert list(other["phases"]) == ["render_s"]
+    assert other["counters"] == {}
+
+
+def test_a_command_reading_a_file_times_its_parse_and_its_rendering(capsys, dictator_file, tmp_path):
+    code, _, manifest, _ = run(capsys, "axioms", "--swf", dictator_file, "--json")
+    assert code == 1
+    phases = manifest["phases"]
+    assert sorted(phases) == ["parse_s", "render_s"]
+    assert all(isinstance(s, float) and s >= 0 for s in phases.values())
+    assert phases["parse_s"] + phases["render_s"] <= manifest["wall_time_s"]
+    # a refused document still reports the time spent reading it, and renders nothing
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"m": 3,')
+    assert list(run(capsys, "axioms", "--swf", str(broken))[2]["phases"]) == ["parse_s"]
 
 
 SEARCH_REFUSALS = [
@@ -791,6 +805,17 @@ _PAIRWISE = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
             {"n": 3, "members": [[0, 1], [1, 0]]},
             "{file}: members[1]: duplicate coalition",
         ),
+        (  # a repeated key, at any depth, is refused rather than read as its last value
+            ["axioms", "--swf", "{file}"],
+            b'{"kind": "pairwise", "m": 3, "n": 1, "domain": "weak", "rules": {"A,B": [], "A,B": []}}',
+            "{file}: duplicate key 'A,B'",
+        ),
+        (
+            ["condorcet-demo", "--profile", "{file}"],
+            b'{"m": 3, "n": 1, "prefs": ["A>B>C"], "prefs": ["C>B>A"]}',
+            "{file}: duplicate key 'prefs'",
+        ),
+        (["filters", "--family", "{file}"], b'{"n": 2, "members": [], "n": 3}', "{file}: duplicate key 'n'"),
     ],
 )
 def test_refused_input_exits_2_with_one_error_line(capsys, tmp_path, argv, content, message):

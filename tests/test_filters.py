@@ -228,6 +228,8 @@ def test_family_json_errors():
         CoalitionFamily.from_json_dict({"n": 2, "members": [0]})
     with pytest.raises(ValueError, match="invalid JSON"):
         CoalitionFamily.from_json_dict("{oops")
+    with pytest.raises(ValueError, match="^duplicate key 'members'$"):
+        CoalitionFamily.from_json_dict('{"n": 2, "members": [[0]], "members": []}')
     with pytest.raises(ValueError, match=r"members\[1\]: voter must be an integer"):
         CoalitionFamily.from_json_dict({"n": 2, "members": [[0], [False]]})
     with pytest.raises(ValueError, match=r"members\[0\]: voter must be an integer"):

@@ -431,6 +431,13 @@ def test_swf_json_errors():
         parse_swf_json({"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": [], "extra": 1})
     with pytest.raises(SwfFormatError, match=r"^unknown keys \['entries'\]$"):  # once silently dropped
         parse_swf_json({"kind": "pairwise", "m": 3, "n": 1, "domain": "weak", "rules": {}, "entries": []})
+    # a repeated key, at any depth, once kept its last value
+    with pytest.raises(SwfFormatError, match=r"^duplicate key 'A,B'$"):
+        parse_swf_json('{"kind": "pairwise", "m": 3, "n": 1, "domain": "weak", "rules": {"A,B": [], "A,B": []}}')
+    with pytest.raises(SwfFormatError, match=r"^duplicate key 'm'$"):
+        parse_swf_json('{"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": [], "m": 4}')
+    with pytest.raises(SwfFormatError, match=r"^duplicate key 'x'$"):
+        parse_swf_json('{"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": [{"x": 1, "x": 1}]}')
 
     base = {"kind": "pairwise", "m": 3, "n": 1, "domain": "weak"}
     with pytest.raises(SwfFormatError, match="canonical"):

@@ -1,6 +1,7 @@
 """The canonical JSON writer against the standard library's encoder, and the one JSON reader."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from arrovian._util import FormatError, canonical_json
 from arrovian.filters import CoalitionFamily
-from arrovian.profiles import parse_profile_json
-from arrovian.swf import parse_swf_json
+from arrovian.profiles import Domain, parse_profile_json
+from arrovian.swf import borda_explicit, dictator_explicit, parse_swf_json, swf_to_json_dict
 
 
 def reference(obj) -> str:
@@ -55,6 +56,84 @@ def test_shared_containers_render_at_each_place():
     assert canonical_json({"a": shared, "b": [shared]}) == reference({"a": shared, "b": [shared]})
 
 
+# Tables that canonical_json renders a column at a time: at least 8 rows of one shape, a shape
+# being str, int or a row of shapes; a row is a list or a tuple at random.  Rows of no cells,
+# and the poisons below, must take the value-by-value path.
+shapes = st.recursive(st.sampled_from(["str", "int"]), lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+POISONS = [True, False, 1.5, None, {1}, b"x", [], ["a"], 10**5000]
+
+
+def row_of(shape):
+    if shape == "str":
+        return texts
+    if shape == "int":
+        return st.integers()
+    cells = st.tuples(*map(row_of, shape))
+    return st.tuples(st.booleans(), cells).map(lambda kind_cells: list(kind_cells[1]) if kind_cells[0] else kind_cells[1])
+
+
+def replaced(value, path: list[int], new):
+    """value with the cell at path (indices into nested rows) replaced by new; value itself is not changed."""
+    if not path:
+        return new
+    cells = list(value)
+    cells[path[0]] = replaced(value[path[0]], path[1:], new)
+    return cells if type(value) is list else tuple(cells)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.lists(row_of(draw(shapes)), min_size=8, max_size=24))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1)), max_size=3)):
+        rows[i] = rows[j]  # one row object at two places
+    if draw(st.booleans()):  # one cell, or one whole row or subrow, of another kind
+        i = draw(st.integers(0, len(rows) - 1))
+        path, cell = [], rows[i]
+        while isinstance(cell, (list, tuple)) and cell and draw(st.booleans()):
+            path.append(draw(st.integers(0, len(cell) - 1)))
+            cell = cell[path[-1]]
+        rows[i] = replaced(rows[i], path, draw(st.sampled_from(POISONS)))
+    return rows if draw(st.booleans()) else tuple(rows)
+
+
+def outcome(render, obj) -> tuple[str, str]:
+    try:
+        return "text", render(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(tables(), st.sampled_from([lambda t: t, lambda t: {"entries": t}, lambda t: [[t]]]))
+def test_column_tables_match_json_dumps(table, place):
+    assert outcome(canonical_json, place(table)) == outcome(reference, place(table))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[]] * 8,
+        [["a"]] * 7 + [[]],
+        [["a", 1]] * 7 + [["a"]],
+        [[1, [2, 3]]] * 8 + [[1, [2]]],
+        [[1, "a"]] * 8 + [["a", 1]],
+        [("a", [1, 2])] * 4 + [["b", (3, 4)]] * 4,
+        list(range(-4, 4)),
+        [True] * 8,
+        ["a"] * 7 + [None],
+        [1] * 7 + [10**5000],
+    ],
+)
+def test_column_edge_cases_match_json_dumps(obj):
+    assert outcome(canonical_json, obj) == outcome(reference, obj)
+
+
+@pytest.mark.parametrize("make", [partial(dictator_explicit, 0), borda_explicit], ids=["dictator", "borda"])
+@pytest.mark.parametrize("m,n,domain", [(4, 2, Domain.WEAK), (3, 3, Domain.WEAK), (5, 1, Domain.WEAK), (3, 5, Domain.LINEAR)])
+def test_explicit_documents_match_json_dumps(make, m, n, domain):
+    doc = swf_to_json_dict(make(m, n, domain))
+    assert canonical_json(doc).splitlines() == reference(doc).splitlines()  # a line diff, should they differ
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -88,3 +167,7 @@ def test_every_document_parser_reports_json_defects_alike(parse, kind):
         parse("[1, 2]")
     assert array.value.location is None
     assert str(array.value) == f"{kind} document must be a JSON object"
+    with pytest.raises(FormatError) as repeated:  # at any depth
+        parse('{"m": 3, "n": [{"m": 1, "m": 1}]}')
+    assert repeated.value.location is None
+    assert str(repeated.value) == "duplicate key 'm'"
