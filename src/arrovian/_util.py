@@ -1,12 +1,15 @@
 """Small shared helpers for deterministic serialization and JSON input: the indented JSON
 writer, which renders an explicit SWF's table a column at a time, the one JSON reader of the
-document parsers, and slice-wise sha256."""
+document parsers and the collector pause they run under, and slice-wise sha256."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Callable, Iterator
 
 # A value that is not a container (None, bool, int, float, str), written as
@@ -82,7 +85,8 @@ def _column(col, nl: str) -> list[str] | None:
     if not kinds <= {list, tuple} or len(widths := set(map(len, col))) != 1 or widths == {0}:
         return None
     inner = nl + "  "
-    cells = [_column(c, inner) for c in zip(*col)]
+    # Transposed by itemgetter, not zip(*col), which would make an iterator object per row.
+    cells = [_column(list(map(itemgetter(i), col)), inner) for i in range(widths.pop())]
     if None in cells:
         return None
     strides = [len(pieces) // len(col) for pieces in cells]
@@ -140,6 +144,30 @@ def load_object(data: str | dict, error: type[FormatError], kind: str) -> dict:
     if not isinstance(data, dict):
         raise error(f"{kind} document must be a JSON object")
     return data
+
+
+def acyclic(fn):
+    """fn with the cyclic garbage collector held off while it runs; a collector already off stays off.
+
+    For the document parsers: a decoded JSON document and the tables built
+    from it hold no reference cycles, so a collection during a parse frees
+    nothing, yet it walks the parse's new lists, and a full one every object
+    in the heap, however large.  A parse frees its decoded document before it
+    returns, so the collector, switched back on, owes no work for it.  The
+    switch is process-wide: while a parse runs, no thread's objects are collected.
+    """
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return run
 
 
 def slices(data: bytes | str) -> Iterator[bytes | str]:

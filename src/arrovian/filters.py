@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._util import FormatError, load_object
+from ._util import FormatError, acyclic, load_object
 
 MAX_GROUND = 4
 # Largest ground set a family document may name.  Masks stay word-sized,
@@ -90,6 +90,7 @@ class CoalitionFamily:
         return {"n": self.n, "members": [sorted(s) for s in self.member_sets()]}
 
     @classmethod
+    @acyclic
     def from_json_dict(cls, data: str | dict) -> "CoalitionFamily":
         obj = load_object(data, FormatError, "family")
         if set(obj) != {"n", "members"}:

@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import product
 from typing import Callable, Iterator
 
-from ._util import FormatError, load_object
+from ._util import FormatError, acyclic, load_object
 from .relations import (
     MAX_ALTERNATIVES,
     AlternativeSet,
@@ -301,6 +301,7 @@ def parse_header(obj: dict, error: Callable[..., ValueError]) -> tuple[int, int,
         raise error(str(exc), location="labels") from None
 
 
+@acyclic
 def parse_profile_json(data: str | dict) -> tuple[Profile, AlternativeSet]:
     """Parse and strictly validate the JSON profile format.
 

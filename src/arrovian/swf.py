@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Callable, ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product, repeat
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
+from typing import Union
 
-from ._util import FormatError, load_object
+from ._util import FormatError, acyclic, load_object
 from .relations import (
     AlternativeSet,
     BinaryRelation,
@@ -97,14 +98,15 @@ class ExplicitSwf:
     where the table has none.  Producers in this package write the row
     through `from_row`; the constructor takes a mapping from `Profile`
     to `WeakOrder` and drops the profiles outside the domain, which no
-    check reads.  `verdicts` is the row as such a mapping, read-only,
-    built on first use; `verdict(f)` looks one profile up.
+    check reads.  `verdicts` is the row read as such a mapping, read-only,
+    which makes each `Profile` only when asked and keeps none; `verdict(f)`
+    looks one profile up.
     """
 
     def __init__(self, m: int, n: int, domain: Domain, verdicts: Mapping[Profile, WeakOrder]):
         k, index = domain_kernel(m, n, domain), verdict_index(m)
         cells = {i: index[w] for f, w in verdicts.items() if (i := k.profile_index(f)) is not None}
-        self.m, self.n, self.domain, self.row = m, n, domain, _filled(k, cells)
+        self.m, self.n, self.domain, self.row = m, n, domain, _filled(k.size, cells)
 
     @classmethod
     def from_row(cls, m: int, n: int, domain: Domain, row: array) -> ExplicitSwf:
@@ -112,11 +114,9 @@ class ExplicitSwf:
         swf.m, swf.n, swf.domain, swf.row = m, n, domain, row
         return swf
 
-    @cached_property
+    @property
     def verdicts(self) -> Mapping[Profile, WeakOrder]:
-        orders = enumerate_weak_orders(self.m)
-        profiles = enumerate_profiles(self.m, self.n, self.domain)
-        return MappingProxyType({f: orders[j] for f, j in zip(profiles, self.row) if j != ABSENT})
+        return _Verdicts(self)
 
     def domain_profiles(self) -> list[Profile]:
         return list(enumerate_profiles(self.m, self.n, self.domain))
@@ -142,9 +142,44 @@ class ExplicitSwf:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
 
 
-def _filled(k: DomainKernel, cells: dict[int, int]) -> array:
-    """The verdict row of k holding `cells` (profile index to verdict index), ABSENT elsewhere."""
-    row = array("h", [ABSENT]) * k.size
+class _Verdicts(Mapping):
+    """An explicit SWF's row read as a mapping from `Profile` to `WeakOrder`, a profile at a time."""
+
+    __slots__ = ("_swf",)
+
+    def __init__(self, swf: ExplicitSwf):
+        self._swf = swf
+
+    def __getitem__(self, f) -> WeakOrder:
+        swf = self._swf
+        i = domain_kernel(swf.m, swf.n, swf.domain).profile_index(f) if isinstance(f, Profile) else None
+        if i is None or swf.row[i] == ABSENT:
+            raise KeyError(f)
+        return enumerate_weak_orders(swf.m)[swf.row[i]]
+
+    def __iter__(self):
+        return (f for f, _ in self.items())
+
+    def __len__(self) -> int:
+        return len(self._swf.row) - self._swf.row.count(ABSENT)
+
+    def items(self) -> ItemsView:
+        return _VerdictItems(self)
+
+
+class _VerdictItems(ItemsView):
+    """The (profile, verdict) pairs of `_Verdicts`, read off the row in profile order."""
+
+    def __iter__(self):
+        swf = self._mapping._swf
+        orders, profiles = enumerate_weak_orders(swf.m), enumerate_profiles(swf.m, swf.n, swf.domain)
+        return ((f, orders[j]) for f, j in zip(profiles, swf.row) if j != ABSENT)
+
+
+def _filled(size: int, cells: dict[int, int]) -> array:
+    """The verdict row of a domain of `size` profiles holding `cells` (profile index to verdict index),
+    ABSENT elsewhere."""
+    row = array("h", [ABSENT]) * size
     for i, j in cells.items():
         row[i] = j
     return row
@@ -601,6 +636,7 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
     return {"kind": "pairwise", **base, "rules": rules_json}
 
 
+@acyclic
 def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     obj = load_object(data, SwfFormatError, "swf")
     kind = obj.get("kind")
@@ -679,7 +715,8 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
                 raise SwfFormatError(f"entries[{i}]: duplicate profile")
             table[at] = w
         # The domain's size is checked only now, so that a defect in the entries is reported first.
-        return ExplicitSwf.from_row(m, n, domain, _filled(domain_kernel(m, n, domain), table)), alts
+        check_profile_space(m, n, domain)
+        return ExplicitSwf.from_row(m, n, domain, _filled(size**n, table)), alts
 
     rules_json = obj.get("rules")
     if not isinstance(rules_json, dict):

@@ -1,5 +1,6 @@
 """Aggregation rules, the five-axiom audit and SWF serialization."""
 
+import gc
 import json
 import tracemalloc
 
@@ -12,6 +13,7 @@ from arrovian.kernel import MISSING, domain_kernel
 from arrovian.profiles import (
     BudgetExceededError,
     Domain,
+    Profile,
     ProfileFormatError,
     TriPartition,
     enumerate_profiles,
@@ -272,6 +274,25 @@ def test_verdicts_is_a_read_only_view_of_the_domain_profiles():
     swf = ExplicitSwf(3, 2, Domain.LINEAR, {**complete.verdicts, **outside})
     assert swf.verdicts == complete.verdicts
     assert full_report(swf).to_json_dict() == full_report(complete).to_json_dict()
+
+
+def test_verdicts_reads_the_row_and_keeps_no_profiles():
+    def profiles_alive() -> int:
+        gc.collect()
+        return sum(isinstance(o, Profile) for o in gc.get_objects())
+
+    first, *rest = enumerate_profiles(3, 2, Domain.LINEAR)
+    swf = ExplicitSwf(3, 2, Domain.LINEAR, {f: f.prefs[0] for f in rest})  # voter 0 dictates; one profile absent
+    alive = profiles_alive()
+    view = swf.verdicts
+    assert len(view) == 35 and list(view) == rest
+    assert dict(view.items()) == {f: f.prefs[0] for f in rest} == view
+    assert view[rest[0]] == rest[0].prefs[0] and (rest[0], rest[0].prefs[0]) in view.items()
+    for absent in (first, profile_from_texts(["A~B>C", "A>B>C"]), profile_from_texts(["A>B>C"] * 3), "A>B>C"):
+        assert absent not in view and view.get(absent) is None
+        with pytest.raises(KeyError):
+            view[absent]
+    assert profiles_alive() == alive
 
 
 def test_pairwise_stance_columns_grow_with_the_domain_not_with_3_to_the_n():

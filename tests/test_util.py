@@ -1,6 +1,8 @@
 """The canonical JSON writer against the standard library's encoder, and the one JSON reader."""
 
+import gc
 import json
+import sys
 from functools import partial
 
 import pytest
@@ -171,3 +173,62 @@ def test_every_document_parser_reports_json_defects_alike(parse, kind):
         parse('{"m": 3, "n": [{"m": 1, "m": 1}]}')
     assert repeated.value.location is None
     assert str(repeated.value) == "duplicate key 'm'"
+
+
+
+# Each document parser, the same parser with the collector left on, and a document of a few hundred containers.
+PARSERS = {
+    "swf": (
+        parse_swf_json,
+        parse_swf_json.__wrapped__,
+        canonical_json(swf_to_json_dict(dictator_explicit(1, 3, 2, Domain.WEAK))),
+    ),
+    "profile": (
+        parse_profile_json,
+        parse_profile_json.__wrapped__,
+        json.dumps({"m": 3, "n": 40, "prefs": ["A>B>C", "C>B>A"] * 20}),
+    ),
+    "family": (
+        CoalitionFamily.from_json_dict,
+        partial(CoalitionFamily.from_json_dict.__wrapped__, CoalitionFamily),
+        json.dumps({"n": 6, "members": [[0, *(v for v in range(1, 6) if a >> v & 1)] for a in range(0, 64, 2)]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", PARSERS)
+def test_document_parsers_hold_the_collector_off(kind):
+    parse, unpaused, text = PARSERS[kind]
+    code = parse.__wrapped__.__code__
+
+    def collections_inside(run) -> list[bool]:
+        """Per collection while run() runs, whether it came from inside the parser's own code."""
+        inside = []
+
+        def seen(phase, info):
+            if phase == "start":
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code is not code:
+                    frame = frame.f_back
+                inside.append(frame is not None)
+
+        threshold = gc.get_threshold()
+        gc.callbacks.append(seen)
+        gc.set_threshold(1)  # a collection at nearly every new container
+        try:
+            run()
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(seen)
+        return inside
+
+    assert any(collections_inside(lambda: unpaused(text)))  # the probe sees a collection in the parse
+    assert not any(collections_inside(lambda: parse(text)))
+    assert not any(collections_inside(lambda: pytest.raises(FormatError, parse, text[:-3])))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        parse(text)
+        assert not gc.isenabled()  # a collector that was off stays off
+    finally:
+        gc.enable()
