@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -51,12 +52,12 @@ from .fc_infinite import (
     validate_fc_filter_axioms,
 )
 from .filters import MAX_GROUND, CoalitionFamily, classify, enumerate_filters
-from .kernel import compose, majority_codes
 from .ks_bridge import NotArrovianError, extract_decisive_family, verify_ks2
 from .profiles import (
     BudgetExceededError,
     Domain,
     condorcet_profile,
+    pairwise_majority,
     parse_profile_json,
 )
 from .relations import (
@@ -64,6 +65,8 @@ from .relations import (
     AlternativeSet,
     PairStance,
     format_weak_order,
+    to_canonical,
+    validate_weak_order,
 )
 from .swf import full_report, parse_swf_json
 
@@ -116,8 +119,16 @@ class RunContext:
     def flush(self) -> None:
         text = "".join(self._parts)
         self.outputs["stdout"] = sha256_hex(text)
-        sys.stdout.writelines(slices(text))
-        sys.stdout.flush()
+        try:
+            sys.stdout.writelines(slices(text))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone; send what is still buffered to devnull, so the
+            # interpreter's own flush at exit does not fail on the closed pipe too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise CliError("stdout was closed before the output was written") from None
 
     def manifest_line(self, wall_time_s: float) -> str:
         doc = {
@@ -171,7 +182,8 @@ def _cmd_condorcet_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int,
     else:
         f = condorcet_profile()
         alts = AlternativeSet(3)
-    rel, res, verdict = compose(f.m, majority_codes(f))
+    rel = pairwise_majority(f)
+    res = validate_weak_order(rel)
     return 0, {
         "schema": "arrovian/condorcet/v1",
         "profile": [format_weak_order(w, alts) for w in f.prefs],
@@ -179,7 +191,7 @@ def _cmd_condorcet_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int,
         "weak_order": _verdict(res.ok),
         "violated": res.axiom,
         "witness": [alts.label(x) for x in res.witness] if res.witness is not None else None,
-        "verdict": format_weak_order(verdict, alts) if res.ok else None,
+        "verdict": format_weak_order(to_canonical(rel), alts) if res.ok else None,
     }
 
 

@@ -326,100 +326,68 @@ def non_dictatorship_witness(v0: int) -> FcTriple:
 # ------------------------------------------------- randomized validation
 
 
-def random_fc_set(rng: Random, bound: int = SAMPLE_BOUND, max_exceptions: int = 8) -> FcSet:
-    """A seeded draw; its exceptions come from range(bound + 1), so they are naturals."""
-    mode = _COF if rng.random() < 0.5 else _FIN
-    k = rng.randint(0, max_exceptions)
-    return _fc(mode, frozenset(rng.sample(range(bound + 1), k)))
+def random_fc_set(rng: Random) -> FcSet:
+    """A seeded draw, finite or cofinite; its exceptions come from range(SAMPLE_BOUND + 1), so they are naturals."""
+    return _fc(_COF if rng.random() < 0.5 else _FIN, _random_exceptions(rng))
 
 
-def _random_cofinite(rng: Random, bound: int) -> FcSet:
-    return _fc(_COF, frozenset(rng.sample(range(bound + 1), rng.randint(0, 8))))
+def _random_exceptions(rng: Random) -> frozenset[int]:
+    return frozenset(rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, 8)))
 
 
 @dataclass
 class FrechetAxiomReport:
-    """Seeded spot-check that the cofinite coalitions behave like a free ultrafilter."""
+    """Seeded spot-check that the cofinite coalitions behave like a free ultrafilter.
+
+    `checks` holds each check's outcome under its JSON name.
+    """
 
     seed: int
     samples: int
-    upward_closed_ok: bool
-    intersection_closed_ok: bool
-    proper_ok: bool
-    complement_exclusive_ok: bool
-    free_ok: bool
+    checks: dict[str, bool]
     failures: list[str]
 
     def all_ok(self) -> bool:
-        return (
-            self.upward_closed_ok
-            and self.intersection_closed_ok
-            and self.proper_ok
-            and self.complement_exclusive_ok
-            and self.free_ok
-        )
+        return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "upward_closed": self.upward_closed_ok,
-            "intersection_closed": self.intersection_closed_ok,
-            "proper": self.proper_ok,
-            "complement_exclusive": self.complement_exclusive_ok,
-            "free": self.free_ok,
-            "failures": list(self.failures),
-        }
+        return {"seed": self.seed, "samples": self.samples, **self.checks, "failures": list(self.failures)}
 
 
-def validate_fc_filter_axioms(seed: int = 0, samples: int = 500, bound: int = SAMPLE_BOUND) -> FrechetAxiomReport:
+def validate_fc_filter_axioms(seed: int = 0, samples: int = 500) -> FrechetAxiomReport:
     rng = Random(seed)
-    failures: list[str] = []
+    checks = ("upward_closed", "intersection_closed", "proper", "complement_exclusive", "free")
+    report = FrechetAxiomReport(seed, samples, dict.fromkeys(checks, True), [])
 
-    upward = True
+    def fail(check: str, message: str) -> None:
+        report.checks[check] = False
+        report.failures.append(message)
+
     for _ in range(samples):
-        a = _random_cofinite(rng, bound)
-        b = fc_union(a, random_fc_set(rng, bound))
+        a = _fc(_COF, _random_exceptions(rng))
+        b = fc_union(a, random_fc_set(rng))
         if not decide_frechet_membership(b):
-            upward = False
-            failures.append(f"superset {format_fc(b)} of {format_fc(a)} not a member")
+            fail("upward_closed", f"superset {format_fc(b)} of {format_fc(a)} not a member")
 
-    inter = True
     for _ in range(samples):
-        a = _random_cofinite(rng, bound)
-        b = _random_cofinite(rng, bound)
+        a = _fc(_COF, _random_exceptions(rng))
+        b = _fc(_COF, _random_exceptions(rng))
         if not decide_frechet_membership(fc_intersect(a, b)):
-            inter = False
-            failures.append(f"intersection of {format_fc(a)} and {format_fc(b)} not a member")
+            fail("intersection_closed", f"intersection of {format_fc(a)} and {format_fc(b)} not a member")
 
-    proper = not decide_frechet_membership(EMPTY)
-    if not proper:
-        failures.append("the empty coalition claims membership")
+    if decide_frechet_membership(EMPTY):
+        fail("proper", "the empty coalition claims membership")
 
-    exclusive = True
     for _ in range(samples):
-        a = random_fc_set(rng, bound)
+        a = random_fc_set(rng)
         if decide_frechet_membership(a) == decide_frechet_membership(fc_complement(a)):
-            exclusive = False
-            failures.append(f"{format_fc(a)} and its complement agree on membership")
+            fail("complement_exclusive", f"{format_fc(a)} and its complement agree on membership")
 
-    free = True
     for v in range(100):
         member = _fc(_COF, frozenset((v,)))
         if not decide_frechet_membership(member) or fc_member(member, v):
-            free = False
-            failures.append(f"voter {v} survives in cof{{{v}}}")
-
-    return FrechetAxiomReport(
-        seed=seed,
-        samples=samples,
-        upward_closed_ok=upward,
-        intersection_closed_ok=inter,
-        proper_ok=proper,
-        complement_exclusive_ok=exclusive,
-        free_ok=free,
-        failures=failures,
-    )
+            fail("free", f"voter {v} survives in cof{{{v}}}")
+    return report
 
 
 # ------------------------------------------------- measurable profiles
@@ -473,13 +441,12 @@ class EventuallyConstantProfile:
         return FcTriple(*sets)
 
 
-def random_measurable_profile(
-    rng: Random, m: int = 3, bound: int = SAMPLE_BOUND, max_overrides: int = 6
-) -> EventuallyConstantProfile:
-    orders = enumerate_weak_orders(m)
+def random_measurable_profile(rng: Random) -> EventuallyConstantProfile:
+    """A seeded draw on three alternatives: a tail order and up to 6 overrides by voters 0..SAMPLE_BOUND."""
+    orders = enumerate_weak_orders(3)
     tail = rng.choice(orders)
-    k = rng.randint(0, max_overrides)
-    voters = rng.sample(range(bound + 1), k)
+    k = rng.randint(0, 6)
+    voters = rng.sample(range(SAMPLE_BOUND + 1), k)
     overrides = tuple((v, rng.choice(orders)) for v in sorted(voters))
     return EventuallyConstantProfile(tail, overrides)
 

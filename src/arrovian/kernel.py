@@ -341,19 +341,3 @@ def verdict_keys(m: int) -> dict[int, int]:
     """
     return {sum(codes[j] << 2 * q for q, codes in enumerate(verdict_codes(m))): j for j in range(len(verdict_index(m)))}
 
-
-def majority_codes(f: Profile) -> tuple[int, ...]:
-    """The strict-majority stance code of profile f on each canonical pair.
-
-    FIRST when more voters prefer x to y than y to x, SECOND for the
-    reverse, TIE otherwise; `compose(f.m, majority_codes(f))` gives the
-    relation of `profiles.pairwise_majority`, its check and its order.
-    """
-    out = []
-    for x, y in unordered_pairs(f.m):
-        margin = 0
-        for w in f.prefs:
-            rx, ry = w.rank(x), w.rank(y)
-            margin += (rx < ry) - (ry < rx)
-        out.append(FIRST if margin > 0 else SECOND if margin < 0 else TIE)
-    return tuple(out)

@@ -65,7 +65,7 @@ class Domain(Enum):
 
 
 class BudgetExceededError(ValueError):
-    """An enumeration would exceed the configured profile budget."""
+    """An enumeration would exceed the profile budget."""
 
 
 class ProfileFormatError(FormatError):
@@ -172,40 +172,28 @@ def pair_partition(f: Profile, x: int, y: int) -> TriPartition:
 
 
 def pairwise_majority(f: Profile) -> BinaryRelation:
-    """Strict-majority relation: x P y when more voters prefer x than y."""
+    """Strict-majority relation: x P y when more voters rank x above y than y above x."""
     m = f.m
-    rows = []
-    for x in range(m):
-        row = []
-        for y in range(m):
-            if x == y:
-                row.append(False)
-                continue
-            wins = losses = 0
-            for v in range(f.n):
-                s = f.stance(v, x, y)
-                if s is PairStance.FIRST_PREFERRED:
-                    wins += 1
-                elif s is PairStance.SECOND_PREFERRED:
-                    losses += 1
-            row.append(wins > losses)
-        rows.append(tuple(row))
-    return BinaryRelation(tuple(rows))
+    ranks = [[w.rank(x) for x in range(m)] for w in f.prefs]
+    return BinaryRelation(
+        tuple(tuple(sum((r[x] < r[y]) - (r[y] < r[x]) for r in ranks) > 0 for y in range(m)) for x in range(m))
+    )
 
 
 def domain_size(m: int, n: int, domain: Domain) -> int:
     return len(domain.orders(m)) ** n
 
 
-def check_profile_space(m: int, n: int, domain: Domain, budget: int = PROFILE_BUDGET_DEFAULT) -> None:
+def check_profile_space(m: int, n: int, domain: Domain) -> None:
     """Raise unless the domain's profiles can be enumerated.
 
     ValueError for fewer than one voter or m out of range, and
-    BudgetExceededError when the domain holds more than `budget` profiles.
-    So are n voters with 2**n above the budget, even where each voter has
-    a single order (m=1): a scan over them handles 2**n coalitions.  The
-    domain's size is computed only below that bound.
+    BudgetExceededError when the domain holds more than the budget,
+    `PROFILE_BUDGET_DEFAULT` profiles.  So are n voters with 2**n above
+    it, even where each voter has a single order (m=1): a scan over them
+    handles 2**n coalitions.  The domain's size is computed only below that bound.
     """
+    budget = PROFILE_BUDGET_DEFAULT
     if n < 1:
         raise ValueError(f"need at least one voter, got n={n}")
     if n >= budget.bit_length():  # 2**n > budget
@@ -217,15 +205,13 @@ def check_profile_space(m: int, n: int, domain: Domain, budget: int = PROFILE_BU
         )
 
 
-def enumerate_profiles(
-    m: int, n: int, domain: Domain, budget: int = PROFILE_BUDGET_DEFAULT
-) -> Iterator[Profile]:
+def enumerate_profiles(m: int, n: int, domain: Domain) -> Iterator[Profile]:
     """All profiles of the domain in odometer order (voter n-1 fastest).
 
-    Raises BudgetExceededError when the domain holds more than `budget`
-    profiles; partial enumeration is never silently returned.
+    Raises BudgetExceededError when the domain holds more than the budget
+    of `check_profile_space`; partial enumeration is never silently returned.
     """
-    check_profile_space(m, n, domain, budget)
+    check_profile_space(m, n, domain)
     orders = domain.orders(m)
     return (Profile(combo) for combo in product(orders, repeat=n))
 

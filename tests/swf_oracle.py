@@ -5,7 +5,8 @@ every `Profile` of the domain and ask the SWF, the ultrafilter or the
 search problem for its stance or cell pair by pair.  The package runs
 the same checks and builds the same tables as integer lookups over
 `arrovian.kernel`; the tests require both to give equal answers, equal
-witnesses and equal error texts.  Only tests import this module.
+witnesses and equal error texts.  `majority_edges` does the same for
+`profiles.pairwise_majority`.  Only tests import this module.
 """
 
 from __future__ import annotations
@@ -35,6 +36,20 @@ from arrovian.swf import (
     UnanimityCheck,
     _profile_texts,
 )
+
+
+def majority_edges(f: Profile) -> list[tuple[int, int]]:
+    """The strict-majority edges of f, ascending: each ballot adds one to the margin of every
+    (x, y) with x in an earlier indifference class than y, and takes one from (y, x)."""
+    margin = dict.fromkeys(ordered_pairs(f.m), 0)
+    for w in f.prefs:
+        for i, upper in enumerate(w.classes):
+            for lower in w.classes[i + 1 :]:
+                for x in upper:
+                    for y in lower:
+                        margin[x, y] += 1
+                        margin[y, x] -= 1
+    return sorted(pair for pair, d in margin.items() if d > 0)
 
 
 def check_unanimity(swf: Swf) -> UnanimityCheck:

@@ -3,16 +3,22 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from itertools import product
+from pathlib import Path
+from random import Random
 
 import pytest
 
+import arrovian
+import swf_oracle as oracle
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
-from arrovian.profiles import Domain, TriPartition
-from arrovian.relations import WeakOrder
+from arrovian.profiles import Domain, Profile, TriPartition, profile_to_json_dict
+from arrovian.relations import WeakOrder, enumerate_weak_orders, format_weak_order
 from arrovian.swf import (
     ExplicitSwf,
     PairwiseRuleSwf,
@@ -152,6 +158,26 @@ def test_condorcet_demo_rejects_an_empty_electorate(capsys, tmp_path):
     assert out == ""
     assert "empty.json: n: need at least one voter, got 0" in err
     assert "Traceback" not in err
+
+
+def test_condorcet_demo_json_is_the_margin_count(capsys, tmp_path):
+    """Edges from the test's own margin count; the verdict is the weak order whose strict part they are, if any."""
+    verdicts = set()
+    for seed in range(8):
+        rng = Random(seed)
+        m, n = rng.randint(2, 5), rng.randint(1, 9)
+        f = Profile(tuple(rng.choice(enumerate_weak_orders(m)) for _ in range(n)))
+        path = tmp_path / f"profile{seed}.json"
+        path.write_text(json.dumps(profile_to_json_dict(f)))
+        code, out, _, _ = run(capsys, "condorcet-demo", "--profile", str(path), "--json")
+        doc = json.loads(out)
+        edges = oracle.majority_edges(f)
+        assert code == 0
+        assert doc["majority_edges"] == [["ABCDE"[x], "ABCDE"[y]] for x, y in edges]
+        strict = {w: w.relation().edges() for w in enumerate_weak_orders(m)}
+        assert doc["verdict"] == next((format_weak_order(w) for w, e in strict.items() if e == edges), None)
+        verdicts.add(doc["weak_order"])
+    assert verdicts == {"PASS", "FAIL"}
 
 
 # --- axioms ---------------------------------------------------------------------
@@ -665,6 +691,23 @@ def test_search_default_node_budget_and_ignored_allow_long(capsys):
     help_text = capsys.readouterr().out
     assert "--max-nodes MAX_NODES" in help_text
     assert "--allow-long" not in help_text
+
+
+def test_a_closed_stdout_exits_2_with_an_error_line_and_the_manifest():
+    """A reader that stops after 10 bytes (`| head -c 10`) ends the run as any other refusal: no traceback."""
+    src = str(Path(arrovian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "arrovian.cli", "arrow-search", "--voters", "2", "--domain", "weak", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "cells'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    lines = err.splitlines()
+    assert code == 2
+    assert len(lines) == 2
+    assert lines[0] == "error: stdout was closed before the output was written"
+    assert json.loads(lines[1])["schema"] == "arrovian/manifest/v1"
 
 
 # --- infinite-demo ------------------------------------------------------------------

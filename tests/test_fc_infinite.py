@@ -364,6 +364,6 @@ def test_every_constructor_rejects_non_naturals(bad):
 def test_seeded_draws_hold_naturals_only():
     rng = Random(5)
     for _ in range(200):
-        a = random_fc_set(rng, bound=30)
-        assert all(type(v) is int and 0 <= v <= 30 for v in a.exceptions)
+        a = random_fc_set(rng)
+        assert all(type(v) is int and 0 <= v <= SAMPLE_BOUND for v in a.exceptions)
         assert FcSet(a.mode, a.exceptions) == a

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
 from arrovian.kernel import (
-    ABSENT, FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, majority_codes, row_keys, verdict_codes,
+    ABSENT, FIRST, MISSING, SECOND, STANCES, compose, domain_kernel, row_keys, verdict_codes,
     verdict_keys,
 )
 from arrovian import ks_bridge
@@ -33,7 +33,6 @@ from arrovian.profiles import (
     enumerate_profiles,
     enumerate_tripartitions,
     pair_partition,
-    pairwise_majority,
     split_position,
 )
 from arrovian.relations import (
@@ -510,14 +509,3 @@ def test_brute_force_finds_the_survivors_of_the_search():
                 found.add(tuple(stances[i] for i in range(len(cells))))
         assert found == {tuple(rec.stances) for rec in search_arrovian(m, n, domain).survivors}
         assert len(found) == survivors
-
-
-@pytest.mark.parametrize(
-    "m, n, domain", [(1, 3, Domain.WEAK), (2, 3, Domain.WEAK), (3, 3, Domain.WEAK), (4, 2, Domain.LINEAR)]
-)
-def test_majority_codes_compose_to_pairwise_majority(m, n, domain):
-    for f in enumerate_profiles(m, n, domain):
-        rel, res, order = compose(m, majority_codes(f))
-        assert rel == pairwise_majority(f)
-        assert res == validate_weak_order(rel)
-        assert order == (to_canonical(rel) if res.ok else None)

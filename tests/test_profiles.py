@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import swf_oracle as oracle
 from arrovian.profiles import (
     PROFILE_BUDGET_DEFAULT,
     BudgetExceededError,
@@ -144,6 +147,17 @@ def test_majority_is_anonymous():
     assert pairwise_majority(f) == pairwise_majority(g)
 
 
+@st.composite
+def small_profiles(draw):
+    m, n, domain = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.sampled_from(Domain))
+    return Profile(tuple(draw(st.lists(st.sampled_from(domain.orders(m)), min_size=n, max_size=n))))
+
+
+@given(small_profiles())
+def test_majority_is_the_margin_count(f):
+    assert pairwise_majority(f).edges() == oracle.majority_edges(f)
+
+
 def test_unanimous_profile_majority_recovers_order():
     f = texts("B>A~C", "B>A~C", "B>A~C")
     rel = pairwise_majority(f)
@@ -173,8 +187,8 @@ def test_enumerate_profiles_odometer_order():
 
 def test_enumerate_profiles_budget():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_profiles(3, 7, Domain.WEAK, budget=10**6))
-    assert 13**7 > 10**6
+        list(enumerate_profiles(3, 7, Domain.WEAK))
+    assert 13**7 > PROFILE_BUDGET_DEFAULT
     with pytest.raises(ValueError):
         enumerate_profiles(3, 0, Domain.LINEAR)
     assert PROFILE_BUDGET_DEFAULT == 10_000_000

@@ -379,7 +379,7 @@ def test_explicit_json_round_trip_on_partial_tables(swf, labelled):
     text = canonical_json(doc)
     parsed, parsed_alts = parse_swf_json(text)
     assert parsed.verdicts == swf.verdicts
-    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)) == text
+    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)).splitlines(True) == text.splitlines(True)
 
 
 @st.composite
@@ -403,7 +403,7 @@ def test_pairwise_json_round_trip_on_partial_tables(swf, labelled):
     text = canonical_json(swf_to_json_dict(swf, alts))
     parsed, parsed_alts = parse_swf_json(text)
     assert parsed.rules == swf.rules
-    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)) == text
+    assert canonical_json(swf_to_json_dict(parsed, parsed_alts)).splitlines(True) == text.splitlines(True)
     with pytest.raises(TypeError):
         parsed.rules[(0, 1)] = {}
 
