@@ -407,6 +407,7 @@ def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int, 
             raise CliError(f"voter must be a natural number, got {v0}")
         rule = dictator_rule(v0)
         rng = Random(args.seed)
+        ctx.counters = {"coalitions": args.samples}
         disagreements = []
         for _ in range(args.samples):
             a = random_fc_set(rng)
@@ -431,6 +432,7 @@ def _cmd_infinite_demo(args: argparse.Namespace, ctx: RunContext) -> tuple[int, 
     if w < 0:
         raise CliError(f"witness voter must be a natural number, got {w}")
     rep = validate_fc_filter_axioms(seed=args.seed, samples=args.samples)
+    ctx.counters = {"coalitions": 5 * args.samples}  # two draws per upward and intersection sample, one per complement
     triple = non_dictatorship_witness(w)
     voter_stance = dictator_stance(w, triple)
     rule_stance = frechet_stance(triple)

@@ -331,8 +331,24 @@ def random_fc_set(rng: Random) -> FcSet:
     return _fc(_COF if rng.random() < 0.5 else _FIN, _random_exceptions(rng))
 
 
-def _random_exceptions(rng: Random) -> frozenset[int]:
-    return frozenset(rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, 8)))
+def _random_exceptions(rng: Random, most: int = 8) -> frozenset[int]:
+    """Up to `most` distinct naturals up to SAMPLE_BOUND, read from `rng.getrandbits`.
+
+    The same 32-bit words that `Random.randint(0, most)` and then `Random.sample` of k from
+    `range(SAMPLE_BOUND + 1)` read: each `_randbelow(n)` takes `getrandbits(n.bit_length())` until
+    it is below n, and `sample` redraws repeats in its set branch (`setsize` <= 85 < 201 for 8 picks).
+    """
+    getrandbits, width = rng.getrandbits, (most + 1).bit_length()
+    k = getrandbits(width)
+    while k > most:
+        k = getrandbits(width)
+    width = (SAMPLE_BOUND + 1).bit_length()
+    drawn: set[int] = set()
+    while len(drawn) < k:
+        v = getrandbits(width)
+        if v <= SAMPLE_BOUND:
+            drawn.add(v)
+    return frozenset(drawn)
 
 
 @dataclass
@@ -406,14 +422,13 @@ class EventuallyConstantProfile:
     overrides: tuple[tuple[int, WeakOrder], ...]
 
     def __post_init__(self) -> None:
-        overrides = tuple(sorted(self.overrides, key=lambda item: item[0]))
-        object.__setattr__(self, "overrides", overrides)
-        voters = [v for v, _ in overrides]
-        if len(set(voters)) != len(voters):
-            raise ValueError("override voters must be distinct")
-        if any(v < 0 for v in voters):
+        # Plain non-negative ints only, checked before the sort can compare them.
+        if not all(type(v) is int and v >= 0 for v, _ in self.overrides):
             raise ValueError("override voters must be naturals")
-        if any(w.m != self.tail.m for _, w in overrides):
+        object.__setattr__(self, "overrides", tuple(sorted(self.overrides, key=lambda item: item[0])))
+        if len({v for v, _ in self.overrides}) != len(self.overrides):
+            raise ValueError("override voters must be distinct")
+        if any(w.m != self.tail.m for _, w in self.overrides):
             raise ValueError("override orders must rank the same alternatives as the tail")
 
     @property
@@ -429,15 +444,15 @@ class EventuallyConstantProfile:
     def pair_triple(self, x: int, y: int) -> FcTriple:
         """The tri-partition of the electorate on (x, y), as FcSets.
 
-        The override voters are grouped by stance code in one pass; the
-        tail's part is the cofinite set whose exceptions are the other two.
+        The override voters, naturals since construction, are grouped by stance code in
+        one pass; the tail's part is the cofinite set whose exceptions are the other two.
         """
         parts: tuple[list[int], list[int], list[int]] = ([], [], [])
         for voter, w in self.overrides:
             parts[STANCE_CODE[pair_stance(w, x, y)]].append(voter)
         tail = STANCE_CODE[pair_stance(self.tail, x, y)]
-        sets = [None if s == tail else FcSet.finite(part) for s, part in enumerate(parts)]
-        sets[tail] = FcSet.cofinite(sets[tail - 1].exceptions | sets[tail - 2].exceptions)
+        sets = [None if s == tail else _fc(_FIN, frozenset(part)) for s, part in enumerate(parts)]
+        sets[tail] = _fc(_COF, sets[tail - 1].exceptions | sets[tail - 2].exceptions)
         return FcTriple(*sets)
 
 
@@ -445,9 +460,7 @@ def random_measurable_profile(rng: Random) -> EventuallyConstantProfile:
     """A seeded draw on three alternatives: a tail order and up to 6 overrides by voters 0..SAMPLE_BOUND."""
     orders = enumerate_weak_orders(3)
     tail = rng.choice(orders)
-    k = rng.randint(0, 6)
-    voters = rng.sample(range(SAMPLE_BOUND + 1), k)
-    overrides = tuple((v, rng.choice(orders)) for v in sorted(voters))
+    overrides = tuple((v, rng.choice(orders)) for v in sorted(_random_exceptions(rng, 6)))
     return EventuallyConstantProfile(tail, overrides)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import arrovian
 import swf_oracle as oracle
+from arrovian import fc_infinite
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
@@ -751,6 +752,27 @@ def test_infinite_demo_rejects_negative_samples(capsys, mode):
 def test_infinite_demo_has_no_frechet_flag(capsys):
     assert main(["infinite-demo", "--frechet"]) == 2
     assert "unrecognized arguments: --frechet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, samples, expected",
+    [((), "40", 200), ((), "0", 0), (("--dictator", "3"), "40", 40), (("--dictator", "3"), "0", 0)],
+)
+def test_infinite_demo_counts_its_seeded_coalitions(capsys, monkeypatch, mode, samples, expected):
+    """The manifest's `coalitions` counter is the number of seeded coalitions the run drew."""
+    drawn = []
+    draw = fc_infinite._random_exceptions
+
+    def counting(*args):
+        drawn.append(None)
+        return draw(*args)
+
+    monkeypatch.setattr(fc_infinite, "_random_exceptions", counting)
+    code, out, manifest, _ = run(capsys, "infinite-demo", *mode, "--samples", samples)
+    assert code == 0
+    assert "verdict: PASS" in out
+    assert manifest["counters"] == {"coalitions": expected}
+    assert len(drawn) == expected
 
 
 def test_infinite_demo_seeded_json_is_deterministic(capsys):

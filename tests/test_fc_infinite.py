@@ -11,6 +11,7 @@ from arrovian.fc_infinite import (
     NATURALS,
     SAMPLE_BOUND,
     EventuallyConstantProfile,
+    _random_exceptions,
     FcMode,
     FcSet,
     FcTriple,
@@ -36,7 +37,7 @@ from arrovian.fc_infinite import (
     random_measurable_profile,
     validate_fc_filter_axioms,
 )
-from arrovian.relations import PairStance, WeakOrder, parse_weak_order
+from arrovian.relations import PairStance, WeakOrder, enumerate_weak_orders, parse_weak_order
 
 
 fc_sets = st.builds(
@@ -255,6 +256,11 @@ def test_profile_validation():
         EventuallyConstantProfile(tail, ((1, other), (1, tail)))
     with pytest.raises(ValueError, match="naturals"):
         EventuallyConstantProfile(tail, ((-2, other),))
+    # A bool, a float or a string is refused where it enters, before the sort could compare it.
+    for bad in (True, 1.5, "3"):
+        for overrides in (((bad, other),), ((5, other), (bad, other))):
+            with pytest.raises(ValueError, match="override voters must be naturals"):
+                EventuallyConstantProfile(tail, overrides)
     with pytest.raises(ValueError, match="same alternatives"):
         EventuallyConstantProfile(tail, ((0, parse_weak_order("A>B")),))
 
@@ -367,3 +373,34 @@ def test_seeded_draws_hold_naturals_only():
         a = random_fc_set(rng)
         assert all(type(v) is int and 0 <= v <= SAMPLE_BOUND for v in a.exceptions)
         assert FcSet(a.mode, a.exceptions) == a
+
+
+def test_seeded_draws_are_the_standard_library_draws():
+    """The bit-level draw gives what `Random.randint` and `Random.sample` gave, and leaves the same state."""
+    # `sample` takes its set branch: the population outgrows its `setsize` for up to 8 picks.
+    assert SAMPLE_BOUND + 1 > 21 + 4**3
+    orders = enumerate_weak_orders(3)
+
+    def reference(rng, most=8):
+        return frozenset(rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, most)))
+
+    def reference_fc_set(rng):
+        mode = FcMode.COFINITE if rng.random() < 0.5 else FcMode.FINITE
+        return FcSet(mode, reference(rng))
+
+    def reference_profile(rng):
+        tail = rng.choice(orders)
+        k = rng.randint(0, 6)
+        voters = rng.sample(range(SAMPLE_BOUND + 1), k)
+        return EventuallyConstantProfile(tail, tuple((v, rng.choice(orders)) for v in sorted(voters)))
+
+    pairs = (
+        (_random_exceptions, reference),
+        (random_fc_set, reference_fc_set),
+        (random_measurable_profile, reference_profile),
+    )
+    for seed in range(1000):
+        ours, theirs = Random(seed), Random(seed)
+        for draw, expected in pairs * 3:
+            assert draw(ours) == expected(theirs)
+            assert ours.getstate() == theirs.getstate()
