@@ -35,8 +35,6 @@ from .fc_infinite import (
     frechet_stance,
     frechet_verdict,
     non_dictatorship_witness,
-    parse_fc,
-    random_measurable_profile,
     validate_fc_filter_axioms,
 )
 from .filters import (
@@ -47,7 +45,6 @@ from .filters import (
     enumerate_filters,
     is_filter,
     is_ultrafilter_complement,
-    is_ultrafilter_maximal,
 )
 from .ks_bridge import (
     DecisiveFamily,
@@ -68,7 +65,6 @@ from .profiles import (
     pairwise_majority,
     parse_profile_json,
     profile_from_texts,
-    profile_to_json_dict,
 )
 from .relations import (
     AlternativeSet,
@@ -90,19 +86,12 @@ from .swf import (
     ExplicitSwf,
     PairwiseRuleSwf,
     SwfFormatError,
-    anti_dictator_explicit,
-    borda_explicit,
     check_independence,
     check_unanimity,
-    constant_explicit,
-    constant_rules,
     derive_rules,
-    dictator_explicit,
-    dictator_rules,
     expand_to_explicit,
     find_dictator,
     full_report,
-    majority_rules,
     parse_swf_json,
     swf_to_json_dict,
 )

@@ -99,15 +99,20 @@ class RunContext:
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
         self.inputs[path] = sha256_hex(raw)
-        start = time.perf_counter()
         try:
-            return parse(raw.decode("utf-8"))
+            return self.timed("parse_s", lambda: parse(raw.decode("utf-8")))
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not UTF-8 text: {exc.reason}") from None
         except FormatError as exc:
             raise CliError(f"{path}: {exc}") from None
+
+    def timed(self, phase: str, call, *args):
+        """call(*args), timed as `phases[phase]` whether it returns or raises."""
+        start = time.perf_counter()
+        try:
+            return call(*args)
         finally:
-            self.phases["parse_s"] = time.perf_counter() - start
+            self.phases[phase] = time.perf_counter() - start
 
     def write_text(self, path: str, text: str) -> None:
         try:
@@ -217,7 +222,7 @@ _AXIOM_TITLES = {
 
 def _cmd_axioms(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     swf, alts = ctx.load(args.swf, parse_swf_json)
-    report = full_report(swf)
+    report = ctx.timed("audit_s", full_report, swf)
     ok = not report.failed()
     return 0 if ok else 1, {
         "schema": "arrovian/axioms/v1",
@@ -291,7 +296,7 @@ def _not_arrovian(schema: str, exc: NotArrovianError, alts: AlternativeSet) -> t
 def _cmd_bridge_extract(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     swf, alts = ctx.load(args.swf, parse_swf_json)
     try:
-        dec = extract_decisive_family(swf)
+        dec = ctx.timed("audit_s", extract_decisive_family, swf)
     except NotArrovianError as exc:
         return _not_arrovian("arrovian/bridge-extract/v1", exc, alts)
     cls = classify(dec.family)
@@ -324,7 +329,7 @@ def _text_bridge_extract(doc: dict) -> str:
 def _cmd_bridge_ks2(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     swf, alts = ctx.load(args.swf, parse_swf_json)
     try:
-        rep = verify_ks2(swf)
+        rep = ctx.timed("audit_s", verify_ks2, swf)
     except NotArrovianError as exc:
         return _not_arrovian("arrovian/bridge-ks2/v1", exc, alts)
     return 0 if rep.consistent else 1, {"schema": "arrovian/bridge-ks2/v1", "ok": True, **rep.to_json_dict()}

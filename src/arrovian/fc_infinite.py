@@ -39,13 +39,12 @@ family forcing a dictator) lives entirely in that opaque-index world
 and is out of scope here, since its content is a reduction from the
 halting problem rather than an algorithm one could ship.
 
-Text form for coalitions: "fin{1,2}" is the finite set {1, 2} and
-"cof{3}" is everything except 3; elements print sorted ascending.
+Coalitions print as "fin{1,2}", the finite set {1, 2}, and "cof{3}",
+everything except 3; elements print sorted ascending.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -56,12 +55,12 @@ from .kernel import STANCE_CODE, compose
 from .relations import (
     PairStance,
     WeakOrder,
-    enumerate_weak_orders,
     pair_stance,
     unordered_pairs,
 )
 
 SAMPLE_BOUND = 200
+SAMPLE_MOST = 8  # exceptions per seeded draw, at most
 
 
 class FcMode(Enum):
@@ -75,9 +74,9 @@ class FcSet:
 
     For FINITE mode `exceptions` are the members; for COFINITE mode they
     are the non-members.  Elements are checked once, where a set enters
-    the algebra: construction checks them, `parse_fc` admits digit runs
-    only, and the seeded draws take them from a range.  Complement, union
-    and intersection build their results from exceptions already checked.
+    the algebra: construction checks them, and the seeded draws take
+    them from a range.  Complement, union and intersection build their
+    results from exceptions already checked.
     """
 
     mode: FcMode
@@ -149,19 +148,6 @@ def fc_intersect(a: FcSet, b: FcSet) -> FcSet:
     return _fc(_FIN, a.exceptions & b.exceptions)
 
 
-def fc_is_empty(a: FcSet) -> bool:
-    return a.mode is FcMode.FINITE and not a.exceptions
-
-
-def fc_any_member(a: FcSet) -> int:
-    """Some element of a nonempty set; the least one, for determinism."""
-    if fc_is_empty(a):
-        raise ValueError("the empty set has no members")
-    if a.mode is FcMode.FINITE:
-        return min(a.exceptions)
-    return _least_outside(a.exceptions)
-
-
 def _least_outside(exceptions: frozenset[int]) -> int:
     v = 0
     while v in exceptions:
@@ -169,22 +155,9 @@ def _least_outside(exceptions: frozenset[int]) -> int:
     return v
 
 
-_FC_RE = re.compile(r"^(fin|cof)\{(\d+(?:,\d+)*)?\}$")
-
-
 def format_fc(a: FcSet) -> str:
     inner = ",".join(str(v) for v in sorted(a.exceptions))
     return f"{a.mode.value}{{{inner}}}"
-
-
-def parse_fc(text: str) -> FcSet:
-    match = _FC_RE.match(text.strip())
-    if match is None:
-        raise ValueError(f"bad coalition text {text!r}; expected e.g. 'fin{{1,2}}' or 'cof{{}}'")
-    mode = FcMode.FINITE if match.group(1) == "fin" else FcMode.COFINITE
-    inner = match.group(2)
-    # The pattern admits digit runs only, so every element is a natural.
-    return _fc(mode, frozenset(map(int, inner.split(","))) if inner else frozenset())
 
 
 # ------------------------------------------------------------- triples
@@ -203,12 +176,6 @@ class FcTriple:
 
     def to_json_dict(self) -> dict:
         return {name: format_fc(part) for name, part in self.parts()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FcTriple":
-        if not isinstance(data, dict) or set(data) != {"first", "second", "tie"}:
-            raise ValueError("triple document needs exactly the keys first, second, tie")
-        return cls(parse_fc(data["first"]), parse_fc(data["second"]), parse_fc(data["tie"]))
 
 
 class InvalidTripleError(ValueError):
@@ -331,16 +298,16 @@ def random_fc_set(rng: Random) -> FcSet:
     return _fc(_COF if rng.random() < 0.5 else _FIN, _random_exceptions(rng))
 
 
-def _random_exceptions(rng: Random, most: int = 8) -> frozenset[int]:
-    """Up to `most` distinct naturals up to SAMPLE_BOUND, read from `rng.getrandbits`.
+def _random_exceptions(rng: Random) -> frozenset[int]:
+    """Up to SAMPLE_MOST distinct naturals up to SAMPLE_BOUND, read from `rng.getrandbits`.
 
-    The same 32-bit words that `Random.randint(0, most)` and then `Random.sample` of k from
+    The same 32-bit words that `Random.randint(0, SAMPLE_MOST)` and then `Random.sample` of k from
     `range(SAMPLE_BOUND + 1)` read: each `_randbelow(n)` takes `getrandbits(n.bit_length())` until
     it is below n, and `sample` redraws repeats in its set branch (`setsize` <= 85 < 201 for 8 picks).
     """
-    getrandbits, width = rng.getrandbits, (most + 1).bit_length()
+    getrandbits, width = rng.getrandbits, (SAMPLE_MOST + 1).bit_length()
     k = getrandbits(width)
-    while k > most:
+    while k > SAMPLE_MOST:
         k = getrandbits(width)
     width = (SAMPLE_BOUND + 1).bit_length()
     drawn: set[int] = set()
@@ -435,12 +402,6 @@ class EventuallyConstantProfile:
     def m(self) -> int:
         return self.tail.m
 
-    def order_of(self, v: int) -> WeakOrder:
-        for voter, w in self.overrides:
-            if voter == v:
-                return w
-        return self.tail
-
     def pair_triple(self, x: int, y: int) -> FcTriple:
         """The tri-partition of the electorate on (x, y), as FcSets.
 
@@ -454,14 +415,6 @@ class EventuallyConstantProfile:
         sets = [None if s == tail else _fc(_FIN, frozenset(part)) for s, part in enumerate(parts)]
         sets[tail] = _fc(_COF, sets[tail - 1].exceptions | sets[tail - 2].exceptions)
         return FcTriple(*sets)
-
-
-def random_measurable_profile(rng: Random) -> EventuallyConstantProfile:
-    """A seeded draw on three alternatives: a tail order and up to 6 overrides by voters 0..SAMPLE_BOUND."""
-    orders = enumerate_weak_orders(3)
-    tail = rng.choice(orders)
-    overrides = tuple((v, rng.choice(orders)) for v in sorted(_random_exceptions(rng, 6)))
-    return EventuallyConstantProfile(tail, overrides)
 
 
 def frechet_verdict(p: EventuallyConstantProfile) -> WeakOrder:

@@ -13,11 +13,11 @@ family satisfies F1-F3 vacuously but is excluded on purpose: with it,
 the ground set would not belong to every filter and the small-n filter
 counts (1 on one voter, 3 on two) would come out wrong.
 
-Two ultrafilter tests are provided and are provably equivalent on this
-finite ground: maximality (no strictly finer proper filter exists,
-decided by one-set extensions) and the complement test (exactly one of
-each coalition and its complement is a member).  Their agreement is
-machine-checked across every filter for n <= 4 rather than assumed.
+An ultrafilter is recognised by the complement test: a filter holding
+exactly one of each coalition and its complement.  On this finite
+ground that is equivalent to maximality (no strictly finer proper
+filter exists); the tests check the equivalence on every filter for
+n <= 4 against a maximality test of their own.
 
 JSON family format::
 
@@ -67,24 +67,9 @@ class CoalitionFamily:
             if not 0 <= mask <= full:
                 raise ValueError(f"coalition mask {mask} out of range for n={self.n}")
 
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "CoalitionFamily":
-        return cls(n, frozenset(set_to_mask(s, n) for s in sets))
-
-    @classmethod
-    def principal(cls, n: int, v: int) -> "CoalitionFamily":
-        """All coalitions containing voter v."""
-        if not 0 <= v < n:
-            raise ValueError(f"voter {v} out of range for n={n}")
-        full = (1 << n) - 1
-        return cls(n, frozenset(mask for mask in range(full + 1) if mask >> v & 1))
-
     def member_sets(self) -> list[frozenset[int]]:
         """Member coalitions as voter sets, ascending by mask encoding."""
         return [mask_to_set(mask) for mask in sorted(self.masks)]
-
-    def contains(self, coalition: Iterable[int]) -> bool:
-        return set_to_mask(coalition, self.n) in self.masks
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "members": [sorted(s) for s in self.member_sets()]}
@@ -152,33 +137,6 @@ def is_filter(fam: CoalitionFamily) -> FilterCheck:
     return FilterCheck(True)
 
 
-def _closure_is_proper(n: int, masks: frozenset[int], extra: int) -> bool:
-    """Close masks + {extra} under intersection and superset; test properness.
-
-    The closure is itself a filter whenever it stays proper, so a proper
-    closure around an absent coalition certifies a strictly finer filter.
-    """
-    full = (1 << n) - 1
-    cur = set(masks)
-    cur.add(extra)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(cur)
-        for a in snapshot:
-            for b in snapshot:
-                c = a & b
-                if c not in cur:
-                    cur.add(c)
-                    changed = True
-        for a in snapshot:
-            for sup in _supersets(a, full):
-                if sup not in cur:
-                    cur.add(sup)
-                    changed = True
-    return 0 not in cur
-
-
 def _supersets(a: int, full: int) -> Iterator[int]:
     """Every mask between a and full, largest first: full, then down to a itself."""
     comp = full & ~a
@@ -188,26 +146,6 @@ def _supersets(a: int, full: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & comp
-
-
-def is_ultrafilter_maximal(fam: CoalitionFamily) -> bool:
-    """No strictly finer proper filter exists.
-
-    It suffices to try one-set extensions: any strictly finer filter
-    contains some absent coalition A, and then also the closure of the
-    family plus A, so properness of that closure is the whole question.
-    This shortcut is validated against a brute-force scan in the tests.
-    """
-    check = is_filter(fam)
-    if not check.ok:
-        raise ValueError(f"precondition failed: not a filter ({check.axiom} violated)")
-    full = (1 << fam.n) - 1
-    for extra in range(full + 1):
-        if extra in fam.masks:
-            continue
-        if _closure_is_proper(fam.n, fam.masks, extra):
-            return False
-    return True
 
 
 def is_ultrafilter_complement(fam: CoalitionFamily) -> bool:
@@ -292,13 +230,6 @@ def family_from_code(n: int, code: int) -> CoalitionFamily:
     if not 0 <= code < 1 << (1 << n):
         raise ValueError(f"family code {code} out of range for n={n}")
     return CoalitionFamily(n, frozenset(i for i in range(1 << n) if code >> i & 1))
-
-
-def family_to_code(fam: CoalitionFamily) -> int:
-    code = 0
-    for mask in fam.masks:
-        code |= 1 << mask
-    return code
 
 
 def enumerate_filters(n: int) -> list[CoalitionFamily]:

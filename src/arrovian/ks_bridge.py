@@ -8,7 +8,8 @@ on a finite electorate every ultrafilter is principal, generated by a
 single voter, and that generator is precisely the dictator.  Both
 directions are exercised here by explicit computation:
 
-* `extract_decisive_family` scans every coalition against every profile
+* `extract_decisive_family` audits the SWF, refuses one that fails a1-a4
+  (`NotArrovianError`), then scans every coalition against every profile
   and pair, quantifying over the enumerated domain exactly (membership
   is read off the stated implication, all qualifying coalitions kept).
 * `swf_from_ultrafilter` runs the construction the other way: the
@@ -52,14 +53,12 @@ class DecisiveFamily:
     provenance: str
 
 
-def extract_decisive_family(swf: Swf, require_arrovian: bool = True) -> DecisiveFamily:
+def extract_decisive_family(swf: Swf) -> DecisiveFamily:
     """Collect every decisive coalition by exhaustive scan.
 
-    The SWF is audited first.  With `require_arrovian` (the default) an
-    a1-a4 failure raises NotArrovianError; pass False to get the raw
-    family of a non-Arrovian rule for diagnostics.
+    The SWF is audited first, and an a1-a4 failure raises NotArrovianError.
     """
-    _, k, cols, facts = (_audit_arrovian if require_arrovian else audit_columns)(swf)
+    _, k, cols, facts = _audit_arrovian(swf)
     return _decisive_family(swf, k, cols, facts)
 
 

@@ -32,7 +32,6 @@ from .relations import (
     WeakOrder,
     enumerate_linear_orders,
     enumerate_weak_orders,
-    format_weak_order,
     pair_stance,
     parse_weak_order,
 )
@@ -248,17 +247,6 @@ def profile_from_texts(texts: list[str] | tuple[str, ...], alts: AlternativeSet 
 def condorcet_profile() -> Profile:
     """Three voters whose pairwise majority cycles: the classic paradox."""
     return profile_from_texts(["A>B>C", "C>A>B", "B>C>A"])
-
-
-def profile_to_json_dict(f: Profile, alts: AlternativeSet | None = None) -> dict:
-    if alts is None:
-        alts = AlternativeSet(f.m)
-    return {
-        "m": f.m,
-        "n": f.n,
-        "labels": list(alts.all_labels()),
-        "prefs": [format_weak_order(w, alts) for w in f.prefs],
-    }
 
 
 def parse_header(obj: dict, error: Callable[..., ValueError]) -> tuple[int, int, AlternativeSet]:

@@ -121,13 +121,6 @@ class BinaryRelation:
     def m(self) -> int:
         return len(self.holds)
 
-    @classmethod
-    def from_pairs(cls, m: int, pairs: Iterator[tuple[int, int]] | list[tuple[int, int]]) -> "BinaryRelation":
-        grid = [[False] * m for _ in range(m)]
-        for x, y in pairs:
-            grid[x][y] = True
-        return cls(tuple(tuple(row) for row in grid))
-
     def edges(self) -> list[tuple[int, int]]:
         """All (x, y) with x P y, in lexicographic order."""
         return [(x, y) for x in range(self.m) for y in range(self.m) if self.holds[x][y]]
@@ -200,11 +193,6 @@ class WeakOrder:
     def rank(self, x: int) -> int:
         """Index of the indifference class holding x (0 is best)."""
         return self._ranks[x]
-
-    def relation(self) -> BinaryRelation:
-        r = self._ranks
-        m = self.m
-        return BinaryRelation(tuple(tuple(r[x] < r[y] for y in range(m)) for x in range(m)))
 
     def flipped(self) -> "WeakOrder":
         """The same classes in reverse, i.e. the preference turned upside down."""

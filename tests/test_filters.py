@@ -1,8 +1,9 @@
 """Coalition families, filter axioms and the exhaustive family scan.
 
-The maximality oracle below enumerates all filters by scanning every
-family code, then asks literally whether any strictly larger filter
-exists; the library's one-set closure test must agree with it.
+The maximality reference in `swf_oracle` decides by one-set closures
+whether a strictly finer proper filter exists; it must agree with a
+brute-force scan for one over every enumerated filter, and with the
+library's complement test.
 """
 
 import pytest
@@ -13,19 +14,18 @@ from arrovian.filters import (
     classify,
     enumerate_filters,
     family_from_code,
-    family_to_code,
     is_filter,
     is_ultrafilter_complement,
-    is_ultrafilter_maximal,
     mask_to_set,
     set_to_mask,
 )
+from swf_oracle import family_to_code, is_ultrafilter_maximal, principal
 
 FILTER_COUNTS = {1: 1, 2: 3, 3: 7, 4: 15}  # 2**n - 1, one per nonempty core
 
 
 def fam(n, *sets):
-    return CoalitionFamily.from_sets(n, sets)
+    return CoalitionFamily(n, frozenset(set_to_mask(s, n) for s in sets))
 
 
 # --- masks ---------------------------------------------------------------
@@ -49,11 +49,7 @@ def test_family_validation():
 
 
 def test_principal_family():
-    p = CoalitionFamily.principal(3, 1)
-    assert p.masks == {0b010, 0b011, 0b110, 0b111}
-    assert p.contains({1}) and p.contains({0, 1}) and not p.contains({0, 2})
-    with pytest.raises(ValueError):
-        CoalitionFamily.principal(2, 2)
+    assert principal(3, 1).masks == {0b010, 0b011, 0b110, 0b111}
 
 
 # --- the four axioms -------------------------------------------------------
@@ -78,7 +74,7 @@ def test_filter_axiom_witnesses():
 def test_principal_families_are_filters():
     for n in range(1, 5):
         for v in range(n):
-            assert is_filter(CoalitionFamily.principal(n, v)).ok
+            assert is_filter(principal(n, v)).ok
 
 
 def test_whole_powerset_above_a_core_is_a_filter():
@@ -139,7 +135,7 @@ def test_every_filter_is_fixed_with_member_core(n):
     for f in enumerate_filters(n):
         cls = classify(f)
         assert cls.fixed
-        assert f.contains(cls.core)
+        assert set_to_mask(cls.core, n) in f.masks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,7 +157,7 @@ def test_maximality_against_bruteforce_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ultrafilters_are_exactly_the_principal_singletons(n):
     ultras = [f for f in enumerate_filters(n) if classify(f).is_ultrafilter]
-    expected = [CoalitionFamily.principal(n, v) for v in range(n)]
+    expected = [principal(n, v) for v in range(n)]
     assert sorted(ultras, key=family_to_code) == sorted(expected, key=family_to_code)
     assert len(ultras) == n
 
@@ -188,7 +184,7 @@ def test_classify_empty_family_core_convention():
 
 
 def test_classification_json():
-    doc = classify(CoalitionFamily.principal(2, 0)).to_json_dict()
+    doc = classify(principal(2, 0)).to_json_dict()
     assert doc == {
         "is_filter": True,
         "violated": None,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from arrovian._util import canonical_json
 from arrovian.cli import main
 from arrovian.profiles import Domain
-from arrovian.swf import dictator_rules, expand_to_explicit, swf_to_json_dict
+from arrovian.swf import expand_to_explicit, swf_to_json_dict
+from swf_oracle import dictator_rules
 
 scalars = (
     st.none()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily, classify, is_ultrafilter_complement
 from arrovian.ks_bridge import (
     NotArrovianError,
@@ -11,8 +12,9 @@ from arrovian.ks_bridge import (
 )
 from arrovian.profiles import Domain
 from arrovian.relations import WeakOrder
-from arrovian.swf import constant_explicit, dictator_explicit, dictator_rules
+from arrovian.swf import audit_columns
 from arrovian.arrow_search import search_arrovian
+from swf_oracle import constant_explicit, dictator_explicit, dictator_rules, principal
 
 
 TIE_ALL = WeakOrder(((0, 1, 2),))
@@ -25,7 +27,7 @@ TIE_ALL = WeakOrder(((0, 1, 2),))
 def test_linear_dictator_extracts_principal(n):
     for v in range(n):
         dec = extract_decisive_family(dictator_rules(v, 3, n, Domain.LINEAR))
-        assert dec.family == CoalitionFamily.principal(n, v)
+        assert dec.family == principal(n, v)
         assert dec.provenance == f"pairwise-rule swf, m=3, n={n}, domain=linear"
 
 
@@ -33,7 +35,7 @@ def test_linear_dictator_extracts_principal(n):
 def test_weak_dictator_extracts_principal(n):
     for v in range(n):
         dec = extract_decisive_family(dictator_explicit(v, 3, n, Domain.WEAK))
-        assert dec.family == CoalitionFamily.principal(n, v)
+        assert dec.family == principal(n, v)
 
 
 def test_non_arrovian_rule_is_refused_with_report():
@@ -47,7 +49,7 @@ def test_non_arrovian_rule_is_refused_with_report():
 
 def test_diagnostic_extraction_of_constant_rule_is_empty():
     swf = constant_explicit(TIE_ALL, 2, Domain.LINEAR)
-    dec = extract_decisive_family(swf, require_arrovian=False)
+    dec = ks_bridge._decisive_family(swf, *audit_columns(swf)[1:])
     assert dec.family.masks == frozenset()
 
 
@@ -55,7 +57,7 @@ def test_extraction_from_search_survivors():
     cert = search_arrovian(3, 2, Domain.LINEAR)
     for rec in cert.survivors:
         dec = extract_decisive_family(rec.swf)
-        assert dec.family == CoalitionFamily.principal(2, rec.dictator)
+        assert dec.family == principal(2, rec.dictator)
 
 
 # --- rebuilding a rule from an ultrafilter ------------------------------------
@@ -64,7 +66,7 @@ def test_extraction_from_search_survivors():
 @pytest.mark.parametrize("domain", [Domain.LINEAR, Domain.WEAK])
 def test_principal_ultrafilter_reconstructs_the_dictator(domain):
     for v in range(2):
-        u = CoalitionFamily.principal(2, v)
+        u = principal(2, v)
         swf = swf_from_ultrafilter(u, 3, 2, domain)
         assert swf.verdicts == dictator_explicit(v, 3, 2, domain).verdicts
 
@@ -72,7 +74,7 @@ def test_principal_ultrafilter_reconstructs_the_dictator(domain):
 def test_round_trip_family_identity():
     for n in (1, 2, 3):
         for v in range(n):
-            u = CoalitionFamily.principal(n, v)
+            u = principal(n, v)
             assert is_ultrafilter_complement(u)
             swf = swf_from_ultrafilter(u, 3, n, Domain.LINEAR)
             assert extract_decisive_family(swf).family == u
@@ -80,14 +82,14 @@ def test_round_trip_family_identity():
 
 def test_round_trip_on_weak_domain():
     for v in range(2):
-        u = CoalitionFamily.principal(2, v)
+        u = principal(2, v)
         swf = swf_from_ultrafilter(u, 3, 2, Domain.WEAK)
         assert extract_decisive_family(swf).family == u
 
 
 def test_rebuild_rejects_bad_input():
     with pytest.raises(ValueError, match="does not match"):
-        swf_from_ultrafilter(CoalitionFamily.principal(3, 0), 3, 2, Domain.LINEAR)
+        swf_from_ultrafilter(principal(3, 0), 3, 2, Domain.LINEAR)
     just_top = CoalitionFamily(2, frozenset({0b11}))
     with pytest.raises(ValueError, match="not an ultrafilter"):
         swf_from_ultrafilter(just_top, 3, 2, Domain.LINEAR)
@@ -122,5 +124,5 @@ def test_every_two_voter_ultrafilter_is_principal_here():
         if classify(fam).is_ultrafilter
     ]
     assert sorted(f.masks for f in families) == sorted(
-        CoalitionFamily.principal(2, v).masks for v in range(2)
+        principal(2, v).masks for v in range(2)
     )

@@ -36,21 +36,23 @@ from arrovian.swf import (
     ExplicitSwf,
     PairwiseRuleSwf,
     SwfFormatError,
-    anti_dictator_explicit,
-    borda_explicit,
     check_independence,
     check_unanimity,
-    constant_explicit,
-    constant_rules,
     derive_rules,
-    dictator_explicit,
-    dictator_rules,
     expand_to_explicit,
     find_dictator,
     full_report,
-    majority_rules,
     parse_swf_json,
     swf_to_json_dict,
+)
+from swf_oracle import (
+    anti_dictator_explicit,
+    borda_explicit,
+    constant_explicit,
+    constant_rules,
+    dictator_explicit,
+    dictator_rules,
+    majority_rules,
 )
 
 ABC = parse_weak_order("A>B>C")
@@ -61,7 +63,7 @@ ABC = parse_weak_order("A>B>C")
 
 def test_dictator_rules_assemble_to_the_dictators_order():
     swf = dictator_rules(1, 3, 2, Domain.WEAK)
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         assert swf.assemble(f) == f.prefs[1]
 
 
@@ -333,7 +335,7 @@ def test_derive_rejects_dependent_rule():
 
 def test_constant_rules_assemble_to_the_constant():
     swf = constant_rules(parse_weak_order("B>A~C"), 2, Domain.LINEAR)
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         assert swf.assemble(f) == parse_weak_order("B>A~C")
 
 
@@ -570,5 +572,5 @@ def test_pairwise_rules_outside_the_domain_are_dropped():
 def test_verdict_of_weak_order_constructor():
     w = WeakOrder(((1,), (0, 2)))
     swf = constant_explicit(w, 1, Domain.LINEAR)
-    for f in swf.domain_profiles():
+    for f in enumerate_profiles(swf.m, swf.n, swf.domain):
         assert swf.verdict(f) == w

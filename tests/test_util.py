@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from arrovian._util import FormatError, canonical_json
 from arrovian.filters import CoalitionFamily
 from arrovian.profiles import Domain, parse_profile_json
-from arrovian.swf import borda_explicit, dictator_explicit, parse_swf_json, swf_to_json_dict
+from arrovian.swf import parse_swf_json, swf_to_json_dict
+from swf_oracle import borda_explicit, dictator_explicit
 
 
 def reference(obj) -> str:
