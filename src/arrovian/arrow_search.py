@@ -25,19 +25,20 @@ was covered.  A search is bounded by the profile budget at the requested
 is built, and by the node budget.  The backtracking keeps its own stack, so
 a deep problem does not meet Python's recursion limit.
 
-Propagation is table-driven and cell-oriented: a cell's domain is a
-3-bit stance mask, and a queue holds the constraints of the cells whose
-masks shrank, each seen from that cell.  A constraint on cell x, with
-other cells a and b, is revised through the table of x's position in
-it: entry `d_x | d_a << 3 | d_b << 6` holds the supported stances
-`s_x | s_a << 3 | s_b << 6`, computed once from the 13 triples, so a
-revision that changes nothing is one lookup and one comparison.  A
-decision at cell d revises only the constraints that reach a cell after
-d: the others join d to cells bound before it, which the previous
-fixpoint already made consistent with every stance left at d, and a
-decision on a cell that propagation has bound revises nothing.  Every
-survivor is still audited by `swf.full_report` over the m-ary
-profiles, an independent profile-level cross-check.
+Propagation is table-driven: a cell's domain is a 3-bit stance mask,
+and a queue holds the constraints of the cells whose masks shrank.  A
+constraint (c1, c2, c3) is revised through one support table: entry
+`d1 | d2 << 3 | d3 << 6` holds the supported stances
+`s1 | s2 << 3 | s3 << 6`, computed once from the 13 triples, so a
+revision that changes nothing is one lookup and one comparison.  Each
+cell's watcher list holds references to the constraint tuples, so a
+constraint is stored once however many cells watch it.  A decision at
+cell d revises only the constraints that reach a cell after d: the
+others join d to cells bound before it, which the previous fixpoint
+already made consistent with every stance left at d, and a decision on
+a cell that propagation has bound revises nothing.  Every survivor is
+still audited by `swf.full_report` over the m-ary profiles, an
+independent profile-level cross-check.
 
 A cell is an integer: cell `q * len(splits) + j` is the stance of
 `pairs[q]` at split position j, tri-partition code `splits[j]`.  A
@@ -86,16 +87,13 @@ class SearchIncompleteError(RuntimeError):
         return f"node budget {self.counters['nodes']} exhausted with the space not yet covered"
 
 
-# A constraint seen from its cell x: the support table of x's position, x, and the other two cells.
-Watcher = tuple[tuple[int, ...], int, int, int]
-
-
 @dataclass
 class SearchProblem:
     """Cell `q * len(splits) + j` is the stance of `pairs[q]` at split position j, code `splits[j]`.
 
-    `watchers[x]` sees each constraint on cell x from x; `later[x]` keeps
-    those in which x is not the last cell, so some other cell comes after x.
+    `watchers[x]` holds the constraints on cell x, each the very tuple of
+    `constraints`; `later[x]` keeps those in which x is not the last cell,
+    so some other cell comes after x.
     """
 
     m: int
@@ -104,8 +102,8 @@ class SearchProblem:
     pairs: list[tuple[int, int]]
     splits: list[int]
     constraints: tuple[tuple[int, int, int], ...]
-    watchers: tuple[tuple[Watcher, ...], ...]
-    later: tuple[tuple[Watcher, ...], ...]
+    watchers: tuple[tuple[tuple[int, int, int], ...], ...]
+    later: tuple[tuple[tuple[int, int, int], ...], ...]
     forced: dict[int, int]
 
 
@@ -116,22 +114,19 @@ def _allowed_triples() -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _oriented_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Supported stance masks of a constraint's cells, by their domains, seen from each position x.
+def _support_table() -> tuple[int, ...]:
+    """Supported stance masks of a constraint's three cells, by their domains, in constraint order.
 
-    With a and b the other two positions in constraint order, entry `d_x | d_a << 3 | d_b << 6` of
-    table x is `s_x | s_a << 3 | s_b << 6`: the stances of each cell that occur in an allowed triple
-    drawn from the three domain masks, each triple packed so and ORed into the 64 keys whose masks
-    hold it.  An entry equal to its key changes nothing, and 0 is a wipeout.
+    Entry `d1 | d2 << 3 | d3 << 6` is `s1 | s2 << 3 | s3 << 6`: the stances of each cell that occur
+    in an allowed triple drawn from the three domain masks, each triple packed so and ORed into the
+    64 keys whose masks hold it.  An entry equal to its key changes nothing, and 0 is a wipeout.
     """
     holding = [[d for d in range(8) if d >> s & 1] for s in range(3)]  # the four masks that hold stance s
-    tables = ([0] * 512, [0] * 512, [0] * 512)
-    for triple in _allowed_triples():
-        for table, (x, a, b) in zip(tables, ((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-            sx, sa, sb = triple[x], triple[a], triple[b]
-            for dx, da, db in product(holding[sx], holding[sa], holding[sb]):
-                table[dx | da << 3 | db << 6] |= 1 << sx | 8 << sa | 64 << sb
-    return tuple(map(tuple, tables))
+    table = [0] * 512
+    for s1, s2, s3 in _allowed_triples():
+        for d1, d2, d3 in product(holding[s1], holding[s2], holding[s3]):
+            table[d1 | d2 << 3 | d3 << 6] |= 1 << s1 | 8 << s2 | 64 << s3
+    return tuple(table)
 
 
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
@@ -153,13 +148,13 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     )
     # The pairs' cells come in pair order, so c1 < c2 < c3 in every constraint.
     cells = range(len(pairs) * len(splits))
-    later: list[list[Watcher]] = [[] for _ in cells]  # constraints with a cell after this one
-    last: list[list[Watcher]] = [[] for _ in cells]
-    t1, t2, t3 = _oriented_tables()
-    for c1, c2, c3 in constraints:
-        later[c1].append((t1, c1, c2, c3))
-        later[c2].append((t2, c2, c1, c3))
-        last[c3].append((t3, c3, c1, c2))
+    later: list[list[tuple[int, int, int]]] = [[] for _ in cells]  # constraints with a cell after this one
+    last: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for cons in constraints:
+        c1, c2, c3 = cons
+        later[c1].append(cons)
+        later[c2].append(cons)
+        last[c3].append(cons)
     # every voter FIRST is position 0 and every voter SECOND is 1 + b + ... + b**(n-1)
     unanimous = {0: 0, sum(domain.split_base**v for v in range(n)): 1}
     forced = {start + j: s for start in base.values() for j, s in unanimous.items()}
@@ -177,25 +172,27 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
 
 
 def _propagate(
-    watchers: tuple[tuple[Watcher, ...], ...],
+    watchers: tuple[tuple[tuple[int, int, int], ...], ...],
     domains: list[int],
-    pending: list[Sequence[Watcher]],
+    pending: list[Sequence[tuple[int, int, int]]],
     trail: list[tuple[int, int]],
 ) -> bool:
     """Generalized arc consistency to fixpoint; False on a domain wipeout.
 
     `pending` holds the watchers of the cells whose domains changed
     since the last fixpoint, `watchers[x]` for a cell x, and each
-    queued constraint is revised.  A cell whose domain shrinks queues
-    its watchers again, so the fixpoint is the one a revision of every
-    constraint would reach.  Only unsupported stances are deleted, so
-    every completion that was consistent stays reachable (pruning is
-    sound).  Deletions are pushed onto `trail` so the caller can restore
-    the exact previous state.
+    queued constraint (x, a, b) is revised through the one support
+    table, keyed and answered in constraint order.  A cell whose domain
+    shrinks queues its watchers again, so the fixpoint is the one a
+    revision of every constraint would reach.  Only unsupported stances
+    are deleted, so every completion that was consistent stays reachable
+    (pruning is sound).  Deletions are pushed onto `trail` so the caller
+    can restore the exact previous state.
     """
+    table = _support_table()
     queue = pending
     for group in queue:  # the loop also reaches the groups appended below
-        for table, x, a, b in group:
+        for x, a, b in group:
             dx = domains[x]
             da = domains[a]
             db = domains[b]

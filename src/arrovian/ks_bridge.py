@@ -33,7 +33,7 @@ from .profiles import Domain, TriPartition
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, TIE, ColumnFacts, DomainKernel, compose, compose_rows, domain_kernel, split_columns,
 )
-from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns, require_defined
+from .swf import AxiomReport, ExplicitSwf, Swf, audit_columns
 
 
 class NotArrovianError(ValueError):
@@ -58,19 +58,18 @@ def extract_decisive_family(swf: Swf) -> DecisiveFamily:
 
     The SWF is audited first, and an a1-a4 failure raises NotArrovianError.
     """
-    _, k, cols, facts = _audit_arrovian(swf)
-    return _decisive_family(swf, k, cols, facts)
+    _, k, facts = _audit_arrovian(swf)
+    return _decisive_family(swf, k, facts)
 
 
-def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[bytes], list[ColumnFacts]]:
-    report, k, cols, facts = audit_columns(swf)
+def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[ColumnFacts]]:
+    report, k, _, facts = audit_columns(swf)
     if not report.arrovian():
         raise NotArrovianError(report)
-    return report, k, cols, facts
+    return report, k, facts
 
 
-def _decisive_family(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFacts]) -> DecisiveFamily:
-    require_defined(swf, k, cols)
+def _decisive_family(swf: Swf, k: DomainKernel, facts: list[ColumnFacts]) -> DecisiveFamily:
     # Coalition c, a voter bitmask, is overruled where all of c strictly prefers a pair's first and the verdict does not
     pairs = [(facts[q].over[r], rows) for (q, r), rows in zip(k.slot, k.strict_support)]
     members = [
@@ -142,8 +141,8 @@ def verify_ks2(swf: Swf) -> Ks2Report:
     On finite electorates the family is always fixed and the rule always
     has a dictator, so `consistent` asserts the two negatives agree.
     """
-    report, k, cols, facts = _audit_arrovian(swf)
-    extracted = _decisive_family(swf, k, cols, facts)
+    report, k, facts = _audit_arrovian(swf)
+    extracted = _decisive_family(swf, k, facts)
     cls = classify(extracted.family)
     dictator = report.dictator
     free = not cls.fixed

@@ -194,10 +194,6 @@ class WeakOrder:
         """Index of the indifference class holding x (0 is best)."""
         return self._ranks[x]
 
-    def flipped(self) -> "WeakOrder":
-        """The same classes in reverse, i.e. the preference turned upside down."""
-        return WeakOrder(tuple(reversed(self.classes)))
-
     def __str__(self) -> str:
         return format_weak_order(self)
 

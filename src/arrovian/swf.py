@@ -366,19 +366,6 @@ def _dictator(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFa
     return None
 
 
-def require_defined(swf: Swf, k: DomainKernel, cols: list[bytes]) -> None:
-    """Raise the LookupError of the first undefined verdict, if any.
-
-    "First" is in (profile, ordered pair) order, the order in which a
-    walk over every profile and pair would meet it; a canonical pair
-    precedes its reverse there, so (profile, canonical pair) order is the same.
-    """
-    gaps = [(col.index(MISSING), q) for q, col in enumerate(cols) if MISSING in col]
-    if gaps:
-        i, q = min(gaps)
-        _profile_at(swf, k, i, k.canonical[q], MISSING)
-
-
 @dataclass
 class AxiomReport:
     """Outcome of the five-axiom audit; True means the axiom holds."""

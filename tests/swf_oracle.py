@@ -323,7 +323,7 @@ def dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
 
 def anti_dictator_explicit(v: int, m: int, n: int, domain: Domain) -> ExplicitSwf:
     """The verdict is voter v's order turned upside down."""
-    return _explicit(m, n, domain, lambda f: f.prefs[v].flipped())
+    return _explicit(m, n, domain, lambda f: WeakOrder(f.prefs[v].classes[::-1]))
 
 
 def constant_explicit(w: WeakOrder, n: int, domain: Domain) -> ExplicitSwf:

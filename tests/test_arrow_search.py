@@ -19,8 +19,8 @@ from arrovian.arrow_search import (
     MAX_SEARCH_PROFILES,
     SearchIncompleteError,
     _allowed_triples,
-    _oriented_tables,
     _propagate,
+    _support_table,
     build_problem,
     search_arrovian,
 )
@@ -142,26 +142,37 @@ def supported(doms):
 
 
 def test_support_table_matches_the_thirteen_triples():
-    """Table 0, in constraint order: entry d1 | d2 << 3 | d3 << 6 is s1 | s2 << 3 | s3 << 6,
+    """The support table, in constraint order: entry d1 | d2 << 3 | d3 << 6 is s1 | s2 << 3 | s3 << 6,
     the stances each cell takes in the allowed triples that the three domains hold."""
-    table = _oriented_tables()[0]
+    table = _support_table()
     assert len(table) == 512
     for doms in product(range(8), repeat=3):
         s1, s2, s3 = supported(doms)
         assert table[doms[0] | doms[1] << 3 | doms[2] << 6] == s1 | s2 << 3 | s3 << 6
 
 
-def test_oriented_tables_pack_the_support_table():
-    """Tables 1 and 2, keyed by x's domain and then the other two in constraint order,
-    hold the same supported stances in the same packing."""
-    tables = _oriented_tables()
-    for x in (1, 2):
-        assert len(tables[x]) == 512
-        others = [j for j in range(3) if j != x]
-        for doms in product(range(8), repeat=3):
-            found = supported(doms)
-            key = doms[x] | doms[others[0]] << 3 | doms[others[1]] << 6
-            assert tables[x][key] == found[x] | found[others[0]] << 3 | found[others[1]] << 6
+def test_watchers_hold_the_constraints_themselves():
+    """Each cell watches the very tuples of `constraints`, one entry per constraint on it, so the largest
+    m=3 build, 46,656 linear n=6 constraints, retains under 8 MB once the kernel caches are warm.
+    Building a (table, x, a, b) watcher tuple per constraint and cell retained about 15.5 MB."""
+    p = build_problem(4, 2, Domain.WEAK)
+    held = {id(cons) for cons in p.constraints}
+    for x, (watching, later) in enumerate(zip(p.watchers, p.later)):
+        assert all(id(cons) in held for cons in watching + later)
+        assert sorted(watching) == sorted(cons for cons in p.constraints if x in cons)
+        assert sorted(later) == sorted(cons for cons in p.constraints if x in cons[:2])
+    build_problem(3, 6, Domain.LINEAR)  # warms the kernel caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = build_problem(3, 6, Domain.LINEAR)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(p.constraints) == 6**6
+    assert retained < 8_000_000, f"the problem retains {retained} bytes"
 
 
 # --- propagation --------------------------------------------------------------

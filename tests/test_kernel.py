@@ -81,8 +81,10 @@ def assert_same_audit(swf):
     report, expected = full_report(swf), oracle.full_report(swf)
     assert report.witnesses == expected.witnesses
     assert report.to_json_dict() == expected.to_json_dict()
-    family = outcome(lambda s: ks_bridge._decisive_family(s, *audit_columns(s)[1:]).family, swf)
-    assert family == outcome(oracle.decisive_family, swf)
+    family = outcome(oracle.decisive_family, swf)
+    if family[0] == "value":  # an undefined verdict fails a2, so the package's audit refuses it before any scan
+        _, k, _, facts = audit_columns(swf)
+        assert ks_bridge._decisive_family(swf, k, facts).family == family[1]
     if isinstance(swf, ExplicitSwf):
         rules = outcome(lambda s: derive_rules(s).rules, swf)
         assert rules == outcome(lambda s: oracle.derive_rules(s).rules, swf)

@@ -193,12 +193,6 @@ def test_weak_order_rejects_bad_partitions():
         WeakOrder(((0,), ()))
 
 
-def test_flipped_reverses_classes():
-    w = parse_weak_order("A>B~C>D")
-    assert format_weak_order(w.flipped()) == "D>B~C>A"
-    assert w.flipped().flipped() == w
-
-
 # --- stances --------------------------------------------------------------
 
 
