@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable, ItemsView, Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product, repeat
@@ -578,32 +578,23 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
         entries = obj.get("entries")
         if not isinstance(entries, list):
             raise SwfFormatError("entries must be a list")
-        ballots = {w: d for d, w in enumerate(domain.orders(m))}
+        # Each text's ballot and verdict index, starting from the texts the writer emits; a text
+        # it would not emit (a stray space, class members out of order) is parsed once, then kept.
+        ballot_at = {format_weak_order(w, alts): d for d, w in enumerate(domain.orders(m))}
+        verdict_at = {format_weak_order(w, alts): j for j, w in enumerate(enumerate_weak_orders(m))}
+        size = len(ballot_at)
 
-        parse = cache(lambda text: parse_weak_order(text, alts))  # one parse per distinct text
-
-        def ballot(text: str) -> int:
-            w = parse(text)
-            if domain is Domain.LINEAR and len(w.classes) < m:
-                raise ValueError("profile outside the linear domain")
-            return ballots[w]
-
-        def verdict(text: str) -> int:
-            return verdict_index(m)[parse(text)]
-
-        def order(text, read: Callable[[str], int]) -> int:
+        def read(text, at: dict[str, int], linear: bool) -> int:
             if not isinstance(text, str):
                 raise ValueError(f"order must be a string, got {type(text).__name__}")
-            return read(text)
+            w = parse_weak_order(text, alts)
+            if linear and len(w.classes) < m:
+                raise ValueError("profile outside the linear domain")
+            at[text] = j = at[format_weak_order(w, alts)]
+            return j
 
-        size = len(ballots)
-        # Each text's ballot and verdict index, recorded once it has passed the checks below,
-        # so an entry of texts already seen costs a few dict lookups.
-        ballot_at: dict[str, int] = {}
-        verdict_at: dict[str, int] = {}
-
-        def checked(i: int, entry) -> tuple[int, int]:
-            """Entry i's profile index and verdict index, or the located error of its first defect."""
+        table: dict[int, int] = {}  # profile index to verdict index
+        for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SwfFormatError(f"entries[{i}]: expected [profile, verdict]")
             prof_texts, verdict_text = entry
@@ -612,25 +603,17 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             at = 0  # the profile's enumeration index
             try:
                 for text in prof_texts:
-                    ballot_at[text] = d = order(text, ballot)
+                    try:
+                        d = ballot_at[text]
+                    except (KeyError, TypeError):  # a text not seen yet, or an unhashable one
+                        d = read(text, ballot_at, domain is Domain.LINEAR)
                     at = at * size + d
-                verdict_at[verdict_text] = w = order(verdict_text, verdict)
+                try:
+                    w = verdict_at[verdict_text]
+                except (KeyError, TypeError):
+                    w = read(verdict_text, verdict_at, False)
             except ValueError as exc:
                 raise SwfFormatError(f"entries[{i}]: {exc}") from None
-            return at, w
-
-        table: dict[int, int] = {}  # profile index to verdict index
-        for i, entry in enumerate(entries):
-            try:
-                prof_texts, verdict_text = entry
-                if type(entry) is not list or type(prof_texts) is not list or len(prof_texts) != n:
-                    raise TypeError
-                at = 0
-                for text in prof_texts:
-                    at = at * size + ballot_at[text]
-                w = verdict_at[verdict_text]
-            except (KeyError, TypeError, ValueError):  # a text not seen yet, or a malformed entry
-                at, w = checked(i, entry)
             if at in table:
                 raise SwfFormatError(f"entries[{i}]: duplicate profile")
             table[at] = w

@@ -13,6 +13,7 @@ from itertools import combinations, product
 import pytest
 
 import swf_oracle as oracle
+from arrovian import arrow_search
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.arrow_search import (
     DEFAULT_MAX_NODES,
@@ -306,6 +307,17 @@ def test_a_survivor_audits_from_its_leaf_as_from_dict_tables(m, n, domain):
         assert rule.rules == maps
         old = PairwiseRuleSwf(m, n, domain, maps)
         assert full_report(rule).to_json_dict() == full_report(old).to_json_dict()
+
+
+def test_a_restarted_column_memo_gives_the_same_certificate(monkeypatch):
+    """A memo budget of three columns of m=3 weak n=2 restarts the memo all through the audit:
+    the certificate and its dictators are those of the default run, only more columns are computed."""
+    default = search_arrovian(3, 2, Domain.WEAK)
+    monkeypatch.setattr(arrow_search, "MEMO_BYTES", 4 * 169 * 3)
+    small = search_arrovian(3, 2, Domain.WEAK)
+    assert small.to_json_text() == default.to_json_text()
+    assert [rec.dictator for rec in small.survivors] == [rec.dictator for rec in default.survivors]
+    assert default.distinct_columns == 162 < small.distinct_columns
 
 
 def test_a_survivor_keeps_only_its_leaf():

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, manifests."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 
 import arrovian
 import swf_oracle as oracle
-from arrovian import fc_infinite
+from arrovian import cli, fc_infinite
+from arrovian.arrow_search import search_arrovian
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
@@ -694,6 +696,19 @@ def test_search_default_node_budget_and_ignored_allow_long(capsys):
     assert "--allow-long" not in help_text
 
 
+def test_search_with_a_non_dictatorial_survivor_exits_1(capsys, monkeypatch):
+    """A survivor with no dictator would refute Arrow's theorem at that size: the run says so and exits 1."""
+    cert = search_arrovian(3, 2, Domain.LINEAR)
+    survivors = [dataclasses.replace(cert.survivors[0], dictator=None), *cert.survivors[1:]]
+    monkeypatch.setattr(cli, "search_arrovian", lambda *args, **kwargs: dataclasses.replace(cert, survivors=survivors))
+    code, out, _, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear")
+    assert code == 1
+    lines = out.splitlines()
+    assert "survivors: 2, 1 NON-DICTATORIAL" in lines
+    assert "  survivor 0: dictator none" in lines
+    assert "  survivor 1: dictator voter 0" in lines
+
+
 def test_a_closed_stdout_exits_2_with_an_error_line_and_the_manifest():
     """A reader that stops after 10 bytes (`| head -c 10`) ends the run as any other refusal: no traceback."""
     src = str(Path(arrovian.__file__).parents[1])
@@ -773,6 +788,22 @@ def test_infinite_demo_counts_its_seeded_coalitions(capsys, monkeypatch, mode, s
     assert "verdict: PASS" in out
     assert manifest["counters"] == {"coalitions": expected}
     assert len(drawn) == expected
+
+
+@pytest.mark.parametrize(
+    "member, failing",
+    [(True, ["properness", "complement exclusivity"]),
+     (False, ["upward closure", "intersection closure", "complement exclusivity", "freeness"])],
+    ids=["everything", "nothing"],
+)
+def test_infinite_demo_exits_1_on_a_failed_spot_check(capsys, monkeypatch, member, failing):
+    monkeypatch.setattr(fc_infinite, "decide_frechet_membership", lambda a: member)
+    code, out, _, _ = run(capsys, "infinite-demo", "--samples", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert "ultrafilter spot-check (seed=0, samples=5): FAIL" in lines
+    assert [line.split(":")[0].strip() for line in lines if line.startswith("  ") and line.endswith(": FAIL")] == failing
+    assert lines[-1] == "verdict: FAIL"
 
 
 def test_infinite_demo_seeded_json_is_deterministic(capsys):

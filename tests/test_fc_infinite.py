@@ -1,11 +1,14 @@
 """Finite/cofinite coalition algebra and the Frechet counterexample."""
 
+import re
+from itertools import repeat
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arrovian import fc_infinite
 from arrovian.fc_infinite import (
     EMPTY,
     NATURALS,
@@ -204,6 +207,30 @@ def test_axiom_sweep_passes_and_is_reproducible():
     assert doc == validate_fc_filter_axioms(seed=424242, samples=250).to_json_dict()
     assert doc["samples"] == 250
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "member, failing",
+    [(True, {"proper", "complement_exclusive"}), (False, {"upward_closed", "intersection_closed", "complement_exclusive", "free"})],
+    ids=["everything", "nothing"],
+)
+def test_axiom_sweep_reports_each_failed_check(monkeypatch, member, failing):
+    """A membership test that admits every coalition, or none, fails the checks it breaks, each with
+    one located message per failing case; a constant answer also makes every set agree with its complement."""
+    monkeypatch.setattr(fc_infinite, "decide_frechet_membership", lambda a: member)
+    rep = validate_fc_filter_axioms(seed=0, samples=5)
+    assert not rep.all_ok()
+    assert {check for check, ok in rep.checks.items() if not ok} == failing
+    expected = {  # each check's message and how many samples it fails on
+        "upward_closed": (r"superset \S+ of \S+ not a member", 5),
+        "intersection_closed": (r"intersection of \S+ and \S+ not a member", 5),
+        "proper": (r"the empty coalition claims membership", 1),
+        "complement_exclusive": (r"\S+ and its complement agree on membership", 5),
+        "free": (r"voter (\d+) survives in cof\{\1\}", 100),
+    }
+    patterns = [pattern for check in rep.checks if check in failing for pattern in repeat(*expected[check])]
+    assert len(rep.failures) == len(patterns)
+    assert all(re.fullmatch(pattern, message) for pattern, message in zip(patterns, rep.failures))
 
 
 # --- eventually constant profiles -------------------------------------------------

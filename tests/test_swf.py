@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrovian import swf as swf_module
 from arrovian._util import canonical_json
 from arrovian.kernel import MISSING, domain_kernel
 from arrovian.profiles import (
@@ -547,6 +548,46 @@ def test_explicit_json_refuses_a_profile_outside_the_domain():
         parse_swf_json(doc)
     weak = {**doc, "domain": "weak"}
     assert len(parse_swf_json(weak)[0].verdicts) == 7
+
+
+def counted_parses(monkeypatch) -> list[str]:
+    """The texts `parse_swf_json` sends to `parse_weak_order`, in call order."""
+    texts: list[str] = []
+
+    def parse(text, alts=None):
+        texts.append(text)
+        return parse_weak_order(text, alts)
+
+    monkeypatch.setattr(swf_module, "parse_weak_order", parse)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "swf", [dictator_explicit(1, 4, 2, Domain.WEAK), borda_explicit(3, 2, Domain.LINEAR)], ids=["m4-weak", "m3-linear"]
+)
+def test_explicit_json_reads_the_writers_texts_without_parsing_them(monkeypatch, swf):
+    """Every text `swf_to_json_dict` emits is found among the texts the parser starts from."""
+    texts = counted_parses(monkeypatch)
+    parsed, _ = parse_swf_json(canonical_json(swf_to_json_dict(swf)))
+    assert texts == []
+    assert parsed.row == swf.row
+
+
+def test_explicit_json_parses_each_unwritten_text_once(monkeypatch):
+    """Spaces around ">" and class members out of index order read to the same row; each such text
+    is parsed on its first occurrence and looked up after that."""
+    swf = dictator_explicit(1, 3, 2, Domain.WEAK)
+    doc = swf_to_json_dict(swf)
+    written = {text for profile, verdict in doc["entries"] for text in (*profile, verdict)}
+    spaced = {text: text.replace(">", " > ") for text in written}
+    reordered = {text: text.replace("A~B", "B~A") for text in written}
+    doc["entries"] = [[[spaced[t] for t in profile], reordered[v]] for profile, v in doc["entries"]]
+    texts = counted_parses(monkeypatch)
+    parsed, _ = parse_swf_json(doc)
+    assert parsed.row == swf.row
+    unwritten = {t for t in (*spaced.values(), *reordered.values()) if t not in written}
+    assert sorted(texts) == sorted(unwritten)
+    assert any("B~A" in t for t in texts) and any(" > " in t for t in texts)
 
 
 def test_pairwise_json_refuses_a_tri_partition_outside_the_domain():
