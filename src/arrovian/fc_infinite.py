@@ -368,8 +368,10 @@ def validate_fc_filter_axioms(seed: int = 0, samples: int = 500) -> FrechetAxiom
 
     for v in range(100):
         member = _fc(_COF, frozenset((v,)))
-        if not decide_frechet_membership(member) or fc_member(member, v):
-            fail("free", f"voter {v} survives in cof{{{v}}}")
+        if not decide_frechet_membership(member):
+            fail("free", f"cof{{{v}}} refused membership")
+        if fc_member(member, v):
+            fail("free", f"voter {v} found inside cof{{{v}}}")
     return report
 
 

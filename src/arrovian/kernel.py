@@ -25,10 +25,10 @@ Codes:
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner.  A stance column is `bytes`, one
 code per profile: `split_columns` gathers it from a pair's stance codes
-laid out by split position, and `row_keys` packs a profile's codes across pairs
-into one integer, so a pass over distinct rows hashes one int per profile.
-`verdict_codes(m)` is the one table between weak orders and stance rows; `verdict_keys(m)`,
-its inverse on packed keys, turns a row into its verdict or finds it is none.
+laid out by split position.  `verdict_codes(m)` is the one table between weak
+orders and stance rows; `verdict_keys(m)`, its inverse on code tuples, turns a
+row into its verdict or finds it is none, and `first_absent` finds the first
+row that is none, reading one triangle of alternatives at a time.
 What the checks read of one column alone is its `ColumnFacts`, computed
 once per distinct (pair, column) that a memo meets; one search's survivors share one.
 """
@@ -39,7 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import and_
 from typing import NamedTuple, Sequence
 
@@ -245,47 +245,34 @@ def split_columns(k: DomainKernel, luts: Sequence[bytes]) -> list[bytes]:
     return [bytes(map(lut.ljust(len(k.splits), pad).__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
 
 
-def _key_width(count: int) -> int:
-    """Bytes per `row_keys` key of `count` columns: one byte lane per four, rounded up to a power of two."""
-    lanes = max(1, (count + 3) // 4)
-    return 1 << (lanes - 1).bit_length()
-
-
-def row_keys(k: DomainKernel, codes: Sequence[int]) -> array:
-    """Per profile, its codes across the columns, each given as `ColumnFacts.code`, packed into one int.
-
-    Each code is 2 bits, the code on column q at bits 2q and 2q+1, so four
-    pairs share one byte lane of the little-endian key and `verdict_keys`
-    reads a key as it stands.  With no columns (m=1 has no pairs) every key is 0.
-    """
-    width = _key_width(len(codes))
-    buf = bytearray(k.size * width)
-    for g in range(0, len(codes), 4):
-        lane = 0
-        for shift, c in zip((0, 2, 4, 6), codes[g : g + 4]):
-            lane |= c << shift  # codes are below 4, so no carry leaves a byte
-        buf[g >> 2 :: width] = lane.to_bytes(k.size, "little")
-    keys = array({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
-    keys.frombytes(buf)
-    if sys.byteorder == "big":
-        keys.byteswap()
-    return keys
-
-
 def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
-    """The first profile whose `row_keys` key is not a verdict's, or None."""
-    if len(codes) <= 4:  # one-byte keys (m <= 3), read through a table of all 256
-        lane = sum(c << 2 * q for q, c in enumerate(codes)).to_bytes(k.size, "little")
-        return None if (i := lane.translate(_absent_table(k.m)).find(1)) < 0 else i
-    keys, verdicts = row_keys(k, codes), verdict_keys(k.m)
-    if verdicts.keys() >= set(keys):  # a set is the cheaper pass where every row composes
-        return None
-    return next(i for i, key in enumerate(keys) if key not in verdicts)
+    """The first profile whose codes, each column given as `ColumnFacts.code`, compose into no weak order, or None.
+
+    O2 names three alternatives, so stances form a weak order exactly when
+    they form one on every triangle a < b < c.  A triangle's three codes
+    share one byte lane, read through a table of all 256.
+    """
+    first = None
+    for group in _triangles(k.m):
+        lane = sum(codes[q] << 2 * j for j, q in enumerate(group)).to_bytes(k.size, "little")
+        if (i := lane.translate(_absent_table()).find(1, 0, first)) >= 0:
+            first = i
+    return first
 
 
 @lru_cache(maxsize=None)
-def _absent_table(m: int) -> bytes:
-    return bytes(key not in verdict_keys(m) for key in range(256))
+def _triangles(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per triangle a < b < c, the positions of (a, b), (a, c) and (b, c) among the canonical pairs of m.
+
+    Below m=3 a single group holds every pair; an unused lane slot reads FIRST, which composes.
+    """
+    pos = {p: q for q, p in enumerate(unordered_pairs(m))}
+    return tuple((pos[a, b], pos[a, c], pos[b, c]) for a, b, c in combinations(range(m), 3)) or (tuple(pos.values()),)
+
+
+@lru_cache(maxsize=None)
+def _absent_table() -> bytes:
+    return bytes(tuple(key >> 2 * q & 3 for q in range(3)) not in verdict_keys(3) for key in range(256))
 
 
 def first_profile(hit: int) -> int | None:
@@ -315,8 +302,8 @@ def compose(m: int, codes: tuple[int, ...]) -> tuple[BinaryRelation, ValidationR
 
 def compose_rows(k: DomainKernel, cols: Sequence[bytes]) -> array:
     """The verdict row of `cols`: per profile, the verdict of its codes, or ABSENT where they are none's."""
-    keys = row_keys(k, [int.from_bytes(c, "little") for c in cols])
-    return array("h", map(verdict_keys(k.m).get, keys, repeat(ABSENT)))
+    rows = zip(*cols) if cols else repeat((), k.size)  # m=1 has no pairs: every row is empty
+    return array("h", map(verdict_keys(k.m).get, rows, repeat(ABSENT)))
 
 
 @lru_cache(maxsize=None)
@@ -333,11 +320,11 @@ def verdict_codes(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def verdict_keys(m: int) -> dict[int, int]:
-    """The inverse of `verdict_codes(m)`: each verdict's stance codes packed as a `row_keys` key, to its index.
+def verdict_keys(m: int) -> dict[tuple[int, ...], int]:
+    """The inverse of `verdict_codes(m)`: each verdict's tuple of stance codes, one per canonical pair, to its index.
 
     A weak order is fixed by its stance on each pair, so a row of codes
-    composes into a weak order exactly when its key is here.
+    composes into a weak order exactly when its tuple is here.
     """
-    return {sum(codes[j] << 2 * q for q, codes in enumerate(verdict_codes(m))): j for j in range(len(verdict_index(m)))}
+    return {tuple(codes[j] for codes in verdict_codes(m)): j for j in range(len(verdict_index(m)))}
 

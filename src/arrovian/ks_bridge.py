@@ -63,7 +63,7 @@ def extract_decisive_family(swf: Swf) -> DecisiveFamily:
 
 
 def _audit_arrovian(swf: Swf) -> tuple[AxiomReport, DomainKernel, list[ColumnFacts]]:
-    report, k, _, facts = audit_columns(swf)
+    report, k, facts = audit_columns(swf)
     if not report.arrovian():
         raise NotArrovianError(report)
     return report, k, facts

@@ -433,13 +433,11 @@ def full_report(swf: Swf, memo: dict | None = None) -> AxiomReport:
     return audit_columns(swf, memo)[0]
 
 
-def audit_columns(
-    swf: Swf, memo: dict | None = None
-) -> tuple[AxiomReport, DomainKernel, list[bytes], list[ColumnFacts]]:
-    """`full_report`, with the kernel, stance columns and column facts it read.
+def audit_columns(swf: Swf, memo: dict | None = None) -> tuple[AxiomReport, DomainKernel, list[ColumnFacts]]:
+    """`full_report`, with the kernel and column facts it read.
 
-    The columns are built once and shared by every check; callers that
-    scan them again after the audit take them from here.
+    The stance columns are built once and shared by every check; callers
+    that read the columns' facts again after the audit take them from here.
     """
     k = domain_kernel(swf.m, swf.n, swf.domain)
     witnesses: dict[str, dict] = {}  # an axiom holds exactly when it has no witness
@@ -484,7 +482,7 @@ def audit_columns(
         witnesses["a5"] = {"error": f"not evaluable: {exc}"}
 
     holds = (name not in witnesses for name in ("a1", "a2", "a3", "a4", "a5"))
-    return AxiomReport(*holds, dictator, witnesses), k, cols, facts
+    return AxiomReport(*holds, dictator, witnesses), k, facts
 
 
 # ------------------------------------------------- between representations
@@ -539,14 +537,12 @@ def swf_to_json_dict(swf: Swf, alts: AlternativeSet | None = None) -> dict:
     }
     if isinstance(swf, ExplicitSwf):
         # Enumeration order is sorted by each ballot's classes, so entries come out sorted by profile.
-        orders = enumerate_weak_orders(swf.m)
-        text = cache(lambda j: format_weak_order(orders[j], alts))  # one rendering per distinct verdict
-        ballots = [format_weak_order(w, alts) for w in swf.domain.orders(swf.m)]
-        profiles = product(ballots, repeat=swf.n)
+        texts, index = [format_weak_order(w, alts) for w in enumerate_weak_orders(swf.m)], verdict_index(swf.m)
+        profiles = product([texts[index[w]] for w in swf.domain.orders(swf.m)], repeat=swf.n)
         return {
             "kind": "explicit",
             **base,
-            "entries": [[list(f), text(j)] for f, j in zip(profiles, swf.row) if j != ABSENT],
+            "entries": [[list(f), texts[j]] for f, j in zip(profiles, swf.row) if j != ABSENT],
         }
     lists = cache(TriPartition.to_json_lists)  # one rendering per distinct tri-partition
     rules_json = {
@@ -580,8 +576,9 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             raise SwfFormatError("entries must be a list")
         # Each text's ballot and verdict index, starting from the texts the writer emits; a text
         # it would not emit (a stray space, class members out of order) is parsed once, then kept.
-        ballot_at = {format_weak_order(w, alts): d for d, w in enumerate(domain.orders(m))}
-        verdict_at = {format_weak_order(w, alts): j for j, w in enumerate(enumerate_weak_orders(m))}
+        texts, index = [format_weak_order(w, alts) for w in enumerate_weak_orders(m)], verdict_index(m)
+        verdict_at = {text: j for j, text in enumerate(texts)}
+        ballot_at = {texts[index[w]]: d for d, w in enumerate(domain.orders(m))}
         size = len(ballot_at)
 
         def read(text, at: dict[str, int], linear: bool) -> int:

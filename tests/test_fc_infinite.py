@@ -210,14 +210,19 @@ def test_axiom_sweep_passes_and_is_reproducible():
 
 
 @pytest.mark.parametrize(
-    "member, failing",
-    [(True, {"proper", "complement_exclusive"}), (False, {"upward_closed", "intersection_closed", "complement_exclusive", "free"})],
-    ids=["everything", "nothing"],
+    "target, answer, failing",
+    [
+        ("decide_frechet_membership", True, {"proper", "complement_exclusive"}),
+        ("decide_frechet_membership", False, {"upward_closed", "intersection_closed", "complement_exclusive", "free"}),
+        ("fc_member", True, {"free"}),
+    ],
+    ids=["everything", "nothing", "voter-inside"],
 )
-def test_axiom_sweep_reports_each_failed_check(monkeypatch, member, failing):
+def test_axiom_sweep_reports_each_failed_check(monkeypatch, target, answer, failing):
     """A membership test that admits every coalition, or none, fails the checks it breaks, each with
-    one located message per failing case; a constant answer also makes every set agree with its complement."""
-    monkeypatch.setattr(fc_infinite, "decide_frechet_membership", lambda a: member)
+    one located message per failing case; a constant answer also makes every set agree with its complement.
+    A voter test that finds every voter inside every coalition fails freeness alone, with its own message."""
+    monkeypatch.setattr(fc_infinite, target, lambda *args: answer)
     rep = validate_fc_filter_axioms(seed=0, samples=5)
     assert not rep.all_ok()
     assert {check for check, ok in rep.checks.items() if not ok} == failing
@@ -226,7 +231,7 @@ def test_axiom_sweep_reports_each_failed_check(monkeypatch, member, failing):
         "intersection_closed": (r"intersection of \S+ and \S+ not a member", 5),
         "proper": (r"the empty coalition claims membership", 1),
         "complement_exclusive": (r"\S+ and its complement agree on membership", 5),
-        "free": (r"voter (\d+) survives in cof\{\1\}", 100),
+        "free": (r"cof\{\d+\} refused membership" if answer is False else r"voter (\d+) found inside cof\{\1\}", 100),
     }
     patterns = [pattern for check in rep.checks if check in failing for pattern in repeat(*expected[check])]
     assert len(rep.failures) == len(patterns)

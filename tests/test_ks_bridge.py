@@ -49,7 +49,7 @@ def test_non_arrovian_rule_is_refused_with_report():
 
 def test_diagnostic_extraction_of_constant_rule_is_empty():
     swf = constant_explicit(TIE_ALL, 2, Domain.LINEAR)
-    _, k, _, facts = audit_columns(swf)
+    _, k, facts = audit_columns(swf)
     dec = ks_bridge._decisive_family(swf, k, facts)
     assert dec.family.masks == frozenset()
 

@@ -421,6 +421,17 @@ def test_pairwise_json_round_trip():
     assert parsed.rules == swf.rules
 
 
+@pytest.mark.parametrize("m,domain", [(4, Domain.WEAK), (5, Domain.WEAK), (5, Domain.LINEAR)])
+def test_explicit_parse_formats_each_weak_order_once(monkeypatch, m, domain):
+    """One parse of a table in the writer's texts renders each weak order of m once, as ballot and verdict alike."""
+    swf = dictator_explicit(0, m, 1, domain)
+    doc, calls = swf_to_json_dict(swf), []
+    monkeypatch.setattr(swf_module, "format_weak_order", lambda *args: calls.append(args) or format_weak_order(*args))
+    parsed, _ = parse_swf_json(doc)
+    assert len(calls) == len(enumerate_weak_orders(m))
+    assert parsed.row == swf.row
+
+
 @pytest.mark.parametrize(
     "swf",
     [
