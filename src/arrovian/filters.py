@@ -1,8 +1,7 @@
 """Filters and ultrafilters over a finite ground set, as explicit families.
 
 Coalitions (subsets of the voters 0..n-1) are encoded as bitmasks and a
-family of coalitions as a frozenset of masks, so the n = 4 full scan of
-all 2**16 candidate families stays cheap.  The filter axioms checked:
+family of coalitions as a frozenset of masks.  The filter axioms checked:
 
   F1  upward closure: every superset of a member is a member
   F2  intersection closure: the meet of two members is a member
@@ -150,8 +149,10 @@ def _supersets(a: int, full: int) -> Iterator[int]:
 
 def is_ultrafilter_complement(fam: CoalitionFamily) -> bool:
     """A filter holding exactly one of each coalition and its complement."""
-    if not is_filter(fam).ok:
-        return False
+    return is_filter(fam).ok and _one_of_each_complement(fam)
+
+
+def _one_of_each_complement(fam: CoalitionFamily) -> bool:
     full = (1 << fam.n) - 1
     return all((a in fam.masks) != ((full & ~a) in fam.masks) for a in range(full + 1))
 
@@ -191,39 +192,8 @@ def classify(fam: CoalitionFamily) -> FilterClassification:
     core = full
     for mask in fam.masks:
         core &= mask
-    ultra = check.ok and is_ultrafilter_complement(fam)
+    ultra = check.ok and _one_of_each_complement(fam)
     return FilterClassification(check, ultra, core != 0, mask_to_set(core))
-
-
-def _scan_codes(n: int) -> list[int]:
-    """The family codes on n voters that encode filters, ascending.
-
-    A family code has bit i set when coalition mask i belongs to the
-    family; every code is visited and gets the checks of `is_filter` in
-    integer form.  A nonempty upward-closed family holds the full
-    coalition, so a code without it, or with the empty coalition, is
-    out at once.  F1 is tested bit-parallel, one voter v at a time:
-    `lack` holds the bits of the coalitions without v, and shifting a
-    code's share of them by 2**v adds v to each, which must land on
-    members again.  That suffices, since every superset is reached by
-    adding voters one by one.  Only codes that pass F1 reach the F2 pair
-    loop.
-    """
-    nsub = 1 << n
-    top = 1 << (nsub - 1)
-    steps = [(sum(1 << i for i in range(nsub) if not i >> v & 1), 1 << v) for v in range(n)]
-    found = []
-    for code in range(1 << nsub):
-        if code & 1 or not code & top:
-            continue
-        for lack, shift in steps:
-            if (code & lack) << shift & ~code:
-                break
-        else:
-            members = [i for i in range(nsub) if code >> i & 1]
-            if all(code >> (a & b) & 1 for ai, a in enumerate(members) for b in members[ai + 1 :]):
-                found.append(code)
-    return found
 
 
 def family_from_code(n: int, code: int) -> CoalitionFamily:
@@ -233,10 +203,19 @@ def family_from_code(n: int, code: int) -> CoalitionFamily:
 
 
 def enumerate_filters(n: int) -> list[CoalitionFamily]:
-    """All filters on 0..n-1 by full scan of the 2**(2**n) families.
+    """All filters on 0..n-1, ascending by family code.
 
-    Results are ascending by family code, so the output is deterministic.
+    Every filter is upward closed, so the up-sets (D(n) of them, the
+    Dedekind numbers: 168 at n = 4) are a complete set of candidates, and
+    `is_filter` decides each.  Bit i of a family code marks coalition
+    mask i as a member.  An up-set on voters 0..v is `lo | hi << 2**v`:
+    lo holds its members without v, hi those with v removed, both are
+    up-sets, and `lo & ~hi == 0` (adding v to a member lands on a member).
+    Taking hi in the outer loop keeps the codes ascending.
     """
     if not 1 <= n <= MAX_GROUND:
-        raise ValueError(f"full family scan supports 1 <= n <= {MAX_GROUND}, got {n}")
-    return [family_from_code(n, code) for code in _scan_codes(n)]
+        raise ValueError(f"filter enumeration supports 1 <= n <= {MAX_GROUND}, got {n}")
+    ups = [0, 1]  # the up-sets on no voters: no member, or the empty coalition
+    for v in range(n):
+        ups = [lo | hi << (1 << v) for hi in ups for lo in ups if lo & ~hi == 0]
+    return [fam for fam in (family_from_code(n, code) for code in ups) if is_filter(fam).ok]

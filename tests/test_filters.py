@@ -8,6 +8,7 @@ library's complement test.
 
 import pytest
 
+from arrovian import filters
 from arrovian.filters import (
     MAX_GROUND,
     CoalitionFamily,
@@ -22,6 +23,7 @@ from arrovian.filters import (
 from swf_oracle import family_to_code, is_ultrafilter_maximal, principal
 
 FILTER_COUNTS = {1: 1, 2: 3, 3: 7, 4: 15}  # 2**n - 1, one per nonempty core
+UP_SET_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}  # Dedekind numbers D(n), OEIS A000372
 
 
 def fam(n, *sets):
@@ -100,6 +102,38 @@ def test_every_enumerated_family_is_a_filter_and_none_missed(n):
         assert (code in found) == ok
 
 
+def count_is_filter_calls(monkeypatch):
+    calls = []
+
+    def counted(fam):
+        calls.append(fam)
+        return is_filter(fam)
+
+    monkeypatch.setattr(filters, "is_filter", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_checks_each_up_set_once(monkeypatch, n):
+    calls = count_is_filter_calls(monkeypatch)
+    enumerate_filters(n)
+    assert len(calls) == UP_SET_COUNTS[n]
+
+
+def test_census_one_voter_past_the_cli_limit(monkeypatch):
+    monkeypatch.setattr(filters, "MAX_GROUND", 5)
+    calls = count_is_filter_calls(monkeypatch)
+    fams = enumerate_filters(5)
+    assert len(calls) == UP_SET_COUNTS[5]
+    up_sets = sorted(
+        family_to_code(CoalitionFamily(5, frozenset(m for m in range(32) if m & core == core)))
+        for core in range(1, 32)
+    )
+    assert [family_to_code(f) for f in fams] == up_sets
+    ultras = [f for f in fams if classify(f).is_ultrafilter]
+    assert sorted(ultras, key=family_to_code) == sorted((principal(5, v) for v in range(5)), key=family_to_code)
+
+
 def test_enumeration_is_deterministic_and_sorted():
     fams = enumerate_filters(3)
     codes = [family_to_code(f) for f in fams]
@@ -160,6 +194,21 @@ def test_ultrafilters_are_exactly_the_principal_singletons(n):
     expected = [principal(n, v) for v in range(n)]
     assert sorted(ultras, key=family_to_code) == sorted(expected, key=family_to_code)
     assert len(ultras) == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classification_agrees_with_the_single_checks(n):
+    for code in range(1 << (1 << n)):
+        f = family_from_code(n, code)
+        cls = classify(f)
+        assert cls.is_ultrafilter == is_ultrafilter_complement(f)
+        assert cls.filter_check == is_filter(f)
+
+
+def test_classify_checks_the_filter_axioms_once(monkeypatch):
+    calls = count_is_filter_calls(monkeypatch)
+    assert classify(principal(3, 0)).is_ultrafilter
+    assert len(calls) == 1
 
 
 def test_maximal_requires_a_filter():
