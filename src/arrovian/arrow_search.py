@@ -25,6 +25,19 @@ was covered.  A search is bounded by the profile budget at the requested
 is built, and by the node budget.  The backtracking keeps its own stack, so
 a deep problem does not meet Python's recursion limit.
 
+A node is one stance tried at one cell, and most cells are bound by
+propagation before the search reaches them.  A bound cell j of stance b
+costs b + 1 nodes and b pruned events on the way down, 2 - b of each on
+the way back, and 2 * 3**(cells - j - 1) of `pruned_total` in all.  So
+after each successful step the run [r, e) of bound cells that follows is
+read as one base-3 digit string D, through one `bytes.translate`, and
+jumped whole to the first unbound cell or the leaf: `pruned_total` gains
+int(D, 3) * 3**(cells - e) on the way down, and (3**(e - r) - 1 - int(D, 3))
+* 3**(cells - e) when the search backtracks from e straight to the
+decision before r.  The budget stop and the progress reports fall between
+nodes, so a run among whose nodes either falls is stepped cell by cell by
+the same loop, and every counter they see is the one-node-per-turn count.
+
 Propagation is table-driven: a cell's domain is a 3-bit stance mask,
 and a queue holds the constraints of the cells whose masks shrank.  A
 constraint (c1, c2, c3) is revised through one support table: entry
@@ -66,8 +79,12 @@ from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
 
 DEFAULT_MAX_NODES = 1_000_000
+_REPORT_EVERY = 100_000  # nodes between progress reports
 # A bound cell's mask 1 << s, as its stance s.
 _STANCE_OF_MASK = bytes.maketrans(b"\x01\x02\x04", b"\x00\x01\x02")
+# A bound cell's stance as a base-3 digit, "-" for an unbound cell; and the stance after it.
+_DIGIT_OF_MASK = bytes.maketrans(bytes(range(8)), b"-01-2---")
+_NEXT_OF_MASK = bytes.maketrans(b"\x01\x02\x04", b"\x01\x02\x03")
 # The survivor audit's kernel retains 34-68 bytes per m-ary profile and peaks
 # below 100 (tracemalloc over `domain_kernel` and the `full_report` of a dictator
 # rule, 5,625 to 371,293 profiles at m=3 and 4), so a search takes at most this
@@ -353,19 +370,30 @@ def search_arrovian(
         # before the next one is tried.
         next_stance = [0] * (cell_count + 1)
         trails: list[list[tuple[int, int]]] = [[] for _ in range(cell_count)]
+        # runs[d]: r, and the nodes and pruned_total of stepping back to r, if d was jumped to from r.
+        runs: list[tuple[int, int, int] | None] = [None] * (cell_count + 1)
         depth = 0
         while depth >= 0:
             if depth == cell_count:
                 found += 1
                 leaves.append(bytes(domains).translate(_STANCE_OF_MASK))
-                depth -= 1
-                continue
-            trail = trails[depth]
-            for cell, old in reversed(trail):
-                domains[cell] = old
-            trail.clear()
-            s = next_stance[depth]
+                s = 3
+            else:
+                trail = trails[depth]
+                for cell, old in reversed(trail):
+                    domains[cell] = old
+                trail.clear()
+                s = next_stance[depth]
             if s == 3:
+                run = runs[depth]
+                if run is not None:
+                    start, back, total = run  # `back` nodes, each a pruned event
+                    if nodes + back <= max_nodes and (nodes + back) // _REPORT_EVERY == nodes // _REPORT_EVERY:
+                        nodes, pruned_events, pruned_total = nodes + back, pruned_events + back, pruned_total + total
+                        depth = start
+                    else:  # step back over the run: each cell has tried stances up to its own
+                        next_stance[start:depth] = bytes(domains[start:depth]).translate(_NEXT_OF_MASK)
+                        runs[start:depth] = [None] * (depth - start)
                 depth -= 1
                 continue
             next_stance[depth] = s + 1
@@ -373,7 +401,7 @@ def search_arrovian(
                 counters = dict(leaves=found, pruned_events=pruned_events, pruned_total=pruned_total, nodes=nodes)
                 raise SearchIncompleteError(counters)
             nodes += 1
-            if progress is not None and nodes % 100_000 == 0:
+            if progress is not None and nodes % _REPORT_EVERY == 0:
                 progress(dict(leaves=found, pruned_events=pruned_events, pruned_total=pruned_total, nodes=nodes))
             bit, mask = 1 << s, domains[depth]
             if mask == bit:  # bound already, so the last fixpoint stands
@@ -386,12 +414,28 @@ def search_arrovian(
                 consistent = _propagate(watchers, domains, [later[depth]], trail)
             else:
                 consistent = False
-            if consistent:
-                depth += 1
-                next_stance[depth] = 0
-            else:
+            if not consistent:
                 pruned_events += 1
                 pruned_total += pow3[cell_count - depth - 1]
+                continue
+            depth += 1
+            runs[depth] = None
+            next_stance[depth] = 0
+            if depth == cell_count or domains[depth] not in (1, 2, 4):
+                continue
+            # The bound cells from `depth` on, as the base-3 digits of their stances, are jumped
+            # whole unless the budget stop or a progress report falls among their nodes.
+            digits = bytes(domains[depth:]).translate(_DIGIT_OF_MASK)
+            end = digits.find(b"-") % (len(digits) + 1)  # find's -1: bound up to the leaf
+            digits = digits[:end]
+            events = digits.count(b"1") + 2 * digits.count(b"2")
+            down = nodes + end + events
+            if down <= max_nodes and down // _REPORT_EVERY == nodes // _REPORT_EVERY:
+                below, weight = int(digits, 3), pow3[cell_count - depth - end]
+                nodes, pruned_events, pruned_total = down, pruned_events + events, pruned_total + below * weight
+                runs[depth + end] = (depth, 2 * end - events, (pow3[end] - 1 - below) * weight)
+                depth += end
+                next_stance[depth] = 0
 
     if found + pruned_total != space:
         raise RuntimeError("accounting mismatch: leaves + pruned does not cover the space")

@@ -129,10 +129,15 @@ def is_filter(fam: CoalitionFamily) -> FilterCheck:
         for sup in _supersets(a, full):
             if sup not in fam.masks:
                 return FilterCheck(False, "F1", (mask_to_set(a), mask_to_set(sup)))
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if a & b not in fam.masks:
-                return FilterCheck(False, "F2", (mask_to_set(a), mask_to_set(b)))
+    # An up-closed family is intersection-closed exactly when the meet of its members is one.
+    meet = full
+    for a in members:
+        meet &= a
+    if meet not in fam.masks:
+        for i, a in enumerate(members):
+            for b in members[i:]:
+                if a & b not in fam.masks:
+                    return FilterCheck(False, "F2", (mask_to_set(a), mask_to_set(b)))
     return FilterCheck(True)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from random import Random
 from typing import Callable
 
-from arrovian.arrow_search import SearchProblem, _allowed_triples
+from arrovian.arrow_search import SearchProblem, _allowed_triples, _propagate
 from arrovian.fc_infinite import SAMPLE_BOUND, EventuallyConstantProfile
 from arrovian.filters import CoalitionFamily, is_filter, is_ultrafilter_complement
 from arrovian.profiles import (
@@ -281,6 +281,56 @@ def reference_gac(problem: SearchProblem, domains: list[int]) -> list[int] | Non
                     queue.append(cj)
                     queued.add(cj)
     return domains
+
+
+def stepwise_search(problem: SearchProblem) -> tuple[list[tuple[int, int, int]], list[bytes], list[range]]:
+    """The depth-first search one stance per node: cells in order, stances FIRST < SECOND < INDIFFERENT,
+    `_propagate` from every constraint on the decided cell, whether or not that cell was bound.
+
+    Returns the (leaves, pruned_events, pruned_total) held as each node is about to be tried, node k's
+    at index k and the final counters last; the leaves, one stance byte per cell; and, for each
+    decision followed by cells that propagation had bound, the node counts the descent over those
+    bound cells passes through (first to last, in search order).
+    """
+    cells = len(problem.pairs) * len(problem.splits)
+    watchers = problem.watchers
+    domains = [7] * cells
+    for cell, stance in problem.forced.items():
+        domains[cell] = 1 << stance
+    counters = [0, 0, 0]
+    before: list[tuple[int, int, int]] = []
+    leaves: list[bytes] = []
+    runs: list[range] = []
+
+    def visit(depth: int, decided: bool) -> None:
+        if depth == cells:
+            counters[0] += 1
+            leaves.append(bytes(mask.bit_length() - 1 for mask in domains))
+            return
+        bound = 0
+        while depth + bound < cells and domains[depth + bound] in (1, 2, 4):
+            bound += 1
+        if decided and bound:  # each bound cell takes its stance's index + 1 nodes
+            down = sum(domains[c].bit_length() for c in range(depth, depth + bound))
+            runs.append(range(len(before), len(before) + down + 1))
+        for stance in range(3):
+            before.append(tuple(counters))
+            saved = list(domains)
+            if domains[depth] >> stance & 1:
+                domains[depth] = 1 << stance
+                if _propagate(watchers, domains, [watchers[depth]], []):
+                    visit(depth + 1, saved[depth] not in (1, 2, 4))
+                    domains[:] = saved
+                    continue
+            counters[1] += 1
+            counters[2] += 3 ** (cells - depth - 1)
+            domains[:] = saved
+
+    if _propagate(watchers, domains, [watchers[cell] for cell in problem.forced], []):
+        visit(0, False)
+    else:
+        counters[1:] = [1, 3**cells]
+    return [*before, tuple(counters)], leaves, runs
 
 
 # ------------------------------------------------------------ sample rules

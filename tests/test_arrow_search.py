@@ -442,6 +442,47 @@ def test_progress_callback_sees_counters():
     assert (str(copy), copy.counters) == (str(stop.value), stop.value.counters)
 
 
+def test_progress_reports_the_stepwise_counters():
+    """Reports land on the multiples of 100,000 with the counters held before that node's outcome.
+
+    Node 300,000 falls inside a run of bound cells that ends before the budget of 399,999."""
+    base = 11263627491834348800000000000000000
+    reports = [
+        dict(leaves=20536, pruned_events=46097, pruned_total=base + 74983223643841569, nodes=100_000),
+        dict(leaves=21748, pruned_events=111556, pruned_total=base + 84225541680543102, nodes=200_000),
+        dict(leaves=22960, pruned_events=177012, pruned_total=base + 93475297286652294, nodes=300_000),
+    ]
+    stops = {
+        300_001: dict(reports[-1], nodes=300_001),
+        399_999: dict(leaves=24172, pruned_events=242461, pruned_total=base + 102717521567595489, nodes=399_999),
+    }
+    for budget, counters in stops.items():
+        seen = []
+        with pytest.raises(SearchIncompleteError) as stop:
+            search_arrovian(3, 3, Domain.WEAK, max_nodes=budget, progress=seen.append)
+        assert (seen, stop.value.counters) == (reports, counters)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 1), (5, 1)])
+def test_budget_stops_match_the_stepwise_search(m, n):
+    """Runs of bound cells are counted whole, yet every budget stops on the counters of the search
+    that tries one stance per node: at budgets spread over the whole search and at every budget
+    inside its first three descents over bound cells."""
+    before, leaves, runs = oracle.stepwise_search(build_problem(m, n, Domain.WEAK))
+    total = len(before) - 1
+    cert = search_arrovian(m, n, Domain.WEAK)
+    final = (cert.explored_leaves, cert.pruned_events, cert.pruned_total)
+    assert (cert.nodes, final) == (total, before[-1])
+    assert [rec.stances for rec in cert.survivors] == leaves
+    budgets = {*range(1, total, total // 200), *(b for run in runs[:3] for b in run if b), total - 1}
+    for budget in sorted(budgets):
+        with pytest.raises(SearchIncompleteError) as stop:
+            search_arrovian(m, n, Domain.WEAK, max_nodes=budget)
+        held = dict(zip(("leaves", "pruned_events", "pruned_total"), before[budget]), nodes=budget)
+        assert stop.value.counters == held, budget
+    assert search_arrovian(m, n, Domain.WEAK, max_nodes=total).nodes == total
+
+
 # --- certificates ------------------------------------------------------------------
 
 

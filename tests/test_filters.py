@@ -86,6 +86,37 @@ def test_whole_powerset_above_a_core_is_a_filter():
     assert not is_ultrafilter_complement(f)
 
 
+def pairwise_filter_check(f):
+    """Nonempty, F3, F1 (members ascending, each superset from the largest down) and F2 over every
+    pair of members ascending: the axioms read one coalition at a time."""
+    full, members = (1 << f.n) - 1, sorted(f.masks)
+    if not members:
+        return filters.FilterCheck(False, "nonempty", ())
+    if 0 in f.masks:
+        return filters.FilterCheck(False, "F3", (frozenset(),))
+    for a in members:
+        for sup in range(full, a - 1, -1):
+            if sup & a == a and sup not in f.masks:
+                return filters.FilterCheck(False, "F1", (mask_to_set(a), mask_to_set(sup)))
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            if a & b not in f.masks:
+                return filters.FilterCheck(False, "F2", (mask_to_set(a), mask_to_set(b)))
+    return filters.FilterCheck(True)
+
+
+def test_filter_check_agrees_with_the_pairwise_axioms():
+    """Every family on up to three voters, and every up-set on four, the only families that reach F2."""
+    up_sets = [0, 1]
+    for v in range(4):
+        up_sets = [lo | hi << (1 << v) for hi in up_sets for lo in up_sets if lo & ~hi == 0]
+    families = [family_from_code(n, code) for n in (1, 2, 3) for code in range(1 << (1 << n))]
+    families += [family_from_code(4, code) for code in up_sets]
+    verdicts = [is_filter(f) for f in families]
+    assert verdicts == [pairwise_filter_check(f) for f in families]
+    assert sum(v.axiom == "F2" for v in verdicts) > 0
+
+
 # --- enumeration -------------------------------------------------------------
 
 
