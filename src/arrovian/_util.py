@@ -1,6 +1,7 @@
 """Small shared helpers for deterministic serialization and JSON input: the indented JSON
 writer, which renders an explicit SWF's table a column at a time, the one JSON reader of the
-document parsers and the collector pause they run under, and slice-wise sha256."""
+document parsers and the collector pause they run under, slice-wise sha256, and `Value`, the
+base of the package's record classes."""
 
 from __future__ import annotations
 
@@ -9,12 +10,40 @@ import gc
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
 # A value that is not a container (None, bool, int, float, str), written as
 # json.dumps writes it; other types raise json.dumps's TypeError.
 _scalar = json.JSONEncoder().encode
+
+
+class Value:
+    """Base of the package's record classes: equality, hash and repr over their compared fields.
+
+    The compared fields are `_fields` where a class names them, else its `__slots__`.  Two
+    records are equal when they are of one class with equal fields, and a record hashes as the
+    tuple of its fields.  A subclass's `__init__` sets them, and nothing assigns a hashed
+    record's fields afterwards; a mutable record sets `__hash__ = None`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__dict__.get("__slots__"))
+        get = attrgetter(*fields)  # one field gives the value itself, which the key wraps in a tuple
+        cls._key = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 def canonical_json(obj) -> str:

@@ -66,13 +66,12 @@ sorted keys, so two runs produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from itertools import combinations, product
 from time import perf_counter
 from typing import Callable, Sequence
 
-from ._util import _quote, _render, canonical_json
+from ._util import Value, _quote, _render, canonical_json
 from .kernel import STANCES, domain_kernel, verdict_codes
 from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
@@ -104,8 +103,7 @@ class SearchIncompleteError(RuntimeError):
         return f"node budget {self.counters['nodes']} exhausted with the space not yet covered"
 
 
-@dataclass
-class SearchProblem:
+class SearchProblem(Value):
     """Cell `q * len(splits) + j` is the stance of `pairs[q]` at split position j, code `splits[j]`.
 
     `watchers[x]` holds the constraints on cell x, each the very tuple of
@@ -113,15 +111,16 @@ class SearchProblem:
     so some other cell comes after x.
     """
 
-    m: int
-    n: int
-    domain: Domain
-    pairs: list[tuple[int, int]]
-    splits: list[int]
-    constraints: tuple[tuple[int, int, int], ...]
-    watchers: tuple[tuple[tuple[int, int, int], ...], ...]
-    later: tuple[tuple[tuple[int, int, int], ...], ...]
-    forced: dict[int, int]
+    __slots__ = ("m", "n", "domain", "pairs", "splits", "constraints", "watchers", "later", "forced")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, m: int, n: int, domain: Domain, pairs: list[tuple[int, int]], splits: list[int],
+        constraints: tuple[tuple[int, int, int], ...], watchers: tuple[tuple[tuple[int, int, int], ...], ...],
+        later: tuple[tuple[tuple[int, int, int], ...], ...], forced: dict[int, int],
+    ) -> None:
+        self.m, self.n, self.domain, self.pairs, self.splits = m, n, domain, pairs, splits
+        self.constraints, self.watchers, self.later, self.forced = constraints, watchers, later, forced
 
 
 @lru_cache(maxsize=None)
@@ -244,23 +243,20 @@ def leaf_rule(m: int, n: int, domain: Domain, leaf: bytes) -> PairwiseRuleSwf:
     return PairwiseRuleSwf.from_layout(m, n, domain, tuple(leaf[i : i + width] for i in range(0, len(leaf), width)))
 
 
-@dataclass(frozen=True, slots=True)
-class SurvivorRecord:
+class SurvivorRecord(Value):
     """A survivor is the leaf that the search produced and its dictator; `swf` is built from the leaf on each access."""
 
-    stances: bytes
-    dictator: int | None
-    m: int
-    n: int
-    domain: Domain
+    __slots__ = ("stances", "dictator", "m", "n", "domain")
+
+    def __init__(self, stances: bytes, dictator: int | None, m: int, n: int, domain: Domain) -> None:
+        self.stances, self.dictator, self.m, self.n, self.domain = stances, dictator, m, n, domain
 
     @property
     def swf(self) -> PairwiseRuleSwf:
         return leaf_rule(self.m, self.n, self.domain, self.stances)
 
 
-@dataclass
-class SearchCertificate:
+class SearchCertificate(Value):
     """Reproducible record of one complete search run.
 
     `explored_leaves + pruned_total == 3 ** cell_count`: every complete
@@ -269,22 +265,27 @@ class SearchCertificate:
     `distinct_columns`, the count of (pair, column) facts the audit computed, are not part of the record.
     """
 
-    m: int
-    n: int
-    domain: Domain
-    cell_count: int
-    forced_cells: int
-    space: int
-    explored_leaves: int
-    pruned_events: int
-    pruned_total: int
-    nodes: int
-    survivors: list[SurvivorRecord]
-    build_s: float = field(default=0.0, compare=False)
-    audit_s: float = field(default=0.0, compare=False)
-    distinct_columns: int = field(default=0, compare=False)
+    _fields = (
+        "m", "n", "domain", "cell_count", "forced_cells", "space", "explored_leaves", "pruned_events", "pruned_total",
+        "nodes", "survivors",
+    )
+    __slots__ = (*_fields, "build_s", "audit_s", "distinct_columns")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, m: int, n: int, domain: Domain, cell_count: int, forced_cells: int, space: int, explored_leaves: int,
+        pruned_events: int, pruned_total: int, nodes: int, survivors: list[SurvivorRecord],
+        build_s: float = 0.0, audit_s: float = 0.0, distinct_columns: int = 0,
+    ) -> None:
+        self.m, self.n, self.domain, self.cell_count, self.forced_cells = m, n, domain, cell_count, forced_cells
+        self.space, self.explored_leaves, self.pruned_events = space, explored_leaves, pruned_events
+        self.pruned_total, self.nodes, self.survivors = pruned_total, nodes, survivors
+        self.build_s, self.audit_s, self.distinct_columns = build_s, audit_s, distinct_columns
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(self.survivors)
+
+    def _json_dict(self, survivors: list[SurvivorRecord]) -> dict:
         return {
             "schema": "arrovian/certificate/v1",
             "parameters": {"m": self.m, "n": self.n, "domain": self.domain.value},
@@ -294,11 +295,8 @@ class SearchCertificate:
             "explored_leaves": self.explored_leaves,
             "pruned_events": self.pruned_events,
             "pruned_total": self.pruned_total,
-            "survivor_count": len(self.survivors),
-            "survivors": [
-                {"dictator": rec.dictator, "rules": swf_to_json_dict(rec.swf)}
-                for rec in self.survivors
-            ],
+            "survivor_count": len(survivors),
+            "survivors": [{"dictator": rec.dictator, "rules": swf_to_json_dict(rec.swf)} for rec in survivors],
         }
 
     def to_json_text(self) -> str:
@@ -307,7 +305,7 @@ class SearchCertificate:
         `survivors` is the last key, so the survivors end the text."""
         if not self.survivors:
             return canonical_json(self.to_json_dict())
-        doc = replace(self, survivors=self.survivors[:1]).to_json_dict()
+        doc = self._json_dict(self.survivors[:1])
         (template,) = doc["survivors"]
         rules = template["rules"]["rules"]
         labels = list(rules)  # in pair order

@@ -24,6 +24,13 @@ any published number regenerable by a single command.  Each subcommand
 builds one JSON result document, with a versioned "schema" key of the
 form "arrovian/<kind>/v1": --json prints it, and the text output is
 rendered from it alone (`arrow-search` prints its certificate instead).
+
+A command line that starts with a command is parsed by that command's
+parser alone, built from the one function that adds its arguments, so a
+run builds no other.  The full tree, the root parser with every command
+under it, parses only what that parser leaves over, a command line with
+no command or an unknown one, so the root's usage and messages, such as
+"unrecognized arguments", read as they would from the full tree.
 """
 
 from __future__ import annotations
@@ -33,12 +40,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from random import Random
 
-from ._util import FormatError, canonical_json, sha256_hex, slices
+from ._util import FormatError, Value, canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
     decisive_coalition_test,
@@ -75,18 +81,21 @@ class CliError(Exception):
     """Anything that should stop the run with exit code 2."""
 
 
-@dataclass
-class RunContext:
+class RunContext(Value):
     """Collects stdout and digests so the manifest can be emitted last."""
 
-    command: str
-    parameters: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
-    phases: dict[str, float] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-    _parts: list[str] = field(default_factory=list)
+    __slots__ = ("command", "parameters", "inputs", "outputs", "seed", "phases", "counters", "_parts")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, command: str, parameters: dict, inputs: dict[str, str] | None = None,
+        outputs: dict[str, str] | None = None, seed: int | None = None, phases: dict[str, float] | None = None,
+        counters: dict[str, int] | None = None, _parts: list[str] | None = None,
+    ) -> None:
+        self.command, self.parameters, self.seed = command, parameters, seed
+        self.inputs, self.outputs = {} if inputs is None else inputs, {} if outputs is None else outputs
+        self.phases, self.counters = {} if phases is None else phases, {} if counters is None else counters
+        self._parts = [] if _parts is None else _parts
 
     def say(self, text: str) -> None:
         self._parts.append(text)
@@ -499,51 +508,46 @@ def _text_infinite_demo(doc: dict) -> str:
 # ------------------------------------------------------------ the parser
 
 
-# Built once per process: the parser holds no per-run state, and each
-# parse_args call returns a fresh Namespace.
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arrovian",
-        description="verification toolkit for preference aggregation axioms",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orders", help="enumerate weak or linear orders")
+def _orders_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", "--alternatives", type=int, required=True)
     p.add_argument("--linear", action="store_true", help="restrict to linear orders")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_orders, text=_text_orders, command_name="orders")
 
-    p = sub.add_parser("condorcet-demo", help="majority cycle on three voters")
+
+def _condorcet_demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help="profile JSON file replacing the built-in example")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_condorcet_demo, text=_text_condorcet_demo, command_name="condorcet-demo")
 
-    p = sub.add_parser("axioms", help="five-axiom audit of an SWF document")
+
+def _axioms_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--swf", required=True, help="SWF JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_axioms, text=_text_axioms, command_name="axioms")
 
-    p = sub.add_parser("filters", help="classify a family or enumerate all filters")
+
+def _filters_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="coalition-family JSON file")
     group.add_argument("--enumerate", type=int, metavar="N", help="scan all families on N voters")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_filters, text=_text_filters, command_name="filters")
 
-    p = sub.add_parser("bridge", help="decisive coalitions and the dictator correspondence")
-    bridge_sub = p.add_subparsers(dest="bridge_command", required=True)
-    b = bridge_sub.add_parser("extract", help="extract and classify the decisive family")
-    b.add_argument("--swf", required=True, help="SWF JSON file")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bridge_extract, text=_text_bridge_extract, command_name="bridge extract")
-    b = bridge_sub.add_parser("ks2", help="dictator absent versus free decisive family")
-    b.add_argument("--swf", required=True, help="SWF JSON file")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(handler=_cmd_bridge_ks2, text=_text_bridge_ks2, command_name="bridge ks2")
 
-    p = sub.add_parser("arrow-search", help="complete search of the pairwise-rule space")
+def _bridge_arguments(p: argparse.ArgumentParser) -> None:
+    bridge_sub = p.add_subparsers(dest="bridge_command", required=True)
+    for name, help_text, handler, text in (
+        ("extract", "extract and classify the decisive family", _cmd_bridge_extract, _text_bridge_extract),
+        ("ks2", "dictator absent versus free decisive family", _cmd_bridge_ks2, _text_bridge_ks2),
+    ):
+        b = bridge_sub.add_parser(name, help=help_text)
+        b.add_argument("--swf", required=True, help="SWF JSON file")
+        b.add_argument("--json", action="store_true")
+        b.set_defaults(handler=handler, text=text, command_name=f"bridge {name}")
+
+
+def _arrow_search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alternatives", type=int, default=3)
     p.add_argument("--voters", type=int, required=True)
     p.add_argument("--domain", required=True, help="'weak' or 'linear'")
@@ -554,7 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_arrow_search, command_name="arrow-search")
 
-    p = sub.add_parser("infinite-demo", help="finite-or-cofinite electorate rules")
+
+def _infinite_demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dictator", type=int, metavar="V", help="the rule echoing voter V (default: the Frechet rule)")
     p.add_argument("--witness", type=int, default=0, help="candidate dictator to overrule")
     p.add_argument("--seed", type=int, default=0)
@@ -562,7 +567,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_infinite_demo, text=_text_infinite_demo, command_name="infinite-demo")
 
+
+# Each command's line in the root help, and the function that adds its arguments to its parser.
+_COMMANDS = {
+    "orders": ("enumerate weak or linear orders", _orders_arguments),
+    "condorcet-demo": ("majority cycle on three voters", _condorcet_demo_arguments),
+    "axioms": ("five-axiom audit of an SWF document", _axioms_arguments),
+    "filters": ("classify a family or enumerate all filters", _filters_arguments),
+    "bridge": ("decisive coalitions and the dictator correspondence", _bridge_arguments),
+    "arrow-search": ("complete search of the pairwise-rule space", _arrow_search_arguments),
+    "infinite-demo": ("finite-or-cofinite electorate rules", _infinite_demo_arguments),
+}
+
+
+# The parsers are built once per process: they hold no per-run state, and
+# each parse returns a fresh Namespace.
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: the root parser with every command as a subparser."""
+    parser = argparse.ArgumentParser(
+        prog="arrovian",
+        description="verification toolkit for preference aggregation axioms",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, as the full tree's subparser for it is built."""
+    parser = argparse.ArgumentParser(prog=f"arrovian {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's Namespace, through the named command's parser when it takes all of argv; with no
+    command, an unknown one or arguments left over, through the full tree, whose root reports them."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _manifest_parameters(args: argparse.Namespace) -> dict:
@@ -575,9 +624,8 @@ def _manifest_parameters(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -45,12 +45,12 @@ everything except 3; elements print sorted ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
 from random import Random
 
+from ._util import Value
 from .kernel import STANCE_CODE, compose
 from .relations import (
     PairStance,
@@ -68,8 +68,7 @@ class FcMode(Enum):
     COFINITE = "cof"
 
 
-@dataclass(frozen=True)
-class FcSet:
+class FcSet(Value):
     """A finite or cofinite set of naturals with explicit exceptions.
 
     For FINITE mode `exceptions` are the members; for COFINITE mode they
@@ -79,17 +78,16 @@ class FcSet:
     results from exceptions already checked.
     """
 
-    mode: FcMode
-    exceptions: frozenset[int]
+    __slots__ = ("mode", "exceptions")
 
-    def __post_init__(self) -> None:
-        exc = frozenset(self.exceptions)
-        object.__setattr__(self, "exceptions", exc)
+    def __init__(self, mode: FcMode, exceptions: frozenset[int]) -> None:
+        exc = frozenset(exceptions)
         # Plain non-negative ints pass at once; otherwise name the first offender.
         if exc and not (all(type(v) is int for v in exc) and min(exc) >= 0):
             for v in exc:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError(f"exception {v!r} is not a natural number")
+        self.mode, self.exceptions = mode, exc
 
     @classmethod
     def finite(cls, members: Iterable[int] = ()) -> "FcSet":
@@ -106,8 +104,7 @@ class FcSet:
 def _fc(mode: FcMode, exceptions: frozenset[int]) -> FcSet:
     """An FcSet from exceptions that are known naturals, unchecked."""
     a = object.__new__(FcSet)
-    object.__setattr__(a, "mode", mode)
-    object.__setattr__(a, "exceptions", exceptions)
+    a.mode, a.exceptions = mode, exceptions
     return a
 
 
@@ -163,13 +160,13 @@ def format_fc(a: FcSet) -> str:
 # ------------------------------------------------------------- triples
 
 
-@dataclass(frozen=True)
-class FcTriple:
+class FcTriple(Value):
     """Tri-partition of the electorate on one pair: first/second/tie."""
 
-    first: FcSet
-    second: FcSet
-    tie: FcSet
+    __slots__ = ("first", "second", "tie")
+
+    def __init__(self, first: FcSet, second: FcSet, tie: FcSet) -> None:
+        self.first, self.second, self.tie = first, second, tie
 
     def parts(self) -> tuple[tuple[str, FcSet], ...]:
         return (("first", self.first), ("second", self.second), ("tie", self.tie))
@@ -318,17 +315,17 @@ def _random_exceptions(rng: Random) -> frozenset[int]:
     return frozenset(drawn)
 
 
-@dataclass
-class FrechetAxiomReport:
+class FrechetAxiomReport(Value):
     """Seeded spot-check that the cofinite coalitions behave like a free ultrafilter.
 
     `checks` holds each check's outcome under its JSON name.
     """
 
-    seed: int
-    samples: int
-    checks: dict[str, bool]
-    failures: list[str]
+    __slots__ = ("seed", "samples", "checks", "failures")
+    __hash__ = None  # mutable
+
+    def __init__(self, seed: int, samples: int, checks: dict[str, bool], failures: list[str]) -> None:
+        self.seed, self.samples, self.checks, self.failures = seed, samples, checks, failures
 
     def all_ok(self) -> bool:
         return all(self.checks.values())
@@ -378,8 +375,7 @@ def validate_fc_filter_axioms(seed: int = 0, samples: int = 500) -> FrechetAxiom
 # ------------------------------------------------- measurable profiles
 
 
-@dataclass(frozen=True)
-class EventuallyConstantProfile:
+class EventuallyConstantProfile(Value):
     """A profile where all but finitely many voters share a tail order.
 
     This is the measurable-profile model: each voter holds one of
@@ -387,18 +383,18 @@ class EventuallyConstantProfile:
     finite or cofinite and the tri-partition lands in the algebra.
     """
 
-    tail: WeakOrder
-    overrides: tuple[tuple[int, WeakOrder], ...]
+    __slots__ = ("tail", "overrides")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tail: WeakOrder, overrides: tuple[tuple[int, WeakOrder], ...]) -> None:
         # Plain non-negative ints only, checked before the sort can compare them.
-        if not all(type(v) is int and v >= 0 for v, _ in self.overrides):
+        if not all(type(v) is int and v >= 0 for v, _ in overrides):
             raise ValueError("override voters must be naturals")
-        object.__setattr__(self, "overrides", tuple(sorted(self.overrides, key=lambda item: item[0])))
-        if len({v for v, _ in self.overrides}) != len(self.overrides):
+        overrides = tuple(sorted(overrides, key=lambda item: item[0]))
+        if len({v for v, _ in overrides}) != len(overrides):
             raise ValueError("override voters must be distinct")
-        if any(w.m != self.tail.m for _, w in self.overrides):
+        if any(w.m != tail.m for _, w in overrides):
             raise ValueError("override orders must rank the same alternatives as the tail")
+        self.tail, self.overrides = tail, overrides
 
     @property
     def m(self) -> int:

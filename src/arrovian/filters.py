@@ -25,10 +25,9 @@ JSON family format::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._util import FormatError, acyclic, load_object
+from ._util import FormatError, Value, acyclic, load_object
 
 MAX_GROUND = 4
 # Largest ground set a family document may name.  Masks stay word-sized,
@@ -49,22 +48,20 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-@dataclass(frozen=True)
-class CoalitionFamily:
+class CoalitionFamily(Value):
     """A family of voter coalitions over the ground set 0..n-1."""
 
-    n: int
-    masks: frozenset[int]
+    __slots__ = ("n", "masks")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ground set needs at least one voter, got n={self.n}")
-        masks = frozenset(self.masks)
-        object.__setattr__(self, "masks", masks)
-        full = (1 << self.n) - 1
+    def __init__(self, n: int, masks: frozenset[int]) -> None:
+        if n < 1:
+            raise ValueError(f"ground set needs at least one voter, got n={n}")
+        masks = frozenset(masks)
+        full = (1 << n) - 1
         for mask in masks:
             if not 0 <= mask <= full:
-                raise ValueError(f"coalition mask {mask} out of range for n={self.n}")
+                raise ValueError(f"coalition mask {mask} out of range for n={n}")
+        self.n, self.masks = n, masks
 
     def member_sets(self) -> list[frozenset[int]]:
         """Member coalitions as voter sets, ascending by mask encoding."""
@@ -105,13 +102,13 @@ class CoalitionFamily:
         return cls(n, frozenset(masks))
 
 
-@dataclass(frozen=True)
-class FilterCheck:
+class FilterCheck(Value):
     """PASS, or the first axiom violated plus witness coalitions."""
 
-    ok: bool
-    axiom: str | None = None
-    witness: tuple[frozenset[int], ...] | None = None
+    __slots__ = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: str | None = None, witness: tuple[frozenset[int], ...] | None = None) -> None:
+        self.ok, self.axiom, self.witness = ok, axiom, witness
 
 
 def is_filter(fam: CoalitionFamily) -> FilterCheck:
@@ -162,14 +159,13 @@ def _one_of_each_complement(fam: CoalitionFamily) -> bool:
     return all((a in fam.masks) != ((full & ~a) in fam.masks) for a in range(full + 1))
 
 
-@dataclass(frozen=True)
-class FilterClassification:
+class FilterClassification(Value):
     """is_filter outcome, ultrafilter status and fixedness in one record."""
 
-    filter_check: FilterCheck
-    is_ultrafilter: bool
-    fixed: bool
-    core: frozenset[int]
+    __slots__ = ("filter_check", "is_ultrafilter", "fixed", "core")
+
+    def __init__(self, filter_check: FilterCheck, is_ultrafilter: bool, fixed: bool, core: frozenset[int]) -> None:
+        self.filter_check, self.is_ultrafilter, self.fixed, self.core = filter_check, is_ultrafilter, fixed, core
 
     def to_json_dict(self) -> dict:
         check = self.filter_check

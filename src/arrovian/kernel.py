@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, repeat
 from operator import and_
@@ -67,7 +66,6 @@ FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
 ABSENT = -1
 
 
-@dataclass(frozen=True, eq=False)
 class DomainKernel:
     """Stance facts of every profile of one (m, n, domain), as integers.
 
@@ -80,18 +78,16 @@ class DomainKernel:
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column q against FIRST when r is 0 and SECOND when it is 1.
+    A kernel equals only itself.
     """
 
-    m: int
-    n: int
-    domain: Domain
-    orders: tuple[WeakOrder, ...]
-    pairs: tuple[tuple[int, int], ...]
-    canonical: tuple[tuple[int, int], ...]
-    slot: tuple[tuple[int, int], ...]
-    order_codes: tuple[tuple[int, ...], ...]
-    tri: tuple[bytes | array, ...]
-    _order_index: dict[WeakOrder, int] = field(repr=False)
+    def __init__(
+        self, m: int, n: int, domain: Domain, orders: tuple[WeakOrder, ...], pairs: tuple[tuple[int, int], ...],
+        canonical: tuple[tuple[int, int], ...], slot: tuple[tuple[int, int], ...],
+        order_codes: tuple[tuple[int, ...], ...], tri: tuple[bytes | array, ...], _order_index: dict[WeakOrder, int],
+    ) -> None:
+        self.m, self.n, self.domain, self.orders, self.pairs, self.canonical = m, n, domain, orders, pairs, canonical
+        self.slot, self.order_codes, self.tri, self._order_index = slot, order_codes, tri, _order_index
 
     @property
     def size(self) -> int:

@@ -24,10 +24,10 @@ set never allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
+from ._util import Value
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement, set_to_mask
 from .profiles import Domain, TriPartition
 from .kernel import (
@@ -45,12 +45,14 @@ class NotArrovianError(ValueError):
         super().__init__(f"swf violates {', '.join(failed)}; decisive-family theory needs a1-a4")
 
 
-@dataclass
-class DecisiveFamily:
+class DecisiveFamily(Value):
     """The extracted family plus a note about where it came from."""
 
-    family: CoalitionFamily
-    provenance: str
+    __slots__ = ("family", "provenance")
+    __hash__ = None  # mutable
+
+    def __init__(self, family: CoalitionFamily, provenance: str) -> None:
+        self.family, self.provenance = family, provenance
 
 
 def extract_decisive_family(swf: Swf) -> DecisiveFamily:
@@ -114,15 +116,18 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
     return ExplicitSwf.from_row(m, n, domain, row)
 
 
-@dataclass
-class Ks2Report:
+class Ks2Report(Value):
     """Non-dictatorship versus freeness of the decisive family."""
 
-    dictator: int | None
-    family: DecisiveFamily
-    classification: FilterClassification
-    consistent: bool
-    generator: frozenset[int]
+    __slots__ = ("dictator", "family", "classification", "consistent", "generator")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, dictator: int | None, family: DecisiveFamily, classification: FilterClassification, consistent: bool,
+        generator: frozenset[int],
+    ) -> None:
+        self.dictator, self.family, self.classification = dictator, family, classification
+        self.consistent, self.generator = consistent, generator
 
     def to_json_dict(self) -> dict:
         return {

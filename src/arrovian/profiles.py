@@ -18,12 +18,11 @@ JSON profile format::
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Callable, Iterator
 
-from ._util import FormatError, acyclic, load_object
+from ._util import FormatError, Value, acyclic, load_object
 from .relations import (
     MAX_ALTERNATIVES,
     AlternativeSet,
@@ -71,15 +70,13 @@ class ProfileFormatError(FormatError):
     """A profile file failed to decode or validate; `location` says where, when known."""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Value):
     """One weak order per voter, all over the same alternatives."""
 
-    prefs: tuple[WeakOrder, ...]
+    __slots__ = ("prefs",)
 
-    def __post_init__(self) -> None:
-        prefs = tuple(self.prefs)
-        object.__setattr__(self, "prefs", prefs)
+    def __init__(self, prefs: tuple[WeakOrder, ...]) -> None:
+        self.prefs = prefs = tuple(prefs)
         if not prefs:
             raise ValueError("a profile needs at least one voter")
         m = prefs[0].m
@@ -103,30 +100,21 @@ class Profile:
         return pair_stance(self.order_of(v), x, y)
 
 
-@dataclass(frozen=True)
-class TriPartition:
+class TriPartition(Value):
     """Split of the voters on one pair: first / second / indifferent."""
 
-    n: int
-    first: frozenset[int]
-    second: frozenset[int]
-    tie: frozenset[int]
-    _code: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "first", "second", "tie", "_code")
+    _fields = ("n", "first", "second", "tie")  # `_code` follows from them
 
-    def __post_init__(self) -> None:
-        first = frozenset(self.first)
-        second = frozenset(self.second)
-        tie = frozenset(self.tie)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "tie", tie)
-        if len(first) + len(second) + len(tie) != self.n or (first | second | tie) != frozenset(range(self.n)):
+    def __init__(self, n: int, first: frozenset[int], second: frozenset[int], tie: frozenset[int]) -> None:
+        first, second, tie = frozenset(first), frozenset(second), frozenset(tie)
+        if len(first) + len(second) + len(tie) != n or (first | second | tie) != frozenset(range(n)):
             raise ValueError("parts must partition the voters 0..n-1")
         total = 0
-        for v in range(self.n):
+        for v in range(n):
             digit = 0 if v in first else 1 if v in second else 2
             total += digit * 3**v
-        object.__setattr__(self, "_code", total)
+        self.n, self.first, self.second, self.tie, self._code = n, first, second, tie, total
 
     def code(self) -> int:
         """Base-3 encoding: voter v contributes digit 0/1/2 with weight 3**v."""

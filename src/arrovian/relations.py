@@ -25,11 +25,12 @@ round-trip exactly on canonical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterator
+
+from ._util import Value
 
 MAX_ALTERNATIVES = 5
 
@@ -66,26 +67,24 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(m))
 
 
-@dataclass(frozen=True)
-class AlternativeSet:
+class AlternativeSet(Value):
     """The shared ground set of alternatives, with optional display labels."""
 
-    m: int
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("m", "labels")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one alternative, got m={self.m}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.m:
-                raise ValueError(f"{len(labels)} labels for m={self.m} alternatives")
+    def __init__(self, m: int, labels: tuple[str, ...] | None = None) -> None:
+        if m < 1:
+            raise ValueError(f"need at least one alternative, got m={m}")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != m:
+                raise ValueError(f"{len(labels)} labels for m={m} alternatives")
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be distinct")
             for lab in labels:
                 if not lab or any(ch in lab for ch in ">~, \t\n"):
                     raise ValueError(f"label {lab!r} is empty or contains a reserved character")
+        self.m, self.labels = m, labels
 
     def all_labels(self) -> tuple[str, ...]:
         return self.labels if self.labels is not None else default_labels(self.m)
@@ -102,15 +101,13 @@ class AlternativeSet:
             raise ValueError(f"unknown alternative label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class BinaryRelation:
+class BinaryRelation(Value):
     """A strict relation on 0..m-1 as a boolean matrix; holds[x][y] means x P y."""
 
-    holds: tuple[tuple[bool, ...], ...]
+    __slots__ = ("holds",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(bool(v) for v in row) for row in self.holds)
-        object.__setattr__(self, "holds", rows)
+    def __init__(self, holds: tuple[tuple[bool, ...], ...]) -> None:
+        self.holds = rows = tuple(tuple(bool(v) for v in row) for row in holds)
         m = len(rows)
         if m < 1:
             raise ValueError("relation needs at least one alternative")
@@ -126,13 +123,13 @@ class BinaryRelation:
         return [(x, y) for x in range(self.m) for y in range(self.m) if self.holds[x][y]]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Value):
     """Outcome of a weak-order check: PASS, or the first violation found."""
 
-    ok: bool
-    axiom: str | None = None
-    witness: tuple[int, ...] | None = None
+    __slots__ = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: str | None = None, witness: tuple[int, ...] | None = None) -> None:
+        self.ok, self.axiom, self.witness = ok, axiom, witness
 
 
 def validate_weak_order(rel: BinaryRelation) -> ValidationResult:
@@ -161,26 +158,24 @@ def validate_weak_order(rel: BinaryRelation) -> ValidationResult:
     return ValidationResult(True)
 
 
-@dataclass(frozen=True)
-class WeakOrder:
+class WeakOrder(Value):
     """An ordered partition into indifference classes, best class first.
 
     Members within a class are stored sorted, so equal orders compare
     and hash equal regardless of how the classes were written down.
+    `m`, the number of alternatives, follows from the classes and is not compared.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    m: int = field(init=False, repr=False, compare=False)
+    _fields = ("classes",)  # no __slots__: `_ranks` is cached in the instance dict
 
-    def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted(c)) for c in self.classes)
-        object.__setattr__(self, "classes", norm)
+    def __init__(self, classes: tuple[tuple[int, ...], ...]) -> None:
+        self.classes = norm = tuple(tuple(sorted(c)) for c in classes)
         if not norm or any(not c for c in norm):
             raise ValueError("indifference classes must be nonempty")
         members = sorted(x for c in norm for x in c)
         if members != list(range(len(members))):
             raise ValueError("classes must partition 0..m-1 with no gaps or repeats")
-        object.__setattr__(self, "m", len(members))
+        self.m = len(members)
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:

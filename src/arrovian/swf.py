@@ -39,13 +39,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product, repeat
 from types import MappingProxyType
 from typing import Union
 
-from ._util import FormatError, acyclic, load_object
+from ._util import FormatError, Value, acyclic, load_object
 from .relations import (
     AlternativeSet,
     BinaryRelation,
@@ -81,13 +80,13 @@ class SwfFormatError(FormatError):
     """An SWF file failed to decode or validate; `location` says where, when known."""
 
 
-@dataclass(frozen=True)
-class CompositionFailure:
+class CompositionFailure(Value):
     """Per-pair stances that do not assemble into a weak order."""
 
-    profile: Profile
-    relation: BinaryRelation
-    validation: ValidationResult
+    __slots__ = ("profile", "relation", "validation")
+
+    def __init__(self, profile: Profile, relation: BinaryRelation, validation: ValidationResult) -> None:
+        self.profile, self.relation, self.validation = profile, relation, validation
 
 
 class ExplicitSwf:
@@ -263,20 +262,22 @@ Swf = Union[ExplicitSwf, PairwiseRuleSwf]
 # ---------------------------------------------------------------- checks
 
 
-@dataclass(frozen=True)
-class UnanimityCheck:
-    ok: bool
-    profile: Profile | None = None
-    pair: tuple[int, int] | None = None
+class UnanimityCheck(Value):
+    __slots__ = ("ok", "profile", "pair")
+
+    def __init__(self, ok: bool, profile: Profile | None = None, pair: tuple[int, int] | None = None) -> None:
+        self.ok, self.profile, self.pair = ok, profile, pair
 
 
-@dataclass(frozen=True)
-class IndependenceCheck:
-    ok: bool
-    profile_a: Profile | None = None
-    profile_b: Profile | None = None
-    pair: tuple[int, int] | None = None
-    by_construction: bool = False
+class IndependenceCheck(Value):
+    __slots__ = ("ok", "profile_a", "profile_b", "pair", "by_construction")
+
+    def __init__(
+        self, ok: bool, profile_a: Profile | None = None, profile_b: Profile | None = None,
+        pair: tuple[int, int] | None = None, by_construction: bool = False,
+    ) -> None:
+        self.ok, self.profile_a, self.profile_b, self.pair = ok, profile_a, profile_b, pair
+        self.by_construction = by_construction
 
 
 _UNANIMOUS = UnanimityCheck(True)  # a passing check has no witness, so every audit shares one
@@ -366,17 +367,18 @@ def _dictator(swf: Swf, k: DomainKernel, cols: list[bytes], facts: list[ColumnFa
     return None
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Value):
     """Outcome of the five-axiom audit; True means the axiom holds."""
 
-    a1: bool
-    a2: bool
-    a3: bool
-    a4: bool
-    a5: bool
-    dictator: int | None
-    witnesses: dict[str, dict] = field(default_factory=dict)
+    __slots__ = ("a1", "a2", "a3", "a4", "a5", "dictator", "witnesses")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, a1: bool, a2: bool, a3: bool, a4: bool, a5: bool, dictator: int | None,
+        witnesses: dict[str, dict] | None = None,
+    ) -> None:
+        self.a1, self.a2, self.a3, self.a4, self.a5, self.dictator = a1, a2, a3, a4, a5, dictator
+        self.witnesses = {} if witnesses is None else witnesses
 
     def arrovian(self) -> bool:
         """a1 through a4 together; a5 is reported but not required here."""

@@ -1,7 +1,6 @@
 """Command-line behaviour: outputs, exit codes, manifests."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import pytest
 import arrovian
 import swf_oracle as oracle
 from arrovian import cli, fc_infinite
-from arrovian.arrow_search import search_arrovian
+from arrovian.arrow_search import SearchCertificate, SurvivorRecord, search_arrovian
 from arrovian._util import canonical_json, sha256_hex
 from arrovian.cli import _build_parser, main
 from arrovian.filters import CoalitionFamily
@@ -699,8 +698,12 @@ def test_search_default_node_budget_and_ignored_allow_long(capsys):
 def test_search_with_a_non_dictatorial_survivor_exits_1(capsys, monkeypatch):
     """A survivor with no dictator would refute Arrow's theorem at that size: the run says so and exits 1."""
     cert = search_arrovian(3, 2, Domain.LINEAR)
-    survivors = [dataclasses.replace(cert.survivors[0], dictator=None), *cert.survivors[1:]]
-    monkeypatch.setattr(cli, "search_arrovian", lambda *args, **kwargs: dataclasses.replace(cert, survivors=survivors))
+    first = cert.survivors[0]
+    survivors = [SurvivorRecord(first.stances, None, first.m, first.n, first.domain), *cert.survivors[1:]]
+    counts = (cert.cell_count, cert.forced_cells, cert.space, cert.explored_leaves, cert.pruned_events, cert.pruned_total)
+    times = (cert.build_s, cert.audit_s, cert.distinct_columns)
+    edited = SearchCertificate(cert.m, cert.n, cert.domain, *counts, cert.nodes, survivors, *times)
+    monkeypatch.setattr(cli, "search_arrovian", lambda *args, **kwargs: edited)
     code, out, _, _ = run(capsys, "arrow-search", "--voters", "2", "--domain", "linear")
     assert code == 1
     lines = out.splitlines()
@@ -941,6 +944,56 @@ def test_manifest_carries_parameters(capsys):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+def _parsed(parse, argv: list[str]):
+    """What parse(argv) gives: the Namespace's fields or the exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+HELP_PATHS = [[], *([c] for c in cli._COMMANDS), ["bridge", "extract"], ["bridge", "ks2"]]
+PARSER_ARGVS = [
+    *(path + [flag] for path in HELP_PATHS for flag in ("--help", "-h")),
+    [],
+    ["no-such-command"],
+    ["orders"],  # a missing required flag
+    ["bridge"],
+    ["bridge", "ks2"],
+    ["orders", "-m", "three"],  # a bad int
+    ["orders", "-m", "3", "--bogus"],  # an unrecognized flag
+    ["bridge", "extract", "--swf", "a.json", "extra"],
+    ["orders", "--alt", "3", "--lin"],  # abbreviated flags
+    ["filters", "--family", "f.json", "--enumerate", "3"],  # the mutually exclusive pair
+    ["filters"],
+    ["orders", "-m", "3", "--linear", "--json"],
+    ["condorcet-demo", "--profile", "p.json"],
+    ["axioms", "--swf", "s.json", "--json"],
+    ["filters", "--enumerate", "2"],
+    ["bridge", "ks2", "--swf", "s.json"],
+    ["arrow-search", "--voters", "2", "--domain", "weak", "--allow-long", "--certificate", "c.json"],
+    ["infinite-demo", "--dictator", "3", "--samples", "40"],
+    ["-h", "orders"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_command_parsers_parse_as_the_full_tree(argv):
+    """A command's own parser, with the full tree behind it, gives the full tree's Namespace, output and exit code."""
+    assert _parsed(cli._parse, argv) == _parsed(_build_parser().parse_args, argv)
+
+
+def test_a_command_line_naming_a_command_skips_the_full_tree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("the full tree was built"))
+    assert main(["orders", "-m", "1"]) == 0
+    assert capsys.readouterr().out == "A\n1 weak orders on 1 alternatives\n"
+    assert main(["bridge", "ks2", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: arrovian bridge ks2 [-h] --swf SWF [--json]")
 
 
 def test_back_to_back_runs_share_no_state(capsys, tmp_path):
