@@ -11,7 +11,7 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # A value that is not a container (None, bool, int, float, str), written as
 # json.dumps writes it; other types raise json.dumps's TypeError.
@@ -199,18 +199,21 @@ def acyclic(fn):
     return run
 
 
-def slices(data: bytes | str) -> Iterator[bytes | str]:
-    """data in consecutive slices of 2**20 items, so that encoding text one slice at a time never copies all of it."""
-    return (data[i : i + (1 << 20)] for i in range(0, len(data), 1 << 20))
+_SLICE = 1 << 16  # characters; under glibc malloc's 128 KB mmap threshold, so a slice's copy reuses freed heap
 
 
-def sha256_hex(data: bytes | str, write: Callable[[bytes], object] | None = None) -> str:
-    """The sha256 of data, text as UTF-8, hashed a slice at a time; `write`, when given, gets each
-    slice's bytes too, so that text which is both written and hashed is encoded once."""
+def slices(data: str) -> Iterator[str]:
+    """data in consecutive slices of _SLICE characters, so that encoding them one at a time never copies all of it."""
+    return (data[i : i + _SLICE] for i in range(0, len(data), _SLICE))
+
+
+def sha256_hex(data: bytes | str | Iterable[str], write: Callable[[bytes], object] | None = None) -> str:
+    """The sha256 of data: bytes whole, text as UTF-8 a slice at a time, whole or as an iterable of pieces;
+    `write`, when given, gets the bytes too, so text both written and hashed is encoded once, as it comes."""
     h = hashlib.sha256()
-    for piece in slices(data):
-        piece = piece.encode("utf-8") if isinstance(piece, str) else piece
-        h.update(piece)
-        if write is not None:
-            write(piece)
+    for text in (data,) if isinstance(data, (bytes, str)) else data:
+        for piece in (text,) if isinstance(text, bytes) else map(str.encode, slices(text)):
+            h.update(piece)
+            if write is not None:
+                write(piece)
     return h.hexdigest()

@@ -61,7 +61,7 @@ audit reads as it is, with no table built.
 
 Determinism: cells are ordered by (pair, split position), stances
 are tried FIRST < SECOND < INDIFFERENT, and certificates serialize with
-sorted keys, so two runs produce byte-identical output.
+sorted keys, a run of survivors at a time, in the same bytes each run.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations, product
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ._util import Value, _quote, _render, canonical_json
+from ._util import _SLICE, Value, _quote, _render, canonical_json
 from .kernel import STANCES, domain_kernel, verdict_codes
 from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
@@ -299,12 +299,13 @@ class SearchCertificate(Value):
             "survivors": [{"dictator": rec.dictator, "rules": swf_to_json_dict(rec.swf)} for rec in survivors],
         }
 
-    def to_json_text(self) -> str:
-        """`canonical_json(self.to_json_dict())`, from a template of the first survivor with a slot
-        for the dictator and for each pair's rule list, each distinct list rendered once.
-        `survivors` is the last key, so the survivors end the text."""
+    def json_slices(self) -> Iterator[str]:
+        """`canonical_json(self.to_json_dict())` in slices of about _SLICE characters, each but the last a run of
+        survivors, from a template of the first survivor with a slot for the dictator and for each pair's rule list,
+        each distinct list rendered once.  `survivors` is the last key, so the survivors end the text."""
         if not self.survivors:
-            return canonical_json(self.to_json_dict())
+            yield canonical_json(self.to_json_dict())
+            return
         doc = self._json_dict(self.survivors[:1])
         (template,) = doc["survivors"]
         rules = template["rules"]["rules"]
@@ -318,13 +319,17 @@ class SearchCertificate(Value):
         first, *pieces = _render(template, "\n    ").split(_quote("\0"))  # survivors sit two levels deep
         width = len(entry)
         slots = [(labels.index(key) * width, piece) for key, piece in zip(sorted(labels), pieces)]
-        out = []
-        for rec in self.survivors:
-            out += (pieces[-1] + ",\n    " if out else head, first, _render(rec.dictator, ""))
+        out, run = [], 0
+        for i, rec in enumerate(self.survivors):
+            out += (pieces[-1] + ",\n    " if i else head, first, _render(rec.dictator, ""))
             for start, piece in slots:
                 out += (piece, pair_text(rec.stances[start : start + width]))
+            run = run or max(1, _SLICE // sum(map(len, out)))  # survivors per slice, by the first one's length
+            if i % run == run - 1:
+                yield "".join(out)
+                out.clear()
         out += (pieces[-1], tail)
-        return "".join(out)  # one join, so the whole text is built once
+        yield "".join(out)
 
 
 def search_arrovian(

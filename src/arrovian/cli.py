@@ -18,7 +18,7 @@ of the five axioms always fails, which is the point of the exercise.
 
 Every run prints one manifest line to stderr recording the command, its
 parameters, a sha256 digest of each input and output (stdout included),
-the wall time, per-phase times and the seed where one is used.  Stdout
+the wall time, per-phase times, the peak RSS and any seed used.  Stdout
 for a given command line and seed is byte-stable, so the digests make
 any published number regenerable by a single command.  Each subcommand
 builds one JSON result document, with a versioned "schema" key of the
@@ -43,6 +43,7 @@ import time
 from functools import cache
 from pathlib import Path
 from random import Random
+from typing import Iterable
 
 from ._util import FormatError, Value, canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
@@ -76,6 +77,11 @@ from .relations import (
 )
 from .swf import full_report, parse_swf_json
 
+try:
+    from resource import RUSAGE_SELF, getrusage  # ru_maxrss is in KB on Linux, in bytes on macOS
+except ImportError:  # Windows has no resource module: the manifest's peak_rss_kb is null
+    getrusage = None
+
 
 class CliError(Exception):
     """Anything that should stop the run with exit code 2."""
@@ -97,8 +103,8 @@ class RunContext(Value):
         self.phases, self.counters = {} if phases is None else phases, {} if counters is None else counters
         self._parts = [] if _parts is None else _parts
 
-    def say(self, text: str) -> None:
-        self._parts.append(text)
+    def say(self, *texts: str) -> None:
+        self._parts += texts
 
     def load(self, path: str, parse):
         """parse(the text of the file at path), timed as `phases.parse_s`; an unreadable file or a
@@ -116,14 +122,15 @@ class RunContext(Value):
             raise CliError(f"{path}: {exc}") from None
 
     def timed(self, phase: str, call, *args):
-        """call(*args), timed as `phases[phase]` whether it returns or raises."""
+        """call(*args), its time added to `phases[phase]` whether it returns or raises."""
         start = time.perf_counter()
         try:
             return call(*args)
         finally:
-            self.phases[phase] = time.perf_counter() - start
+            self.phases[phase] = self.phases.get(phase, 0.0) + time.perf_counter() - start
 
-    def write_text(self, path: str, text: str) -> None:
+    def write_text(self, path: str, text: Iterable[str]) -> None:
+        """Write text, given in slices, to the file at path, each slice encoded, hashed and written as it comes."""
         try:
             with open(path, "wb") as out:
                 self.outputs[path] = sha256_hex(text, out.write)
@@ -131,10 +138,11 @@ class RunContext(Value):
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
     def flush(self) -> None:
-        text = "".join(self._parts)
-        self.outputs["stdout"] = sha256_hex(text)
+        """Hash and write what was said, a slice at a time, without joining it into one text."""
+        self.outputs["stdout"] = sha256_hex(self._parts)
         try:
-            sys.stdout.writelines(slices(text))
+            for text in self._parts:
+                sys.stdout.writelines(slices(text))
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader has gone; send what is still buffered to devnull, so the
@@ -155,6 +163,7 @@ class RunContext(Value):
             "seed": self.seed,
             "phases": {name: round(s, 6) for name, s in self.phases.items()},
             "counters": self.counters,
+            "peak_rss_kb": getrusage and getrusage(RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -355,7 +364,8 @@ def _text_bridge_ks2(doc: dict) -> str:
 
 
 def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, None]:
-    """Writes its own output: under --json the certificate text, otherwise a summary of its counters."""
+    """Writes its own output: under --json the certificate text, otherwise a summary of its counters.
+    The certificate is rendered a slice at a time, and `render_s` times its rendering, hashing and writing together."""
     try:
         domain = Domain.from_name(args.domain)
         start = time.perf_counter()
@@ -366,13 +376,11 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
         raise CliError(str(exc)) from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    searched = time.perf_counter()
-    text = cert.to_json_text() if args.certificate or args.json else None
     ctx.phases = {
         "build_s": cert.build_s,
-        "search_s": searched - start - cert.build_s - cert.audit_s,
+        "search_s": time.perf_counter() - start - cert.build_s - cert.audit_s,
         "audit_s": cert.audit_s,
-        "render_s": 0.0 if text is None else time.perf_counter() - searched,
+        "render_s": 0.0,
     }
     ctx.counters = {
         "nodes": cert.nodes,
@@ -381,27 +389,25 @@ def _cmd_arrow_search(args: argparse.Namespace, ctx: RunContext) -> tuple[int, N
         "survivors": len(cert.survivors),
         "distinct_columns": cert.distinct_columns,
     }
+    text = cert.json_slices()  # rendered once: under --json stdout keeps the slices, and the file takes them from it
+    if args.json:
+        text = ctx.timed("render_s", list, text)
+        ctx.say(*text)
     if args.certificate:
-        ctx.write_text(args.certificate, text)
+        ctx.timed("render_s", ctx.write_text, args.certificate, text)
     non_dictatorial = [i for i, rec in enumerate(cert.survivors) if rec.dictator is None]
     code = 1 if non_dictatorial else 0
     if args.json:
-        ctx.say(text)
         return code, None
-    ctx.say(f"search m={cert.m} n={cert.n} domain={cert.domain.value}\n")
-    ctx.say(f"cells={cert.cell_count} (forced {cert.forced_cells}), space={cert.space}\n")
     ctx.say(
-        f"nodes={cert.nodes} leaves={cert.explored_leaves} "
-        f"pruned={cert.pruned_total} (events {cert.pruned_events})\n"
+        f"search m={cert.m} n={cert.n} domain={cert.domain.value}\n",
+        f"cells={cert.cell_count} (forced {cert.forced_cells}), space={cert.space}\n",
+        f"nodes={cert.nodes} leaves={cert.explored_leaves} pruned={cert.pruned_total} (events {cert.pruned_events})\n",
     )
     survivors = len(cert.survivors)
-    if non_dictatorial:
-        ctx.say(f"survivors: {survivors}, {len(non_dictatorial)} NON-DICTATORIAL\n")
-    else:
-        tail = ", all dictatorial" if survivors else ""
-        ctx.say(f"survivors: {survivors}{tail}\n")
-    for i, rec in enumerate(cert.survivors):
-        ctx.say(f"  survivor {i}: dictator {_voter(rec.dictator)}\n")
+    tail = f", {len(non_dictatorial)} NON-DICTATORIAL" if non_dictatorial else ", all dictatorial" if survivors else ""
+    ctx.say(f"survivors: {survivors}{tail}\n")
+    ctx.say("".join(f"  survivor {i}: dictator {_voter(rec.dictator)}\n" for i, rec in enumerate(cert.survivors)))
     if args.certificate:
         ctx.say(f"certificate written to {args.certificate}\n")
     return code, None

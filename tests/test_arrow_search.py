@@ -315,7 +315,7 @@ def test_a_restarted_column_memo_gives_the_same_certificate(monkeypatch):
     default = search_arrovian(3, 2, Domain.WEAK)
     monkeypatch.setattr(arrow_search, "MEMO_BYTES", 4 * 169 * 3)
     small = search_arrovian(3, 2, Domain.WEAK)
-    assert small.to_json_text() == default.to_json_text()
+    assert "".join(small.json_slices()) == "".join(default.json_slices())
     assert [rec.dictator for rec in small.survivors] == [rec.dictator for rec in default.survivors]
     assert default.distinct_columns == 162 < small.distinct_columns
 
@@ -487,8 +487,8 @@ def test_budget_stops_match_the_stepwise_search(m, n):
 
 
 def test_certificate_is_byte_deterministic():
-    a = search_arrovian(3, 2, Domain.LINEAR).to_json_text()
-    b = search_arrovian(3, 2, Domain.LINEAR).to_json_text()
+    a = "".join(search_arrovian(3, 2, Domain.LINEAR).json_slices())
+    b = "".join(search_arrovian(3, 2, Domain.LINEAR).json_slices())
     assert a == b
 
 
@@ -502,7 +502,7 @@ def test_certificate_contents():
     # embedded survivors parse back into working rule tables
     swf, _ = parse_swf_json(doc["survivors"][0]["rules"])
     assert swf.rules == cert.survivors[0].swf.rules
-    json.loads(cert.to_json_text())  # well-formed
+    json.loads("".join(cert.json_slices()))  # well-formed
 
 
 # (m, n, domain): (nodes, leaves, pruned events) of the search
@@ -522,17 +522,23 @@ RENDERED = {
 
 @pytest.mark.parametrize("m, n, domain", RENDERED)
 def test_certificate_text_is_the_rendered_dict(m, n, domain):
-    """The fragment renderer writes exactly the canonical JSON of the data view."""
+    """The fragment renderer writes exactly the canonical JSON of the data view, in slices of which
+    each but the last holds at least one survivor."""
     cert = search_arrovian(m, n, Domain.from_name(domain))
     assert (cert.nodes, cert.explored_leaves, cert.pruned_events) == RENDERED[m, n, domain]
-    assert cert.to_json_text().splitlines(True) == canonical_json(cert.to_json_dict()).splitlines(True)  # a line diff
+    slices = list(cert.json_slices())
+    text = "".join(slices)
+    assert text.splitlines(True) == canonical_json(cert.to_json_dict()).splitlines(True)  # a line diff
+    held = [piece.count('"dictator": ') for piece in slices]  # the first key of each survivor
+    assert sum(held) == len(cert.survivors)
+    assert 0 not in held[:-1]
 
 
 def test_certificate_text_without_survivors():
     cert = search_arrovian(3, 1, Domain.LINEAR)
     cert.survivors = []
-    assert cert.to_json_text().splitlines(True) == canonical_json(cert.to_json_dict()).splitlines(True)
-    assert json.loads(cert.to_json_text())["survivors"] == []
+    assert "".join(cert.json_slices()).splitlines(True) == canonical_json(cert.to_json_dict()).splitlines(True)
+    assert json.loads("".join(cert.json_slices()))["survivors"] == []
 
 
 # sha256 of (certificate, stdout) per arrow-search command, run from the

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -17,7 +18,7 @@ import swf_oracle as oracle
 from arrovian import cli, fc_infinite
 from arrovian.arrow_search import SearchCertificate, SurvivorRecord, search_arrovian
 from arrovian._util import canonical_json, sha256_hex
-from arrovian.cli import _build_parser, main
+from arrovian.cli import RunContext, _build_parser, main
 from arrovian.filters import CoalitionFamily
 from arrovian.profiles import Domain, Profile, TriPartition
 from arrovian.relations import WeakOrder, enumerate_weak_orders, format_weak_order
@@ -607,6 +608,39 @@ def test_search_json_matches_certificate_file(capsys, tmp_path):
     )
     assert code == 0
     assert out.encode("utf-8") == cert_path.read_bytes()
+
+
+def test_a_certificate_is_written_without_its_whole_text(tmp_path):
+    """The m=3 weak n=2 certificate, 2.2 MB of text, is rendered, hashed and written a slice at a
+    time: tracemalloc's peak over the write stays under 1 MB."""
+    cert = search_arrovian(3, 2, Domain.WEAK)
+    ctx, path = RunContext("arrow-search", {}), str(tmp_path / "cert.json")
+    tracemalloc.start()
+    try:
+        ctx.write_text(path, cert.json_slices())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) == 2_223_818
+    assert ctx.outputs == {path: "9da50675d21a9c0b1c0bbf5e8b40af9cab73894073d0947a2885f6d2fef709a7"}
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_certificate_write_that_fails_midway_exits_2(capsys):
+    """The file opens, then a full device refuses the first slice while the rest is still to be
+    rendered: an error line and the manifest, no traceback, and no digest named for the file."""
+    argv = ["arrow-search", "--voters", "2", "--domain", "weak", "--certificate", "/dev/full"]
+    code, out, manifest, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device")
+    assert manifest["outputs"] == {}
+
+
+@pytest.mark.parametrize("argv", [["orders", "-m", "3"], ["arrow-search", "--voters", "2", "--domain", "linear"]])
+def test_the_manifest_reports_the_peak_rss(capsys, argv):
+    pytest.importorskip("resource")  # where it is missing, the manifest's peak_rss_kb is null
+    peak = run(capsys, *argv)[2]["peak_rss_kb"]
+    assert type(peak) is int and peak > 0
 
 
 @pytest.mark.parametrize("render", [[], ["--json"]])

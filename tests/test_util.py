@@ -1,6 +1,7 @@
-"""The canonical JSON writer against the standard library's encoder, and the one JSON reader."""
+"""The canonical JSON writer against the standard library's encoder, the one JSON reader, and slice-wise sha256."""
 
 import gc
+import hashlib
 import json
 import sys
 from functools import partial
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrovian._util import FormatError, canonical_json
+from arrovian._util import FormatError, canonical_json, sha256_hex
 from arrovian.filters import CoalitionFamily
 from arrovian.profiles import Domain, parse_profile_json
 from arrovian.swf import parse_swf_json, swf_to_json_dict
@@ -233,3 +234,15 @@ def test_document_parsers_hold_the_collector_off(kind):
         assert not gc.isenabled()  # a collector that was off stays off
     finally:
         gc.enable()
+
+
+def test_sha256_hex_hashes_text_whole_or_in_pieces():
+    """Text longer than a slice, with multi-byte characters across the slice boundaries, hashes as
+    its UTF-8 bytes whether given whole, as bytes or as pieces; `write` gets exactly those bytes."""
+    text = "é☃" * 50_000 + "x" * 70_001
+    data = text.encode("utf-8")
+    written = []
+    assert sha256_hex([text[:7], "", text[7:]], written.append) == hashlib.sha256(data).hexdigest()
+    assert sha256_hex(text) == sha256_hex(data) == hashlib.sha256(data).hexdigest()
+    assert b"".join(written) == data
+    assert len(written) > 2  # written a slice at a time
