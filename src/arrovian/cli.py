@@ -18,12 +18,13 @@ of the five axioms always fails, which is the point of the exercise.
 
 Every run prints one manifest line to stderr recording the command, its
 parameters, a sha256 digest of each input and output (stdout included),
-the wall time, per-phase times, the peak RSS and any seed used.  Stdout
-for a given command line and seed is byte-stable, so the digests make
-any published number regenerable by a single command.  Each subcommand
-builds one JSON result document, with a versioned "schema" key of the
-form "arrovian/<kind>/v1": --json prints it, and the text output is
-rendered from it alone (`arrow-search` prints its certificate instead).
+the wall time, per-phase times, the peak RSS, the package and Python
+versions and any seed used.  Stdout for a given command line and seed is
+byte-stable, so the digests make any published number regenerable by a
+single command.  Each subcommand builds one JSON result document, with
+a versioned "schema" key of the form "arrovian/<kind>/v1": --json prints
+it, and the text output is rendered from it alone (`arrow-search` prints
+its certificate instead).
 
 A command line that starts with a command is parsed by that command's
 parser alone, built from the one function that adds its arguments, so a
@@ -45,6 +46,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable
 
+from . import __version__
 from ._util import FormatError, Value, canonical_json, sha256_hex, slices
 from .arrow_search import DEFAULT_MAX_NODES, SearchIncompleteError, search_arrovian
 from .fc_infinite import (
@@ -107,8 +109,8 @@ class RunContext(Value):
         self._parts += texts
 
     def load(self, path: str, parse):
-        """parse(the text of the file at path), timed as `phases.parse_s`; an unreadable file or a
-        malformed document stops the run."""
+        """parse(the text of the file at path), timed as `phases.parse_s`; an unreadable file, a
+        malformed document or one over the profile budget stops the run."""
         try:
             raw = Path(path).read_bytes()
         except OSError as exc:
@@ -118,7 +120,7 @@ class RunContext(Value):
             return self.timed("parse_s", lambda: parse(raw.decode("utf-8")))
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not UTF-8 text: {exc.reason}") from None
-        except FormatError as exc:
+        except (FormatError, BudgetExceededError) as exc:
             raise CliError(f"{path}: {exc}") from None
 
     def timed(self, phase: str, call, *args):
@@ -164,6 +166,7 @@ class RunContext(Value):
             "phases": {name: round(s, 6) for name, s in self.phases.items()},
             "counters": self.counters,
             "peak_rss_kb": getrusage and getrusage(RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1),
+            "versions": {"arrovian": __version__, "python": "%d.%d.%d" % sys.version_info[:3]},
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -644,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
             ctx.say(canonical_json(doc) if args.json else args.text(doc))
             ctx.phases["render_s"] = time.perf_counter() - rendering
         ctx.flush()
-    except (CliError, BudgetExceededError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     print(ctx.manifest_line(time.perf_counter() - start), file=sys.stderr)

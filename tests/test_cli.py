@@ -245,12 +245,14 @@ def test_axioms_rejects_labels_that_are_not_a_list_of_strings(capsys, tmp_path, 
 
 
 def test_axioms_rejects_a_huge_electorate(capsys, tmp_path):
-    """Before a pairwise document is laid out, one byte per split, its domain's size is checked."""
+    """Before a pairwise document is laid out, one byte per split, its domain's size is checked;
+    the refusal names the file, as every other defect of a document does."""
     for m, body in product((1, 3), ({"kind": "explicit", "entries": []}, {"kind": "pairwise", "rules": {}})):
         doc = {"m": m, "n": 10**30, "domain": "weak", **body}
         code, out, _, err = _axioms_on(capsys, tmp_path, doc)
         assert code == 2
         assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'swf.json'}: ")
         assert "over the budget" in err
         assert "Traceback" not in err
 
@@ -641,6 +643,13 @@ def test_the_manifest_reports_the_peak_rss(capsys, argv):
     pytest.importorskip("resource")  # where it is missing, the manifest's peak_rss_kb is null
     peak = run(capsys, *argv)[2]["peak_rss_kb"]
     assert type(peak) is int and peak > 0
+
+
+def test_the_manifest_reports_the_package_and_python_versions(capsys):
+    versions = run(capsys, "orders", "-m", "3")[2]["versions"]
+    assert sorted(versions) == ["arrovian", "python"]
+    assert versions["arrovian"] == arrovian.__version__
+    assert tuple(map(int, versions["python"].split("."))) == sys.version_info[:3]
 
 
 @pytest.mark.parametrize("render", [[], ["--json"]])

@@ -1,11 +1,10 @@
 """No test-only surface in the package.
 
 Every function and non-dunder method under `src/arrovian` must be
-referenced by name somewhere in the package outside its own definition;
-the `__init__` re-exports do not count.  A name is matched, not
-resolved, so a method counts as referenced when any attribute of that
-name is read.  The few names that only the README or the benchmark
-(`perfbench`) reach are listed with their reason.
+referenced by name somewhere in the package outside its own definition.
+A name is matched, not resolved, so a method counts as referenced when
+any attribute of that name is read.  The few names that only the README
+or the benchmark (`perfbench`) reach are listed with their reason.
 """
 
 import ast

@@ -1,4 +1,4 @@
-"""Value semantics of the package's record classes, and what importing the CLI loads.
+"""Value semantics of the package's record classes, and what importing a module loads.
 
 Each record class is equal to another instance exactly when both are of
 the same class and their compared fields are equal, and a hashable one
@@ -195,13 +195,31 @@ def test_records_keep_constructor_defaults_and_keywords():
     assert (ctx.inputs, ctx.outputs, ctx.seed, ctx.phases, ctx.counters) == ({}, {}, None, {}, {})
 
 
-def test_importing_the_cli_generates_no_code():
-    """A fresh `import arrovian.cli` adds neither `dataclasses` nor `inspect` to `sys.modules`."""
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        (
+            "arrovian.cli",
+            [
+                "arrovian", "arrovian._util", "arrovian.arrow_search", "arrovian.cli", "arrovian.fc_infinite",
+                "arrovian.filters", "arrovian.kernel", "arrovian.ks_bridge", "arrovian.profiles", "arrovian.relations",
+                "arrovian.swf",
+            ],
+        ),
+        ("arrovian", ["arrovian"]),
+        ("arrovian.relations", ["arrovian", "arrovian._util", "arrovian.relations"]),
+    ],
+    ids=["arrovian.cli", "arrovian", "arrovian.relations"],
+)
+def test_importing_a_module_loads_only_what_it_uses(module, loaded):
+    """A fresh import adds neither `dataclasses` nor `inspect` to `sys.modules`, and of the
+    package only the module, its parents and what it imports: the root re-exports nothing."""
     src = str(Path(arrovian.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
-        "import sys; before = set(sys.modules); import arrovian.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {module}; added = set(sys.modules) - before; "
+        "print(sorted({'dataclasses', 'inspect'} & added)); "
+        "print(sorted(name for name in added if name.partition('.')[0] == 'arrovian'))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out.splitlines() == ["[]", str(loaded)]
