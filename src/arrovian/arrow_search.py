@@ -67,12 +67,12 @@ sorted keys, a run of survivors at a time, in the same bytes each run.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
 from ._util import _SLICE, Value, _quote, _render, canonical_json
-from .kernel import STANCES, domain_kernel, verdict_codes
+from .kernel import STANCES, domain_kernel, triangles, verdict_codes
 from .profiles import BudgetExceededError, Domain, check_profile_space, domain_size
 from .relations import MAX_ALTERNATIVES, unordered_pairs
 from .swf import PairwiseRuleSwf, full_report, swf_to_json_dict
@@ -146,7 +146,11 @@ def _support_table() -> tuple[int, ...]:
 
 
 def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
-    """Cells by (pair, split position); constraints by (triangle, m=3 profile index)."""
+    """Cells by (pair, split position), pair q's from q * len(splits) on; constraints by (triangle, m=3 profile).
+
+    A constraint ties the cells of a triangle's pairs, their positions from `triangles(m)`, at the split
+    positions that one m=3 profile has on (0, 1), (0, 2) and (1, 2): the columns of the m=3 kernel's `tri`.
+    """
     if not 3 <= m <= MAX_ALTERNATIVES:
         raise ValueError(f"the search needs 3 to {MAX_ALTERNATIVES} alternatives, got m={m}")
     check_profile_space(m, n, domain)
@@ -154,16 +158,15 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
     if size > MAX_SEARCH_PROFILES:
         raise BudgetExceededError(f"domain holds {size} profiles, over the search limit of {MAX_SEARCH_PROFILES}")
     kernel = domain_kernel(3, n, domain)
-    pairs = unordered_pairs(m)
-    splits = list(kernel.splits)
-    base = {pair: q * len(splits) for q, pair in enumerate(pairs)}
+    pairs, splits = unordered_pairs(m), list(kernel.splits)
+    width = len(splits)
     constraints = tuple(
-        (base[a, b] + ab, base[a, c] + ac, base[b, c] + bc)
-        for a, b, c in combinations(range(m), 3)
+        (qab * width + ab, qac * width + ac, qbc * width + bc)
+        for qab, qac, qbc in triangles(m)
         for ab, ac, bc in zip(*kernel.tri)
     )
     # The pairs' cells come in pair order, so c1 < c2 < c3 in every constraint.
-    cells = range(len(pairs) * len(splits))
+    cells = range(len(pairs) * width)
     later: list[list[tuple[int, int, int]]] = [[] for _ in cells]  # constraints with a cell after this one
     last: list[list[tuple[int, int, int]]] = [[] for _ in cells]
     for cons in constraints:
@@ -173,7 +176,7 @@ def build_problem(m: int, n: int, domain: Domain) -> SearchProblem:
         last[c3].append(cons)
     # every voter FIRST is position 0 and every voter SECOND is 1 + b + ... + b**(n-1)
     unanimous = {0: 0, sum(domain.split_base**v for v in range(n)): 1}
-    forced = {start + j: s for start in base.values() for j, s in unanimous.items()}
+    forced = {start + j: s for start in cells[::width] for j, s in unanimous.items()}
     return SearchProblem(
         m=m,
         n=n,

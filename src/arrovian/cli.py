@@ -95,15 +95,9 @@ class RunContext(Value):
     __slots__ = ("command", "parameters", "inputs", "outputs", "seed", "phases", "counters", "_parts")
     __hash__ = None  # mutable
 
-    def __init__(
-        self, command: str, parameters: dict, inputs: dict[str, str] | None = None,
-        outputs: dict[str, str] | None = None, seed: int | None = None, phases: dict[str, float] | None = None,
-        counters: dict[str, int] | None = None, _parts: list[str] | None = None,
-    ) -> None:
+    def __init__(self, command: str, parameters: dict, seed: int | None = None) -> None:
         self.command, self.parameters, self.seed = command, parameters, seed
-        self.inputs, self.outputs = {} if inputs is None else inputs, {} if outputs is None else outputs
-        self.phases, self.counters = {} if phases is None else phases, {} if counters is None else counters
-        self._parts = [] if _parts is None else _parts
+        self.inputs, self.outputs, self.phases, self.counters, self._parts = {}, {}, {}, {}, []
 
     def say(self, *texts: str) -> None:
         self._parts += texts

@@ -2,8 +2,9 @@
 
 Every quantified axiom check walks the same facts: the profiles of an
 (m, n, domain) in enumeration order, and each voter's stance on every
-pair of alternatives.  `domain_kernel(m, n, domain)` computes those
-facts once per process, as small integers, when first asked for;
+pair of alternatives.  The `DomainKernel(m, n, domain)` constructor
+computes those facts as small integers, and `domain_kernel(m, n, domain)`
+caches one kernel per (m, n, domain), built when first asked for;
 nothing is built at import.  The checks in `swf` and `ks_bridge` then
 run as lookups over it, and turn a failing index back into `Profile`
 objects only to report a witness.
@@ -24,11 +25,14 @@ Codes:
 
 Tables are stored per pair, one entry per profile, because the checks
 scan pairs outer and profiles inner.  A stance column is `bytes`, one
-code per profile: `split_columns` gathers it from a pair's stance codes
-laid out by split position.  `verdict_codes(m)` is the one table between weak
-orders and stance rows; `verdict_keys(m)`, its inverse on code tuples, turns a
-row into its verdict or finds it is none, and `first_absent` finds the first
-row that is none, reading one triangle of alternatives at a time.
+code per profile, read through a lut padded with MISSING by `gather`;
+`split_columns` gathers it from a pair's stance codes laid out by split
+position.  `triangles(m)` places each triangle a < b < c among the
+canonical pairs, for a2 and for the search's constraints.  `verdict_codes(m)`
+is the one table between weak orders and stance rows; `verdict_keys(m)`,
+its inverse on code tuples, turns a row into its verdict or finds it is
+none, and `first_absent` finds the first row that is none, reading one
+triangle at a time.
 What the checks read of one column alone is its `ColumnFacts`, computed
 once per distinct (pair, column) that a memo meets; one search's survivors share one.
 """
@@ -64,6 +68,7 @@ STANCES = (
 STANCE_CODE = {s: i for i, s in enumerate(STANCES)}
 FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
 ABSENT = -1
+_PAD = bytes([MISSING])
 
 
 class DomainKernel:
@@ -78,16 +83,28 @@ class DomainKernel:
     Stance codes and stance columns cover `canonical` only: the stance
     on (y, x) is the one on (x, y) flipped, so a check on `pairs[p]`
     reads column q against FIRST when r is 0 and SECOND when it is 1.
-    A kernel equals only itself.
+    The constructor raises as `enumerate_profiles` would.  A kernel equals only itself.
     """
 
-    def __init__(
-        self, m: int, n: int, domain: Domain, orders: tuple[WeakOrder, ...], pairs: tuple[tuple[int, int], ...],
-        canonical: tuple[tuple[int, int], ...], slot: tuple[tuple[int, int], ...],
-        order_codes: tuple[tuple[int, ...], ...], tri: tuple[bytes | array, ...], _order_index: dict[WeakOrder, int],
-    ) -> None:
-        self.m, self.n, self.domain, self.orders, self.pairs, self.canonical = m, n, domain, orders, pairs, canonical
-        self.slot, self.order_codes, self.tri, self._order_index = slot, order_codes, tri, _order_index
+    def __init__(self, m: int, n: int, domain: Domain) -> None:
+        check_profile_space(m, n, domain)
+        self.m, self.n, self.domain, self.orders = m, n, domain, tuple(domain.orders(m))
+        self.pairs, self.canonical = tuple(ordered_pairs(m)), tuple(unordered_pairs(m))
+        self.slot = tuple((self.canonical.index((min(x, y), max(x, y))), int(x > y)) for x, y in self.pairs)
+        index = verdict_index(m)
+        self.order_codes = tuple(tuple(codes[index[w]] for w in self.orders) for codes in verdict_codes(m))
+        b, k = domain.split_base, len(self.orders)
+        typecode = "B" if b**n <= 1 << 8 else "H" if b**n <= 1 << 16 else "I"
+        width = array(typecode).itemsize
+        tri = []
+        for per_order in self.order_codes:  # voter v adds its stance code times b**v; positions stay below b**n
+            col = sum(_voter_lanes([(s * b**v).to_bytes(width, "little") for s in per_order], v, n) for v in range(n))
+            positions = array(typecode, col.to_bytes(k**n * width, "little"))
+            if sys.byteorder == "big":
+                positions.byteswap()
+            tri.append(positions.tobytes() if width == 1 else positions)
+        self.tri = tuple(tri)
+        self._order_index = {w: i for i, w in enumerate(self.orders)}
 
     @property
     def size(self) -> int:
@@ -160,38 +177,7 @@ def _voter_lanes(lanes: Sequence[bytes], v: int, n: int) -> int:
     return int.from_bytes(b"".join(lane * k ** (n - 1 - v) for lane in lanes) * k**v, "little")
 
 
-@lru_cache(maxsize=8)
-def domain_kernel(m: int, n: int, domain: Domain) -> DomainKernel:
-    """The cached kernel of (m, n, domain); raises as enumerate_profiles would."""
-    check_profile_space(m, n, domain)
-    orders = tuple(domain.orders(m))
-    pairs = tuple(ordered_pairs(m))
-    canonical = tuple(unordered_pairs(m))
-    slot = tuple((canonical.index((min(x, y), max(x, y))), int(x > y)) for x, y in pairs)
-    index = verdict_index(m)
-    order_codes = tuple(tuple(codes[index[w]] for w in orders) for codes in verdict_codes(m))
-    b = domain.split_base
-    typecode = "B" if b**n <= 1 << 8 else "H" if b**n <= 1 << 16 else "I"
-    width = array(typecode).itemsize
-    tri = []
-    for per_order in order_codes:  # voter v adds its stance code times b**v; positions stay below b**n
-        col = sum(_voter_lanes([(s * b**v).to_bytes(width, "little") for s in per_order], v, n) for v in range(n))
-        positions = array(typecode, col.to_bytes(len(orders) ** n * width, "little"))
-        if sys.byteorder == "big":
-            positions.byteswap()
-        tri.append(positions.tobytes() if width == 1 else positions)
-    return DomainKernel(
-        m=m,
-        n=n,
-        domain=domain,
-        orders=orders,
-        pairs=pairs,
-        canonical=canonical,
-        slot=slot,
-        order_codes=order_codes,
-        tri=tuple(tri),
-        _order_index={w: i for i, w in enumerate(orders)},
-    )
+domain_kernel = lru_cache(maxsize=8)(DomainKernel)  # one kernel per (m, n, domain) among the 8 last asked for
 
 
 class ColumnFacts(NamedTuple):
@@ -229,16 +215,25 @@ def column_facts(k: DomainKernel, cols: Sequence[bytes], memo: dict | None = Non
 
 
 def split_columns(k: DomainKernel, luts: Sequence[bytes]) -> list[bytes]:
-    """Per pair of `k.canonical`, its stance codes laid out over `k.splits` by position, read at each profile.
+    """Per pair of `k.canonical`, its stance codes laid out over `k.splits` by position, read at each profile:
+    `gather(k.tri[q], luts[q])`, so a lut shorter than the splits reads MISSING past its end."""
+    return list(map(gather, k.tri, luts))
 
-    With at most 256 splits a column is the pair's positions translated
-    through its lut; above that, each profile indexes it.  A lut shorter
-    than the splits reads MISSING past its end.
+
+def gather(index: bytes | Sequence[int], lut: bytes) -> bytes:
+    """`lut[i]` for each entry i of index, MISSING past the lut's end.
+
+    A bytes index is translated through the lut padded with MISSING to 256
+    entries; any other is read entry by entry, so -1 (ABSENT) reads the lut's
+    last entry, and through the lut padded as far as its largest entry only
+    when some entry lies past the end (a pair with no rule table has b"").
     """
-    pad = bytes([MISSING])
-    if len(k.splits) <= 256:
-        return [tri.translate(lut.ljust(256, pad)) for tri, lut in zip(k.tri, luts)]
-    return [bytes(map(lut.ljust(len(k.splits), pad).__getitem__, tri)) for tri, lut in zip(k.tri, luts)]
+    if isinstance(index, bytes):
+        return index.translate(lut.ljust(256, _PAD))
+    try:
+        return bytes(map(lut.__getitem__, index))
+    except IndexError:
+        return bytes(map(lut.ljust(max(index) + 1, _PAD).__getitem__, index))
 
 
 def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
@@ -249,7 +244,7 @@ def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
     share one byte lane, read through a table of all 256.
     """
     first = None
-    for group in _triangles(k.m):
+    for group in triangles(k.m):
         lane = sum(codes[q] << 2 * j for j, q in enumerate(group)).to_bytes(k.size, "little")
         if (i := lane.translate(_absent_table()).find(1, 0, first)) >= 0:
             first = i
@@ -257,7 +252,7 @@ def first_absent(k: DomainKernel, codes: Sequence[int]) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _triangles(m: int) -> tuple[tuple[int, ...], ...]:
+def triangles(m: int) -> tuple[tuple[int, ...], ...]:
     """Per triangle a < b < c, the positions of (a, b), (a, c) and (b, c) among the canonical pairs of m.
 
     Below m=3 a single group holds every pair; an unused lane slot reads FIRST, which composes.

@@ -29,7 +29,7 @@ from operator import and_
 
 from ._util import Value
 from .filters import CoalitionFamily, FilterClassification, classify, is_ultrafilter_complement, set_to_mask
-from .profiles import Domain, TriPartition
+from .profiles import Domain, TriPartition, enumerate_tripartitions
 from .kernel import (
     ABSENT, FIRST, MISSING, SECOND, TIE, ColumnFacts, DomainKernel, compose, compose_rows, domain_kernel, split_columns,
 )
@@ -102,7 +102,7 @@ def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> 
             return MISSING if reverse else FIRST
         return SECOND if reverse else TIE
 
-    lut = bytes(code(TriPartition.from_code(n, t)) for t in k.splits)  # laid out over the splits
+    lut = bytes(map(code, enumerate_tripartitions(n, domain)))  # laid out over the splits
     cols = split_columns(k, [lut] * len(k.canonical))
     row = compose_rows(k, cols)
     if ABSENT in row:

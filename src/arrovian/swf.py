@@ -72,7 +72,7 @@ from .profiles import (
 )
 from .kernel import (
     ABSENT, MISSING, STANCE_CODE, STANCES, ColumnFacts, DomainKernel, column_facts, compose, compose_rows,
-    domain_kernel, first_absent, first_profile, split_columns, verdict_codes, verdict_index,
+    domain_kernel, first_absent, first_profile, gather, split_columns, verdict_codes, verdict_index,
 )
 
 
@@ -127,12 +127,11 @@ class ExplicitSwf:
         return pair_stance(self.verdict(f), x, y)
 
     def stance_columns(self, k: DomainKernel) -> list[bytes]:
-        """Per pair of `k.canonical`, the verdict's stance code on each profile: below 256 verdicts (m <= 4)
-        each entry's low byte translated through the codes padded with MISSING, which ABSENT's 0xFF reads."""
-        if len(verdict_index(self.m)) > 255:
-            return [bytes(map(codes.__getitem__, self.row)) for codes in verdict_codes(self.m)]
-        low, pad = self.row.tobytes()[sys.byteorder == "big" :: 2], bytes([MISSING])
-        return [low.translate(bytes(codes[:-1]).ljust(256, pad)) for codes in verdict_codes(self.m)]
+        """Per pair of `k.canonical`, the verdict's stance code on each profile, gathered through the pair's
+        `verdict_codes`, whose last entry MISSING is what ABSENT reads: below 256 verdicts (m <= 4) from each
+        entry's low byte, where ABSENT is 0xFF."""
+        index = self.row if len(verdict_index(self.m)) > 255 else self.row.tobytes()[sys.byteorder == "big" :: 2]
+        return [gather(index, bytes(codes)) for codes in verdict_codes(self.m)]
 
     def describe(self) -> str:
         return f"explicit swf, m={self.m}, n={self.n}, domain={self.domain.value}"
@@ -334,7 +333,7 @@ def check_independence(swf: Swf) -> IndependenceCheck:
 def _layouts(k: DomainKernel, cols: list[bytes]) -> tuple[list[bytes], list[int | None]]:
     """Per canonical pair, its column at the first profile of each split (`k.first_seen`), and its first break:
     the first profile MISSING or unlike its split's first, where the layout read back, MISSING as 0xFF, differs."""
-    layouts = [bytes(map(col.__getitem__, first)) for first, col in zip(k.first_seen, cols)]
+    layouts = list(map(gather, k.first_seen, cols))
     backs = split_columns(k, [lut.replace(bytes([MISSING]), b"\xff") for lut in layouts])
     diffs = (0 if c == b else int.from_bytes(c, "little") ^ int.from_bytes(b, "little") for c, b in zip(cols, backs))
     return layouts, list(map(first_profile, diffs))
@@ -565,7 +564,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
         raise SwfFormatError(f"unknown keys {unknown}")
     for key in ("m", "n", "domain"):
         if key not in obj:
-            raise SwfFormatError(f"required key {key!r} missing")
+            raise SwfFormatError("required key missing", location=key)
     m, n, alts = parse_header(obj, SwfFormatError)
     try:
         domain = Domain.from_name(obj["domain"])

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import swf_oracle as oracle
 from arrovian.arrow_search import search_arrovian
 from arrovian.kernel import (
-    ABSENT, FIRST, MISSING, SECOND, STANCES, compose, compose_rows, domain_kernel, first_absent, split_columns,
-    verdict_codes, verdict_keys,
+    ABSENT, FIRST, MISSING, SECOND, STANCES, compose, compose_rows, domain_kernel, first_absent, gather,
+    split_columns, verdict_codes, verdict_keys,
 )
 from arrovian import ks_bridge
 from arrovian.filters import CoalitionFamily
@@ -168,6 +168,14 @@ def test_split_columns_read_random_partial_tables(m, n, domain, splits):
         assert [tuple(c) for c in cols] == [
             tuple(map({**fill, **(table or {})}.get, t)) for t, table in zip(codes, tables)
         ]
+
+
+def test_gather_pads_a_short_lut_and_reads_absent_from_its_end():
+    """A bytes index reads MISSING past the end of a lut shorter than 256; an array index reads
+    entry by entry, so -1 (ABSENT) reads the lut's last entry and an entry past its end MISSING."""
+    assert gather(bytes([0, 1, 2, 3, 255]), b"\x02\x00\x01") == bytes([2, 0, 1, MISSING, MISSING])
+    assert gather(array("h", [1, ABSENT, 0, 1]), b"\x01\x02\x00") == bytes([2, 0, 1, 2])
+    assert gather(array("H", [0, 300]), b"\x01") == bytes([1, MISSING])
 
 
 @pytest.mark.parametrize(

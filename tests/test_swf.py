@@ -520,6 +520,26 @@ def test_swf_and_profile_headers_fail_alike(header, message):
     assert swf_err.value.location == profile_err.value.location == message.split(":")[0]
 
 
+_SWF_DOC = {"kind": "explicit", "m": 3, "n": 1, "domain": "weak", "entries": []}
+_PROFILE_DOC = {"m": 3, "n": 1, "prefs": ["A>B>C"]}
+
+
+@pytest.mark.parametrize(
+    "parse, error, doc, key",
+    [(parse_swf_json, SwfFormatError, _SWF_DOC, key) for key in ("m", "n", "domain")]
+    + [(parse_profile_json, ProfileFormatError, _PROFILE_DOC, key) for key in ("m", "n", "prefs")],
+    ids=["swf-m", "swf-n", "swf-domain", "profile-m", "profile-n", "profile-prefs"],
+)
+def test_swf_and_profile_documents_name_a_missing_key_alike(parse, error, doc, key):
+    """Each parser's required keys: a missing one is located at the key, in one text for both parsers."""
+    doc = dict(doc)
+    del doc[key]
+    with pytest.raises(error) as err:
+        parse(doc)
+    assert str(err.value) == f"{key}: required key missing"
+    assert err.value.location == key
+
+
 @pytest.mark.parametrize("bad", ["A>B>Z", "A>A>C", "A>B", ""])
 def test_explicit_json_error_names_the_first_entry_with_a_bad_order(bad):
     """Each order text is parsed once per document; a repeat still fails where it first occurs."""
