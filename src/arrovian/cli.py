@@ -61,11 +61,13 @@ from .fc_infinite import (
     validate_fc_filter_axioms,
 )
 from .filters import MAX_GROUND, CoalitionFamily, classify, enumerate_filters
+from .kernel import MISSING
 from .ks_bridge import NotArrovianError, extract_decisive_family, verify_ks2
 from .profiles import (
     BudgetExceededError,
     Domain,
     condorcet_profile,
+    domain_size,
     pairwise_majority,
     parse_profile_json,
 )
@@ -77,7 +79,7 @@ from .relations import (
     to_canonical,
     validate_weak_order,
 )
-from .swf import full_report, parse_swf_json
+from .swf import ExplicitSwf, Swf, full_report, parse_swf_json
 
 try:
     from resource import RUSAGE_SELF, getrusage  # ru_maxrss is in KB on Linux, in bytes on macOS
@@ -180,6 +182,14 @@ def _verdict(ok: bool) -> str:
 # -------------------------------------------------------------- commands
 
 
+def _load_swf(ctx: RunContext, path: str) -> tuple[Swf, AlternativeSet]:
+    """The SWF document at path; the run counts its domain's profiles and its cells (verdicts, or rule stances)."""
+    swf, alts = ctx.load(path, parse_swf_json)
+    cells = len(swf.verdicts) if isinstance(swf, ExplicitSwf) else sum(len(t) - t.count(MISSING) for t in swf.layout)
+    ctx.counters = {"profiles": domain_size(swf.m, swf.n, swf.domain), "cells": cells}
+    return swf, alts
+
+
 def _cmd_orders(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
     m = args.alternatives
     if not 1 <= m <= MAX_ALTERNATIVES:
@@ -236,7 +246,7 @@ _AXIOM_TITLES = {
 
 
 def _cmd_axioms(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
-    swf, alts = ctx.load(args.swf, parse_swf_json)
+    swf, alts = _load_swf(ctx, args.swf)
     report = ctx.timed("audit_s", full_report, swf)
     ok = not report.failed()
     return 0 if ok else 1, {
@@ -309,7 +319,7 @@ def _not_arrovian(schema: str, exc: NotArrovianError, alts: AlternativeSet) -> t
 
 
 def _cmd_bridge_extract(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
-    swf, alts = ctx.load(args.swf, parse_swf_json)
+    swf, alts = _load_swf(ctx, args.swf)
     try:
         dec = ctx.timed("audit_s", extract_decisive_family, swf)
     except NotArrovianError as exc:
@@ -342,7 +352,7 @@ def _text_bridge_extract(doc: dict) -> str:
 
 
 def _cmd_bridge_ks2(args: argparse.Namespace, ctx: RunContext) -> tuple[int, dict]:
-    swf, alts = ctx.load(args.swf, parse_swf_json)
+    swf, alts = _load_swf(ctx, args.swf)
     try:
         rep = ctx.timed("audit_s", verify_ks2, swf)
     except NotArrovianError as exc:

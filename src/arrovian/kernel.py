@@ -66,6 +66,7 @@ STANCES = (
     PairStance.INDIFFERENT,
 )
 STANCE_CODE = {s: i for i, s in enumerate(STANCES)}
+STANCE_AT = {s.value: i for i, s in enumerate(STANCES)}  # a stance's JSON name to its code
 FIRST, SECOND, TIE, MISSING = 0, 1, 2, 3
 ABSENT = -1
 _PAD = bytes([MISSING])

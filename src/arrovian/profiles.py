@@ -219,6 +219,26 @@ def split_position(t: TriPartition, domain: Domain) -> int | None:
     return None if t.tie else sum(1 << v for v in t.second)  # the code's base-3 digits read in base 2
 
 
+def split_at(n: int, domain: Domain, lists) -> int | None:
+    """The split position of the JSON tri-partition `[[first], [second], [tie]]`, read in one pass,
+    or None where it is anything else: not three lists of n distinct voters 0..n-1, or a linear tie."""
+    if type(lists) is not list or len(lists) != 3:
+        return None
+    first, second, tie = lists
+    if not type(first) is type(second) is type(tie) is list or len(first) + len(second) + len(tie) != n:
+        return None  # and so each voter's bit below, under n, is within the document's length
+    if tie and domain is Domain.LINEAR:
+        return None
+    weak, seen, position = domain is Domain.WEAK, 0, 0
+    for d, part in enumerate(lists):
+        for v in part:
+            if type(v) is not int or not 0 <= v < n or seen >> v & 1:
+                return None
+            seen |= 1 << v
+            position += d * 3**v if weak else d << v
+    return position
+
+
 def enumerate_tripartitions(n: int, domain: Domain) -> list[TriPartition]:
     """Tri-partitions reachable in the domain, ascending by code.
 

@@ -67,11 +67,12 @@ from .profiles import (
     enumerate_tripartitions,
     pair_partition,
     parse_header,
+    split_at,
     split_codes,
     split_position,
 )
 from .kernel import (
-    ABSENT, MISSING, STANCE_CODE, STANCES, ColumnFacts, DomainKernel, column_facts, compose, compose_rows,
+    ABSENT, MISSING, STANCE_AT, STANCE_CODE, STANCES, ColumnFacts, DomainKernel, column_facts, compose, compose_rows,
     domain_kernel, first_absent, first_profile, gather, split_columns, verdict_codes, verdict_index,
 )
 
@@ -185,7 +186,8 @@ class PairwiseRuleSwf:
 
     `layout[q]` is canonical pair q's rule, its stance code at each of the domain's splits by
     position (`split_codes`, ascending tri-partition code), MISSING where it has none, and
-    `b""` where the pair has no rule table at all.  Producers in this package write it through
+    `b""` where the pair has no rule table at all.  Producers in this package, `parse_swf_json`
+    among them (by each cell's `profiles.split_at`, with no `TriPartition`), write it through
     `from_layout`.  The constructor takes `TriPartition`-to-`PairStance` maps, drops the pairs
     and splits outside the domain, which no check reads, and raises as `enumerate_profiles`
     would.  `rules` is the layout as such maps, read-only, built on first use.
@@ -622,7 +624,7 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
     rules_json = obj.get("rules")
     if not isinstance(rules_json, dict):
         raise SwfFormatError("rules must be an object keyed by pair")
-    tables: dict[tuple[int, int], dict[TriPartition, PairStance]] = {}
+    tables: dict[tuple[int, int], dict[int, int]] = {}  # per pair, split position to stance code
     for key, cells in rules_json.items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -635,21 +637,28 @@ def parse_swf_json(data: str | dict) -> tuple[Swf, AlternativeSet]:
             raise SwfFormatError(f"rules key {key!r}: pair must be canonical (x before y)")
         if not isinstance(cells, list):
             raise SwfFormatError(f"rules[{key!r}] must be a list of [tri-partition, stance]")
-        table: dict[TriPartition, PairStance] = {}
+        table: dict[int, int] = {}
         for i, cell in enumerate(cells):
             if not (isinstance(cell, list) and len(cell) == 2):
                 raise SwfFormatError(f"rules[{key!r}][{i}]: expected [tri-partition, stance]")
             tri_lists, stance_name = cell
-            try:
-                t = TriPartition.from_json_lists(n, tri_lists)
-                s = PairStance.from_name(stance_name)
-            except (ValueError, TypeError) as exc:
-                raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
-            if t.tie and domain is Domain.LINEAR:
-                raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
-            if t in table:
+            j = split_at(n, domain, tri_lists)
+            s = STANCE_AT.get(stance_name) if type(stance_name) is str else None
+            if j is None or s is None:  # read again through the objects, which say what is wrong
+                try:
+                    t = TriPartition.from_json_lists(n, tri_lists)
+                    s = STANCE_CODE[PairStance.from_name(stance_name)]
+                except (ValueError, TypeError) as exc:
+                    raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
+                if t.tie and domain is Domain.LINEAR:
+                    raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
+                j = split_position(t, domain)
+            if j in table:
                 raise SwfFormatError(f"rules[{key!r}][{i}]: duplicate tri-partition")
-            table[t] = s
+            table[j] = s
         tables[(x, y)] = table
     # The domain's size is checked only now, so that a defect in the rules is reported first.
-    return PairwiseRuleSwf(m, n, domain, tables), alts
+    check_profile_space(m, n, domain)
+    at = range(domain.split_base**n)  # the split positions, each pair's layout read off its table in one pass
+    layout = tuple(bytes(map(tables[p].get, at, repeat(MISSING))) if p in tables else b"" for p in unordered_pairs(m))
+    return PairwiseRuleSwf.from_layout(m, n, domain, layout), alts

@@ -7,8 +7,9 @@ the search problem for its stance or cell pair by pair.  The package runs
 the same checks and builds the same tables as integer lookups over
 `arrovian.kernel`; the tests require both to give equal answers, equal
 witnesses and equal error texts.  `majority_edges` does the same for
-`profiles.pairwise_majority`, and `is_ultrafilter_maximal` for
-`filters.is_ultrafilter_complement`.
+`profiles.pairwise_majority`, `is_ultrafilter_maximal` for
+`filters.is_ultrafilter_complement`, and `parse_pairwise_rules` for the
+pairwise branch of `swf.parse_swf_json`.
 
 The sample rules (dictator, anti-dictator, constant, Borda, majority)
 are built through the public `PairwiseRuleSwf` and `ExplicitSwf`
@@ -33,6 +34,7 @@ from arrovian.profiles import (
     enumerate_profiles,
     enumerate_tripartitions,
     pair_partition,
+    parse_header,
 )
 from arrovian.relations import (
     AlternativeSet,
@@ -53,6 +55,7 @@ from arrovian.swf import (
     IndependenceCheck,
     PairwiseRuleSwf,
     Swf,
+    SwfFormatError,
     UnanimityCheck,
     _profile_texts,
 )
@@ -212,6 +215,42 @@ def expand_to_explicit(swf: PairwiseRuleSwf) -> ExplicitSwf:
     return ExplicitSwf(swf.m, swf.n, swf.domain, verdicts)
 
 
+def parse_pairwise_rules(obj: dict) -> PairwiseRuleSwf:
+    """A pairwise SWF document with a valid header, read cell by cell into `TriPartition`-to-`PairStance`
+    tables that the public constructor lays out; a defect raises the `SwfFormatError` it names."""
+    m, n, alts = parse_header(obj, SwfFormatError)
+    domain = Domain.from_name(obj["domain"])
+    tables: dict[tuple[int, int], dict[TriPartition, PairStance]] = {}
+    for key, cells in obj["rules"].items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise SwfFormatError(f"rules key {key!r}: expected 'X,Y'")
+        try:
+            x, y = alts.index(parts[0]), alts.index(parts[1])
+        except ValueError as exc:
+            raise SwfFormatError(f"rules key {key!r}: {exc}") from None
+        if x >= y:
+            raise SwfFormatError(f"rules key {key!r}: pair must be canonical (x before y)")
+        if not isinstance(cells, list):
+            raise SwfFormatError(f"rules[{key!r}] must be a list of [tri-partition, stance]")
+        table: dict[TriPartition, PairStance] = {}
+        for i, cell in enumerate(cells):
+            if not (isinstance(cell, list) and len(cell) == 2):
+                raise SwfFormatError(f"rules[{key!r}][{i}]: expected [tri-partition, stance]")
+            try:
+                t = TriPartition.from_json_lists(n, cell[0])
+                s = PairStance.from_name(cell[1])
+            except (ValueError, TypeError) as exc:
+                raise SwfFormatError(f"rules[{key!r}][{i}]: {exc}") from None
+            if t.tie and domain is Domain.LINEAR:
+                raise SwfFormatError(f"rules[{key!r}][{i}]: tri-partition outside the linear domain")
+            if t in table:
+                raise SwfFormatError(f"rules[{key!r}][{i}]: duplicate tri-partition")
+            table[t] = s
+        tables[(x, y)] = table
+    return PairwiseRuleSwf(m, n, domain, tables)
+
+
 def swf_from_ultrafilter(u: CoalitionFamily, m: int, n: int, domain: Domain) -> ExplicitSwf:
     if u.n != n:
         raise ValueError(f"ultrafilter ground set n={u.n} does not match n={n}")
@@ -350,6 +389,11 @@ def _sign(d: int) -> PairStance:
 def dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
     """Copy voter v's stance on each pair."""
     return _rules(m, n, domain, lambda pair, t: (v in t.first) - (v in t.second))
+
+
+def anti_dictator_rules(v: int, m: int, n: int, domain: Domain) -> PairwiseRuleSwf:
+    """Reverse voter v's stance on each pair."""
+    return _rules(m, n, domain, lambda pair, t: (v in t.second) - (v in t.first))
 
 
 def constant_rules(w: WeakOrder, n: int, domain: Domain) -> PairwiseRuleSwf:

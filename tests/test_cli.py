@@ -686,6 +686,23 @@ def test_a_command_reading_a_file_times_its_parse_and_its_rendering(capsys, dict
     assert list(run(capsys, "axioms", "--swf", str(broken))[2]["phases"]) == ["parse_s"]
 
 
+def test_an_swf_command_counts_the_profiles_and_the_cells_it_reads(capsys, dictator_file, tmp_path):
+    """The dictator's rules define all 4 linear splits of 2 voters on each of 3 pairs, over 6**2 profiles;
+    an explicit table counts the verdicts it gives, and a refused document counts nothing."""
+    for command in (["axioms"], ["bridge", "extract"], ["bridge", "ks2"]):
+        assert run(capsys, *command, "--swf", dictator_file)[2]["counters"] == {"profiles": 36, "cells": 12}
+    gaps = swf_to_json_dict(dictator_rules(1, 3, 2, Domain.LINEAR))
+    gaps["rules"] = {"A,B": gaps["rules"]["A,B"][1:], "A,C": []}
+    explicit = swf_to_json_dict(oracle.dictator_explicit(0, 3, 2, Domain.WEAK))
+    del explicit["entries"][5:]
+    for doc, counters in ((gaps, {"profiles": 36, "cells": 3}), (explicit, {"profiles": 169, "cells": 5})):
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(doc))
+        assert run(capsys, "axioms", "--swf", str(path))[2]["counters"] == counters
+    path.write_text('{"m": 3,')
+    assert run(capsys, "axioms", "--swf", str(path))[2]["counters"] == {}
+
+
 SEARCH_REFUSALS = [
     ("--alternatives 2 --voters 2", "the search needs 3 to 5 alternatives, got m=2"),
     ("--alternatives 6 --voters 2", "the search needs 3 to 5 alternatives, got m=6"),

@@ -23,6 +23,7 @@ from arrovian.profiles import (
     pairwise_majority,
     parse_profile_json,
     profile_from_texts,
+    split_at,
     split_position,
 )
 from arrovian.relations import AlternativeSet, PairStance, validate_weak_order
@@ -108,6 +109,21 @@ def test_enumerate_tripartitions_linear_excludes_ties():
     assert [split_position(t, Domain.WEAK) for t in weak] == list(range(9))
     assert [split_position(t, Domain.LINEAR) for t in linear] == list(range(4))
     assert [split_position(t, Domain.LINEAR) for t in weak if t.tie] == [None] * 5
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+def test_split_at_reads_a_json_tri_partition_to_its_split_position(domain):
+    """In any order within a part; anything `from_json_lists` refuses, or a linear tie, reads as None."""
+    for n in (1, 2, 3, 4):
+        for t in enumerate_tripartitions(n, Domain.WEAK):
+            lists, j = t.to_json_lists(), split_position(t, domain)
+            assert split_at(n, domain, lists) == split_at(n, domain, [p[::-1] for p in lists]) == j
+    refused = (
+        [[0], [1]], [[0], [1], [], []], [[0], [1], ()], "01", {"0": [0, 1]}, None,
+        [[True], [0], []], [[0.0], [1], []], [[-1], [0, 1], []], [[0], [2], []], [[0], [], []], [[0], [0, 1], []],
+    )
+    for lists in refused:
+        assert split_at(2, domain, lists) is None, lists
 
 
 def test_pair_partition_agrees_with_stances():

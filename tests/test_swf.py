@@ -48,12 +48,14 @@ from arrovian.swf import (
 )
 from swf_oracle import (
     anti_dictator_explicit,
+    anti_dictator_rules,
     borda_explicit,
     constant_explicit,
     constant_rules,
     dictator_explicit,
     dictator_rules,
     majority_rules,
+    parse_pairwise_rules,
 )
 
 ABC = parse_weak_order("A>B>C")
@@ -640,6 +642,134 @@ def test_pairwise_rules_outside_the_domain_are_dropped():
     parsed, _ = parse_swf_json(canonical_json(swf_to_json_dict(swf)))
     assert parsed.rules == swf.rules
 
+
+# --- pairwise JSON against the cell-by-cell reader -------------------------------------------
+
+
+def outcome(read, doc):
+    """What read(doc) gives, or the type, message and location of what it raises."""
+    try:
+        return read(doc)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "location", None)
+
+
+def respelled(doc: dict) -> dict:
+    """The document with each part's voters in descending order and each table's cells reversed."""
+
+    def cell(t: list[list[int]], stance: str) -> list:
+        return [[sorted(p, reverse=True) for p in t], stance]
+
+    return {**doc, "rules": {key: [cell(*c) for c in cells[::-1]] for key, cells in doc["rules"].items()}}
+
+
+PARITY_SIZES = [
+    *((3, n, Domain.LINEAR) for n in (1, 2, 3)),
+    *((3, n, Domain.WEAK) for n in (1, 2, 3)),
+    *((4, n, Domain.WEAK) for n in (1, 2)),
+    (5, 1, Domain.WEAK),
+]
+
+
+@pytest.mark.parametrize("m, n, domain", PARITY_SIZES, ids=[f"m{m}-{d.value}-n{n}" for m, n, d in PARITY_SIZES])
+def test_pairwise_json_reads_the_layout_the_reference_lays_out(m, n, domain):
+    """Each sample rule, as the writer spells it and re-spelled, reads to the layout the cell-by-cell reader gives."""
+    rules = {
+        "dictator": dictator_rules(n - 1, m, n, domain),
+        "anti-dictator": anti_dictator_rules(0, m, n, domain),
+        "constant": constant_rules(WeakOrder(((m - 1,), tuple(range(m - 1)))), n, domain),
+        "majority": majority_rules(m, n, domain),
+    }
+    for kind, swf in rules.items():
+        doc = swf_to_json_dict(swf)
+        for spelling in (doc, respelled(doc)):
+            parsed, _ = parse_swf_json(json.dumps(spelling))
+            reference = parse_pairwise_rules(spelling)
+            assert (parsed.m, parsed.n, parsed.domain) == (m, n, domain), kind
+            assert parsed.layout == reference.layout == swf.layout, kind
+    assert respelled(doc) != doc
+
+
+# Each case puts a cell into the A,B table of the m=3 n=2 dictator document: in place of cell 1, or
+# after the last, where a duplicate of the writer's cell [[0, 1], [], []] goes.
+MALFORMED_CELLS = {
+    "true voter": (Domain.WEAK, 1, [[[True], [0], []], "FIRST"]),
+    "float voter": (Domain.WEAK, 1, [[[0.0], [1], []], "FIRST"]),
+    "voter n": (Domain.WEAK, 1, [[[0], [2], []], "FIRST"]),
+    "voter -1": (Domain.WEAK, 1, [[[-1], [1], []], "FIRST"]),
+    "missing voter": (Domain.WEAK, 1, [[[0], [], []], "FIRST"]),
+    "voter in two parts": (Domain.WEAK, 1, [[[0], [0, 1], []], "FIRST"]),
+    "two parts": (Domain.WEAK, 1, [[[0], [1]], "FIRST"]),
+    "four parts": (Domain.WEAK, 1, [[[0], [1], [], []], "FIRST"]),
+    "part not a list": (Domain.WEAK, 1, [[[0], 1, []], "FIRST"]),
+    "string tri-partition": (Domain.WEAK, 1, ["0,1", "FIRST"]),
+    "dict tri-partition": (Domain.WEAK, 1, [{"first": [0, 1]}, "FIRST"]),
+    "list stance": (Domain.WEAK, 1, [[[0], [1], []], ["FIRST"]]),
+    "null stance": (Domain.WEAK, 1, [[[0], [1], []], None]),
+    "unknown stance": (Domain.WEAK, 1, [[[0], [1], []], "MAYBE"]),
+    "bad voter and unknown stance": (Domain.WEAK, 1, [[[0], [5], []], "MAYBE"]),
+    "linear tie": (Domain.LINEAR, 1, [[[0], [], [1]], "FIRST"]),
+    "duplicate as written": (Domain.WEAK, None, [[[0, 1], [], []], "SECOND"]),
+    "duplicate re-spelled": (Domain.WEAK, None, [[[1, 0], [], []], "SECOND"]),
+}
+
+
+@pytest.mark.parametrize("domain, at, cell", MALFORMED_CELLS.values(), ids=MALFORMED_CELLS)
+def test_pairwise_json_refuses_a_malformed_cell_as_the_reference_does(domain, at, cell):
+    doc = swf_to_json_dict(dictator_rules(0, 3, 2, domain))
+    cells = doc["rules"]["A,B"]
+    at = len(cells) if at is None else at
+    cells[at : at + 1] = [cell]  # past the last cell, this appends it
+    expected = outcome(lambda d: parse_pairwise_rules(d).layout, doc)
+    assert expected[0] is SwfFormatError and expected[1].startswith(f"rules['A,B'][{at}]: ")
+    assert outcome(lambda d: parse_swf_json(d)[0].layout, doc) == expected
+    assert outcome(lambda d: parse_swf_json(d)[0].layout, json.dumps(doc)) == expected
+
+
+def test_pairwise_json_reports_a_bad_cell_before_the_profile_budget():
+    """m=3 weak n=10 holds 13**10 profiles: a defective cell is named, a valid one ends on the budget."""
+    cell = [[list(range(10)), [], []], "FIRST"]
+    doc = {"kind": "pairwise", "m": 3, "n": 10, "domain": "weak", "rules": {"A,B": [cell]}}
+    bad = {**doc, "rules": {"A,C": [cell, [[list(range(9)), [10], []], "FIRST"]]}}
+    with pytest.raises(SwfFormatError, match=r"^rules\['A,C'\]\[1\]: parts must partition the voters 0..n-1$"):
+        parse_swf_json(bad)
+    with pytest.raises(BudgetExceededError, match=r"^domain holds 137858491849 profiles, over the budget of 10000000"):
+        parse_swf_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, layout",
+    [
+        ({"m": 2, "n": 14, "domain": "linear", "rules": {"A,B": []}}, (bytes([MISSING]) * 2**14,)),
+        ({"m": 2, "n": 14, "domain": "weak", "rules": {}}, (b"",)),
+        ({"m": 1, "n": 23, "domain": "weak", "rules": {}}, ()),
+    ],
+    ids=["m2-linear-n14", "m2-weak-n14", "m1-weak-n23"],
+)
+def test_pairwise_json_reads_a_large_sparse_document_in_small_memory(doc, layout):
+    """Nothing is built per split but the layouts the document's tables ask for: 3**14 is 4.8 million
+    splits and 3**23 is 94 billion."""
+    tracemalloc.start()
+    try:
+        swf, _ = parse_swf_json({"kind": "pairwise", **doc})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swf.layout == layout
+    assert peak < 2**20
+
+
+def test_pairwise_json_refuses_a_voter_far_past_a_small_cell_in_small_memory():
+    """A cell that lists fewer voters than n is refused before any voter's bit is set: 2**29 would take 64 MB."""
+    doc = {"kind": "pairwise", "m": 3, "n": 2**30, "domain": "weak", "rules": {"A,B": [[[[2**29], [], []], "FIRST"]]}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SwfFormatError, match=r"^rules\['A,B'\]\[0\]: parts must partition the voters 0..n-1$"):
+            parse_swf_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 def test_verdict_of_weak_order_constructor():
     w = WeakOrder(((1,), (0, 2)))
